@@ -29,6 +29,7 @@ from .fit import (
     DiscrepancyReport,
     GrowthRates,
     SearchConfig,
+    TuneResult,
     data_growth_rates,
     default_init,
     discrepancy,
@@ -62,10 +63,6 @@ from .sir import (
     Trajectory,
     simulate,
     simulated_growth_rates,
-    step_delayed,
-    step_original,
-    step_reinfect,
-    step_tourism,
 )
 from .timeseries import (
     CaseSeries,
@@ -108,6 +105,7 @@ __all__ = [
     "SirState",
     "StateError",
     "Trajectory",
+    "TuneResult",
     "ValidationError",
     "WeatherRow",
     "WeatherTable",
@@ -132,10 +130,6 @@ __all__ = [
     "sim_growth_rates",
     "simulate",
     "simulated_growth_rates",
-    "step_delayed",
-    "step_original",
-    "step_reinfect",
-    "step_tourism",
     "student_t_sf",
     "to_log_series",
     "tune",

@@ -30,14 +30,7 @@ from .correlate import (
     write_weather_report_csv,
 )
 from .errors import ConfigError, InsufficientDataError, ParseError, PipelineError
-from .fit import (
-    DEFAULT_S0_SCALE,
-    SearchConfig,
-    data_growth_rates,
-    default_init,
-    sim_growth_rates,
-    tune,
-)
+from .fit import DEFAULT_S0_SCALE, SearchConfig, data_growth_rates, tune
 from .fixtures import make_bundle
 from .segment import (
     DEFAULT_ANNOUNCEMENT,
@@ -142,8 +135,12 @@ def _apply_config(args: argparse.Namespace) -> None:
     if path is None:
         return
     pairs: dict[str, str] = {}
-    with open(path) as fh:
-        for line_num, raw in enumerate(fh, 1):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        for line_num, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -328,11 +325,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
             table_rows.append((metro, None, None))
             continue
         pcts: dict[str, float | None] = {}
-        k_data = data_growth_rates(series, ps)
         for model in FIT_MODELS:
             try:
-                init = default_init(series, ps)
-                params, rep = tune(
+                res = tune(
                     model,
                     series,
                     ps,
@@ -340,11 +335,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
                     tau1=tau1,
                     tau2=tau2,
                     mu=mu if model == "reinfect" else 0.0,
-                    init=init,
                     shared_beta=bool(args.shared_beta),
                 )
-                traj = simulate(model, params, init, ps)
-                k_sim = sim_growth_rates(traj, ps)
+                params, init, rep = res.params, res.init, res.report
                 entry[model] = {
                     "beta": [p.beta for p in params.per_period],
                     "gamma": [p.gamma for p in params.per_period],
@@ -353,12 +346,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
                     "mu": params.mu,
                     "epsilon": params.epsilon,
                     "init": {"s": init.s, "i": init.i, "r": init.r},
-                    "k_data": list(k_data.k),
-                    "k_sim": list(k_sim.k),
+                    "k_data": list(res.data_rates.k),
+                    "k_sim": list(res.sim_rates.k),
                     "per_period_abs_diff": [p.abs_diff for p in rep.per_period],
                     "weighted_error": rep.weighted_error,
                     "as_percent": rep.as_percent,
-                    "clamp_events": traj.clamp_events,
+                    "clamp_events": res.trajectory.clamp_events,
                 }
                 pcts[model] = rep.as_percent
             except PipelineError as exc:
@@ -378,6 +371,21 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
+_NUMBER = (int, float)
+
+
+def _report_field(path: str, obj, where: tuple, key, kind):
+    """``obj[key]`` of the fit report at ``where``; missing or ill-typed is a ParseError naming it."""
+    name = ".".join(str(k) for k in (*where, key))
+    try:
+        value = obj[key]
+    except (KeyError, IndexError, TypeError):
+        raise ParseError(f"{path}: field {name} is missing") from None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError(f"{path}: field {name} has the wrong type: {value!r}")
+    return value
+
+
 def _simulate_inputs(args: argparse.Namespace):
     model = _require(args.model, "--model")
     if model not in VARIANTS:
@@ -389,29 +397,40 @@ def _simulate_inputs(args: argparse.Namespace):
                 payload = json.load(fh)
             except ValueError as exc:
                 raise ParseError(f"{args.fit_report}: {exc}") from None
-        entry = payload.get("metros", {}).get(metro)
-        if entry is None:
-            raise ConfigError(f"{args.fit_report} has no metro {metro!r}")
+        path = args.fit_report
+        metros = _report_field(path, payload, (), "metros", dict)
+        if metro not in metros:
+            raise ConfigError(f"{path} has no metro {metro!r}")
+        where = ("metros", metro)
+        entry = _report_field(path, metros, ("metros",), metro, dict)
         fitted = entry.get(model)
-        if fitted is None or "error" in fitted:
-            raise ConfigError(f"{args.fit_report} has no usable {model} fit for {metro}")
-        periods = PeriodSet(
-            metro,
-            tuple(
-                Period(i + 1, date.fromisoformat(p["start"]), date.fromisoformat(p["end"]))
-                for i, p in enumerate(entry["periods"])
-            ),
-        )
+        if fitted is None or "error" in _report_field(path, entry, where, model, dict):
+            raise ConfigError(f"{path} has no usable {model} fit for {metro}")
+
+        def items(obj, at, key, kind):
+            seq = _report_field(path, obj, at, key, list)
+            return [_report_field(path, seq, (*at, key), k, kind) for k in range(len(seq))]
+
+        periods = []
+        for i, span in enumerate(items(entry, where, "periods", dict)):
+            at = (*where, "periods", i)
+            ends = [_report_field(path, span, at, k, str) for k in ("start", "end")]
+            try:
+                periods.append(Period(i + 1, *map(date.fromisoformat, ends)))
+            except ValueError:
+                raise ParseError(f"{path}: field {'.'.join(map(str, at))} needs ISO dates") from None
+        where += (model,)
         params = PiecewiseParams.from_rates(
-            fitted["beta"],
-            fitted["gamma"],
-            tau1=fitted["tau1"],
-            tau2=fitted["tau2"],
-            mu=fitted["mu"],
-            epsilon=fitted["epsilon"],
+            items(fitted, where, "beta", _NUMBER),
+            items(fitted, where, "gamma", _NUMBER),
+            tau1=_report_field(path, fitted, where, "tau1", int),
+            tau2=_report_field(path, fitted, where, "tau2", int),
+            mu=_report_field(path, fitted, where, "mu", _NUMBER),
+            epsilon=_report_field(path, fitted, where, "epsilon", _NUMBER),
         )
-        init = SirState(fitted["init"]["s"], fitted["init"]["i"], fitted["init"]["r"])
-        return model, params, init, periods
+        init = _report_field(path, fitted, where, "init", dict)
+        init = SirState(*(_report_field(path, init, (*where, "init"), k, _NUMBER) for k in "sir"))
+        return model, params, init, PeriodSet(metro, tuple(periods))
     beta = _to_float(_require(args.beta, "--beta"), "--beta")
     gamma = _to_float(_require(args.gamma, "--gamma"), "--gamma")
     tau1 = _to_int(args.tau1, "--tau1") if args.tau1 is not None else DEFAULT_TAU1

@@ -164,12 +164,16 @@ def weighted_avg_growth(
 
 
 def daily_log_growth(series: CaseSeries, period: Period) -> list[tuple[date, float]]:
-    """(day, log c(day+1) - log c(day)) pairs with both days positive and inside the period."""
+    """(day, log c(day+1) - log c(day)) pairs with both days positive and inside the period.
+
+    Only recorded days count: the period is clipped to the series range.
+    """
     out: list[tuple[date, float]] = []
-    day = period.start
-    while day < period.end:
-        c0 = series.filled_count(day)
-        c1 = series.filled_count(day + timedelta(days=1))
+    day = max(period.start, series.start_date)
+    last = min(period.end, series.end_date)
+    while day < last:
+        c0 = series.count_on(day)
+        c1 = series.count_on(day + timedelta(days=1))
         if c0 > 0 and c1 > 0:
             out.append((day, math.log(c1) - math.log(c0)))
         day += timedelta(days=1)

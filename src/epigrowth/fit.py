@@ -5,22 +5,23 @@ boundaries: for each period it evaluates a (beta, gamma) grid, keeps the
 candidate whose fitted log-I slope is closest to the data slope (ties to the
 smaller beta, then smaller gamma), shrinks the grid ten-fold around the
 incumbent for each refinement level, then commits the winner and moves on.
-Grid candidates are evaluated as a vectorized batch; the committed trajectory
-is advanced through the same scalar arithmetic as ``sir.simulate``, so a
-re-simulation with the tuned parameters reproduces it bit for bit.
+Grid candidates run through the step kernel of ``sir`` as one batch; the
+winner is committed through the same kernel as a one-candidate batch, exactly
+as ``sir.simulate`` runs it, so a re-simulation with the tuned parameters
+reproduces the committed trajectory bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import timedelta
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, ValidationError
-from .regress import fit_simple
+from .regress import _ols_slope, fit_simple
 from .segment import PeriodSet
 from .sir import (
     DEFAULT_TAU1,
@@ -28,10 +29,12 @@ from .sir import (
     VARIANTS,
     InflowSeries,
     PiecewiseParams,
+    SirParams,
     SirState,
     Trajectory,
-    _advance,
-    _clamp3,
+    _commit,
+    _euler_days,
+    _inflow_values,
     simulated_growth_rates,
 )
 from .timeseries import CaseSeries, to_log_series
@@ -84,6 +87,22 @@ class DiscrepancyReport:
             raise ValidationError("weighted_error does not match its per-period terms")
         if abs(self.as_percent - 100.0 * self.weighted_error) > 1e-10:
             raise ValidationError("as_percent must be 100 * weighted_error")
+
+
+@dataclass(frozen=True)
+class TuneResult:
+    """What tune() found: the rates, the run they produce, and how well it fits.
+
+    ``trajectory`` is the committed run itself, so ``simulate(model, params,
+    init, periods)`` reproduces it bit for bit, clamp count included.
+    """
+
+    params: PiecewiseParams
+    init: SirState
+    trajectory: Trajectory
+    data_rates: GrowthRates
+    sim_rates: GrowthRates
+    report: DiscrepancyReport
 
 
 @dataclass(frozen=True)
@@ -192,7 +211,7 @@ def discrepancy(sim: GrowthRates, data: GrowthRates, periods: PeriodSet) -> Disc
 
 def _grid_eval(
     model: str,
-    hist: tuple[list[float], list[float], list[float]],
+    days: tuple[list[float], list[float], list[float]],
     bvals: np.ndarray,
     gvals: np.ndarray,
     seg_lo: int,
@@ -201,128 +220,60 @@ def _grid_eval(
     fit_days: np.ndarray,
     check_boundary: bool,
     target_k: float,
-    tau1: int,
-    tau2: int,
-    mu: float,
-    epsilon: float,
+    shared: SirParams,
     o_vals: Sequence[float] | None,
 ) -> np.ndarray:
     """|fitted slope - target_k| for every (beta, gamma) candidate, beta-major order.
 
-    Extends the committed history through the period for all candidates at
-    once, mirroring the scalar step (including clamping) in vector form.
-    Slopes are fitted over fit_days, the day subset behind the data slope, so
-    the two are comparable; the arithmetic mirrors fit_simple term for term
-    (candidates-major layout, x values on the same day axis) so a candidate
-    whose trajectory reproduces the observed counts scores within float
-    rounding of the data slope and cannot be displaced by a nearby grid point.
+    Extends the committed days through the period for all candidates at once
+    with the step kernel, taking the delays and the mu/epsilon rates from
+    ``shared``.  Slopes are fitted over fit_days, the day subset behind the
+    data slope, so the two are comparable; the batch slope rounds each
+    candidate exactly like fit_simple (x values on the same day axis), so a
+    candidate whose trajectory reproduces the observed counts scores within
+    float rounding of the data slope and cannot be displaced by a nearby grid
+    point.
 
-    Candidates whose infected count dies on a fit day are marked infeasible
-    (np.inf); with check_boundary the day after the segment, which this
-    period's committed parameters also produce, must stay positive too, or the
-    next period would start from an unrecoverable zero.
+    Candidates whose infected count dies on a fit day, or whose state stops
+    being finite, are marked infeasible (np.inf); with check_boundary the day
+    after the segment, which this period's committed parameters also produce,
+    must stay positive too, or the next period would start from an
+    unrecoverable zero.
     """
-    s_hist, i_hist, r_hist = hist
-    m = len(i_hist)
-    steps = seg_hi - m + (1 if check_boundary else 0)
+    i_days = list(days[1])
+    m = len(i_days)
     nb, ng = len(bvals), len(gvals)
-    b = np.repeat(bvals, ng)
-    g = np.tile(gvals, nb)
     n_cand = nb * ng
-
-    s = np.full(n_cand, s_hist[-1])
-    i = np.full(n_cand, i_hist[-1])
-    r = np.full(n_cand, r_hist[-1])
-    ext_i: list[np.ndarray] = []
-
-    def read_i(day: int):
-        if day < 0:
-            return i_hist[0]
-        if day < m:
-            return i_hist[day]
-        return ext_i[day - m]
-
-    mu_use = mu if model == "reinfect" else 0.0
-    for step in range(steps):
-        t = m - 1 + step
-        if model == "original":
-            i1 = i
-            i2 = i
-        else:
-            i1 = read_i(t - tau1)
-            i2 = read_i(t - tau2)
-        new_inf = b * i1 * s
-        removals = g * i2
-        reentries = mu_use * r
-        arrivals = epsilon * o_vals[t] if model == "tourism" else 0.0
-        s = np.maximum(s - new_inf + reentries + arrivals, 0.0)
-        i = np.maximum(i + new_inf - removals, 0.0)
-        r = np.maximum(r + removals - reentries, 0.0)
-        ext_i.append(i)
+    _, finite = _euler_days(
+        model, (days[0], i_days, days[2]), np.repeat(bvals, ng), np.tile(gvals, nb),
+        seg_hi + (1 if check_boundary else 0),
+        shared.tau1, shared.tau2, shared.mu, shared.epsilon, o_vals,
+    )
 
     span = seg_hi - seg_lo
     y = np.zeros((n_cand, span))
-    alive = np.ones(n_cand, dtype=bool)
+    alive = np.ones(n_cand, dtype=bool) & finite
     for d in range(span):
         if not fit_days[d]:
             continue
         day = seg_lo + d
+        vals = i_days[day]
         if day < m:
-            val = i_hist[day]
-            if val > 0:
-                y[:, d] = math.log(val)
+            if vals > 0:
+                y[:, d] = math.log(vals)
             else:
                 alive[:] = False
         else:
-            vals = ext_i[day - m]
-            pos = vals > 0
-            alive &= pos
-            y[pos, d] = np.log(vals[pos])
+            alive &= vals > 0
+            y[alive, d] = np.log(vals[alive])
     if check_boundary:
-        alive &= ext_i[seg_hi - m] > 0
+        alive &= i_days[seg_hi] > 0
 
     x_fit = np.arange(x_off + seg_lo, x_off + seg_hi, dtype=float)[fit_days]
-    n = len(x_fit)
-    if n < 2:
+    if len(x_fit) < 2:
         return np.full(n_cand, np.inf)
-    yf = y[:, fit_days]
-    xm = x_fit.mean()
-    xc = x_fit - xm
-    sxx = float((xc**2).sum())
-    if sxx == 0.0:
-        return np.full(n_cand, np.inf)
-    ym = yf.sum(axis=1) / n
-    slope = (xc[None, :] * (yf - ym[:, None])).sum(axis=1) / sxx
-    obj = np.abs(slope - target_k)
-    return np.where(alive, obj, np.inf)
-
-
-def _commit_period(
-    model: str,
-    hist: tuple[list[float], list[float], list[float]],
-    beta: float,
-    gamma: float,
-    steps: int,
-    tau1: int,
-    tau2: int,
-    mu: float,
-    epsilon: float,
-    o_vals: Sequence[float] | None,
-) -> int:
-    """Advance the committed history by ``steps`` days via the scalar step path."""
-    s_hist, i_hist, r_hist = hist
-    clamp_events = 0
-    for _ in range(steps):
-        t = len(i_hist) - 1
-        o_t = o_vals[t] if model == "tourism" else 0.0
-        s, i, r, clamps = _clamp3(
-            *_advance(model, s_hist, i_hist, r_hist, beta, gamma, tau1, tau2, mu, epsilon, o_t)
-        )
-        clamp_events += clamps
-        s_hist.append(s)
-        i_hist.append(i)
-        r_hist.append(r)
-    return clamp_events
+    slope = _ols_slope(x_fit, y[:, fit_days])[0]
+    return np.where(alive, np.abs(slope - target_k), np.inf)
 
 
 def tune(
@@ -338,7 +289,7 @@ def tune(
     inflow: InflowSeries | None = None,
     init: SirState | None = None,
     shared_beta: bool = False,
-) -> tuple[PiecewiseParams, DiscrepancyReport]:
+) -> TuneResult:
     """Sequential per-period grid search with refinement and state carry-over.
 
     With ``shared_beta`` the first period fixes beta for all later periods and
@@ -348,24 +299,18 @@ def tune(
     if model not in VARIANTS:
         raise ConfigError(f"unknown model variant {model!r}; choose from {', '.join(VARIANTS)}")
     cfg = cfg if cfg is not None else SearchConfig()
+    shared = SirParams(0.0, 0.0, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
+    if init is None:
+        init = default_init(series, periods)
     data = data_growth_rates(series, periods)
     for idx, k in enumerate(data.k):
         if k is None:
             raise InsufficientDataError(
                 f"{series.region}: period {idx + 1} has no fittable growth rate"
             )
-    if init is None:
-        init = default_init(series, periods)
 
     window = periods.window
-    horizon = window.days
-    o_vals: tuple[float, ...] | None = None
-    if model == "tourism":
-        if inflow is None:
-            raise ConfigError("tourism variant requires an inflow series")
-        if len(inflow) < horizon - 1:
-            raise ConfigError(f"inflow series covers {len(inflow)} days, need {horizon - 1} steps")
-        o_vals = inflow.o
+    o_vals = _inflow_values(model, inflow, window.days)
 
     if cfg.beta_max is None and init.s <= 0:
         raise ConfigError("beta_max auto-scaling needs a positive initial susceptible count")
@@ -380,9 +325,8 @@ def tune(
         cuts.append(cuts[-1] + p.length)
     x_off = (window.start - series.start_date).days
 
-    hist: tuple[list[float], list[float], list[float]] = ([init.s], [init.i], [init.r])
-    betas: list[float] = []
-    gammas: list[float] = []
+    days: tuple[list[float], list[float], list[float]] = ([init.s], [init.i], [init.r])
+    per_period: list[SirParams] = []
     clamp_events = 0
     for per_idx in range(5):
         seg_lo, seg_hi = cuts[per_idx], cuts[per_idx + 1]
@@ -398,13 +342,13 @@ def tune(
         incumbent: tuple[float, float, float] | None = None  # (objective, beta, gamma)
         for _level in range(cfg.refinement_levels + 1):
             if shared_beta and per_idx > 0:
-                bvals = np.array([betas[0]])
+                bvals = np.array([per_period[0].beta])
             else:
                 bvals = np.linspace(b_lo, b_hi, cfg.beta_points)
             gvals = np.linspace(g_lo, g_hi, cfg.gamma_points)
             obj = _grid_eval(
-                model, hist, bvals, gvals, seg_lo, seg_hi, x_off, fit_days,
-                check_boundary, target, tau1, tau2, mu, epsilon, o_vals,
+                model, days, bvals, gvals, seg_lo, seg_hi, x_off, fit_days,
+                check_boundary, target, shared, o_vals,
             )
             j = int(np.argmin(obj))
             if math.isfinite(obj[j]) and (incumbent is None or obj[j] < incumbent[0]):
@@ -424,18 +368,13 @@ def tune(
         # Commit through the next period's first day: simulate() charges the
         # step leaving day t to the period containing t, so that state belongs
         # to this period's parameters.  The last period stops at the window end.
-        commit_to = min(seg_hi + 1, cuts[5])
-        clamp_events += _commit_period(
-            model, hist, incumbent[1], incumbent[2], commit_to - len(hist[0]),
-            tau1, tau2, mu, epsilon, o_vals,
-        )
-        betas.append(incumbent[1])
-        gammas.append(incumbent[2])
+        p = replace(shared, beta=incumbent[1], gamma=incumbent[2])
+        clamp_events += _commit(model, days, p, min(seg_hi + 1, cuts[5]), o_vals, per_idx + 1)
+        per_period.append(p)
 
-    params = PiecewiseParams.from_rates(
-        betas, gammas, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon
-    )
-    states = tuple(SirState(s, i, r) for s, i, r in zip(*hist))
+    states = tuple(SirState(s, i, r) for s, i, r in zip(*days))
     traj = Trajectory(states, t0=0, clamp_events=clamp_events)
-    report = discrepancy(sim_growth_rates(traj, periods), data, periods)
-    return params, report
+    sim = sim_growth_rates(traj, periods)
+    return TuneResult(
+        PiecewiseParams(tuple(per_period)), init, traj, data, sim, discrepancy(sim, data, periods)
+    )

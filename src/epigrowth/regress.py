@@ -67,6 +67,35 @@ def _as_xy(points) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _ols_slope(x: np.ndarray, y: np.ndarray):
+    """Closed-form least-squares slope of ``y`` on ``x`` along the last axis.
+
+    ``x`` holds n values; ``y`` is (n,) or (rows, n), one row per candidate.
+    Every sum reduces over the contiguous last axis, so a row of a batch
+    rounds exactly like the same row fitted alone.  Returns (slope, y mean,
+    x mean), the first two with y's leading shape.
+    """
+    n = x.shape[-1]
+    xm = x.sum() / n
+    ym = y.sum(axis=-1) / n
+    xc = x - xm
+    sxx = float((xc**2).sum())
+    if sxx == 0.0:
+        raise InsufficientDataError("x values are all identical")
+    return (xc * (y - ym[..., None])).sum(axis=-1) / sxx, ym, xm
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """(slope, intercept, r2) of one line; r2 is 1 when y is constant."""
+    slope, ym, xm = _ols_slope(x, y)
+    slope = float(slope)
+    intercept = ym - slope * xm
+    ss_res = float(((y - (intercept + slope * x)) ** 2).sum())
+    ss_tot = float(((y - ym) ** 2).sum())
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return slope, float(intercept), min(max(r2, 0.0), 1.0)
+
+
 def fit_simple(points) -> SimpleFit:
     """Ordinary least squares y = slope*x + intercept.
 
@@ -77,18 +106,7 @@ def fit_simple(points) -> SimpleFit:
     n = len(x)
     if n < 2:
         raise InsufficientDataError(f"need at least 2 points to fit a line, got {n}")
-    xm = x.mean()
-    ym = y.mean()
-    sxx = float(((x - xm) ** 2).sum())
-    if sxx == 0.0:
-        raise InsufficientDataError("x values are all identical")
-    slope = float(((x - xm) * (y - ym)).sum()) / sxx
-    intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
-    ss_res = float((resid**2).sum())
-    ss_tot = float(((y - ym) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return SimpleFit(slope, float(intercept), min(max(r2, 0.0), 1.0), n)
+    return SimpleFit(*_line_fit(x, y), n)
 
 
 def _independent_columns(x: np.ndarray) -> np.ndarray:

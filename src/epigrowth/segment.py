@@ -22,7 +22,7 @@ from .errors import (
     StateError,
     ValidationError,
 )
-from .regress import SimpleFit, fit_simple
+from .regress import SimpleFit, _line_fit
 from .timeseries import CaseSeries, DateInterval, to_log_series
 
 NUM_PERIODS = 5
@@ -148,19 +148,8 @@ class _WindowFits:
         n = b - a
         if n < 2:
             return None
-        x = self.x[a:b]
-        y = self.y[a:b]
-        xm = x.mean()
-        ym = y.mean()
-        sxx = float(((x - xm) ** 2).sum())
-        if sxx == 0.0:
-            return None
-        slope = float(((x - xm) * (y - ym)).sum()) / sxx
-        intercept = ym - slope * xm
-        ss_res = float(((y - (intercept + slope * x)) ** 2).sum())
-        ss_tot = float(((y - ym) ** 2).sum())
-        r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-        return slope, float(intercept), min(max(r2, 0.0), 1.0), int(n)
+        # distinct days, so two points always spread x
+        return (*_line_fit(self.x[a:b], self.y[a:b]), int(n))
 
     def objective(self, bounds: Sequence[int]) -> float:
         """Length-weighted mean R2 for boundaries ``bounds`` (window-relative start days)."""

@@ -1,9 +1,12 @@
 """Discrete SIR variants: original, time-delayed, reinfection, and tourism inflow.
 
-All variants advance with the same forward-Euler expression at a fixed step of
-one day; a variant only changes which values feed the shared arithmetic.  That
-keeps the degenerate cases (tau=0, mu=0, epsilon=0) bit-for-bit equal to the
-simpler models.  Negative intermediate values are clamped to zero and counted.
+All variants advance through one array-valued forward-Euler kernel at a fixed
+step of one day; a variant only changes which values feed it.  That keeps the
+degenerate cases (tau=0, mu=0, epsilon=0) bit-for-bit equal to the simpler
+models.  The tuner runs the kernel on a whole (beta, gamma) grid at once;
+``simulate`` runs it on a one-candidate batch, and float64 arithmetic is the
+same elementwise at every batch size.  Negative values are clamped to zero and
+counted; a state that stops being finite raises StateError.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import csv
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, ParseError, StateError, ValidationError
 from .segment import PeriodSet
@@ -171,81 +176,79 @@ class InflowSeries:
         return len(self.o)
 
 
-def _euler_step(s, i, r, i_tau1, i_tau2, beta, gamma, mu, epsilon, o):
-    # the one shared arithmetic path; every variant feeds values into this
-    new_infections = beta * i_tau1 * s
-    removals = gamma * i_tau2
-    reentries = mu * r
-    arrivals = epsilon * o
-    return (
-        s - new_infections + reentries + arrivals,
-        i + new_infections - removals,
-        r + removals - reentries,
-    )
+def _euler_days(model, days, beta, gamma, until, tau1, tau2, mu, epsilon, o_vals, record=False):
+    """Extend the (s, i, r) day lists to ``until`` days for a batch of candidates.
 
-
-def _advance(model, s_hist, i_hist, r_hist, beta, gamma, tau1, tau2, mu, epsilon, o_t):
-    """Raw next-day (s, i, r) from day-indexed value lists; no clamping."""
-    t = len(i_hist) - 1
-    if model == "original":
-        i1 = i2 = i_hist[t]
-    else:
-        i1 = i_hist[t - tau1] if t - tau1 >= 0 else i_hist[0]
-        i2 = i_hist[t - tau2] if t - tau2 >= 0 else i_hist[0]
-    mu_use = mu if model == "reinfect" else 0.0
-    if model == "tourism":
-        eps_use, o_use = epsilon, o_t
-    else:
-        eps_use, o_use = 0.0, 0.0
-    return _euler_step(s_hist[t], i_hist[t], r_hist[t], i1, i2, beta, gamma, mu_use, eps_use, o_use)
-
-
-def _clamp3(s: float, i: float, r: float) -> tuple[float, float, float, int]:
-    clamps = (s < 0.0) + (i < 0.0) + (r < 0.0)
-    return (
-        s if s >= 0.0 else 0.0,
-        i if i >= 0.0 else 0.0,
-        r if r >= 0.0 else 0.0,
-        clamps,
-    )
-
-
-def _history_lists(history) -> tuple[list[float], list[float], list[float]]:
-    states = history.states if isinstance(history, Trajectory) else tuple(history)
-    if not states:
-        raise StateError("history must hold at least one state")
-    return ([st.s for st in states], [st.i for st in states], [st.r for st in states])
-
-
-def _stepped(model, history, p: SirParams, o_t: float = 0.0) -> SirState:
-    s_h, i_h, r_h = _history_lists(history)
-    s, i, r, _ = _clamp3(*_advance(model, s_h, i_h, r_h, p.beta, p.gamma, p.tau1, p.tau2, p.mu, p.epsilon, o_t))
-    return SirState(s, i, r)
-
-
-def step_original(state: SirState, p: SirParams) -> SirState:
-    """One Euler day of the plain SIR equations; delays in ``p`` are ignored."""
-    return _stepped("original", (state,), p)
-
-
-def step_delayed(history, p: SirParams) -> SirState:
-    """One Euler day with infection read at t-tau1 and removal at t-tau2.
-
-    ``history`` is a Trajectory or state sequence whose last entry is today;
-    reads before the first stored day return the first stored I (constant
-    pre-history).
+    This is the one forward-Euler step of every variant.  ``beta`` and
+    ``gamma`` are arrays with one entry per candidate; list entries are floats
+    (days shared by every candidate) or arrays.  Delayed reads before day 0
+    return day 0 (constant pre-history); ``original`` reads today.  Negative
+    values are clamped to zero.  The I list always grows, since delayed reads
+    need it; with ``record`` the S and R lists grow too and the clamps are
+    counted over all candidates.  Returns (clamps, finite), ``finite`` marking
+    the candidates whose state stayed finite: a non-finite value never leaves
+    the state again, so the last day decides.
     """
-    return _stepped("delayed", history, p)
+    s_days, i_days, r_days = days
+    if model == "original":
+        tau1 = tau2 = 0
+    mu = mu if model == "reinfect" else 0.0
+    s, i, r = s_days[-1], i_days[-1], r_days[-1]
+    raw = []
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is checked below
+        for t in range(len(i_days) - 1, until - 1):
+            new_infections = beta * i_days[t - tau1 if t >= tau1 else 0] * s
+            removals = gamma * i_days[t - tau2 if t >= tau2 else 0]
+            reentries = mu * r
+            s = s - new_infections + reentries
+            if model == "tourism":
+                s = s + epsilon * o_vals[t]
+            i = i + new_infections - removals
+            r = r + removals - reentries
+            if record:
+                raw += (s, i, r)
+            s = np.maximum(s, 0.0)
+            i = np.maximum(i, 0.0)
+            r = np.maximum(r, 0.0)
+            i_days.append(i)
+            if record:
+                s_days.append(s)
+                r_days.append(r)
+    clamps = int(np.count_nonzero(np.concatenate(raw) < 0.0)) if raw else 0
+    return clamps, np.isfinite(s) & np.isfinite(i) & np.isfinite(r)
 
 
-def step_reinfect(history, p: SirParams) -> SirState:
-    """Delayed step plus mu*R moving from the removed back to the susceptible pool."""
-    return _stepped("reinfect", history, p)
+def _inflow_values(model: str, inflow: InflowSeries | None, horizon: int):
+    """Daily inflow for the tourism variant (None for the others), checked for length."""
+    if model != "tourism":
+        return None
+    if inflow is None:
+        raise ConfigError("tourism variant requires an inflow series")
+    if len(inflow) < horizon - 1:
+        raise ConfigError(f"inflow series covers {len(inflow)} days, need {horizon - 1} steps")
+    return inflow.o
 
 
-def step_tourism(history, p: SirParams, inflow: float) -> SirState:
-    """Delayed step plus epsilon*inflow added to the susceptible pool."""
-    return _stepped("tourism", history, p, _check_nonneg("inflow", inflow))
+def _commit(model, days, p: SirParams, until: int, o_vals, period: int) -> int:
+    """Extend the committed float day lists to ``until`` days under ``p``; returns clamps.
+
+    Runs the step kernel as a one-candidate batch.  A state that stops being
+    finite raises StateError naming the model, the first bad day and the period.
+    """
+    start = len(days[0])
+    clamps, finite = _euler_days(
+        model, days, np.array([p.beta]), np.array([p.gamma]), until,
+        p.tau1, p.tau2, p.mu, p.epsilon, o_vals, record=True,
+    )
+    for seq in days:
+        seq[start:] = [float(v[0]) for v in seq[start:]]
+    if not finite.all():
+        day = next(t for t in range(start, until) if not all(math.isfinite(seq[t]) for seq in days))
+        raise StateError(
+            f"{model}: state is no longer finite on day {day} (period {period}); "
+            "the rates are too large for this population"
+        )
+    return clamps
 
 
 def simulate(
@@ -262,34 +265,15 @@ def simulate(
     """
     if model not in VARIANTS:
         raise ConfigError(f"unknown model variant {model!r}; choose from {', '.join(VARIANTS)}")
-    window = periods.window
-    horizon = window.days
-    if model == "tourism":
-        if inflow is None:
-            raise ConfigError("tourism variant requires an inflow series")
-        if len(inflow) < horizon - 1:
-            raise ConfigError(
-                f"inflow series covers {len(inflow)} days, need {horizon - 1} steps"
-            )
-    period_of_day: list[int] = []
-    for idx, p in enumerate(periods.periods):
-        period_of_day.extend([idx] * p.length)
-
-    s_h = [init.s]
-    i_h = [init.i]
-    r_h = [init.r]
+    horizon = periods.window.days
+    o_vals = _inflow_values(model, inflow, horizon)
+    days = ([init.s], [init.i], [init.r])
     clamp_events = 0
-    for t in range(horizon - 1):
-        p = params.per_period[period_of_day[t]]
-        o_t = inflow.o[t] if model == "tourism" else 0.0
-        s, i, r, clamps = _clamp3(
-            *_advance(model, s_h, i_h, r_h, p.beta, p.gamma, p.tau1, p.tau2, p.mu, p.epsilon, o_t)
-        )
-        clamp_events += clamps
-        s_h.append(s)
-        i_h.append(i)
-        r_h.append(r)
-    states = tuple(SirState(s, i, r) for s, i, r in zip(s_h, i_h, r_h))
+    cut = 0
+    for idx, (period, p) in enumerate(zip(periods.periods, params.per_period), start=1):
+        cut += period.length
+        clamp_events += _commit(model, days, p, min(cut + 1, horizon), o_vals, idx)
+    states = tuple(SirState(s, i, r) for s, i, r in zip(*days))
     return Trajectory(states, t0=0, clamp_events=clamp_events)
 
 

@@ -22,9 +22,13 @@ METRO_MAP_HEADER = ("county", "metro")
 def _as_text(source: IO) -> IO[str]:
     if isinstance(source, (str, bytes)):
         raise TypeError("load functions take an open file object, not a path or content")
-    raw = source.read()
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+    try:
+        raw = source.read()
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", "input")
+        raise ParseError(f"{name}: not UTF-8 text (byte {exc.start})") from None
     return io.StringIO(raw)
 
 

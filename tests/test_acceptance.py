@@ -323,10 +323,10 @@ def test_criterion_7_tuning_self_consistency():
     worst_re = 0.0
     for series in metros:
         ps = PeriodSet(series.region, bundle.periods.periods)
-        _, rep_re = tune(
+        rep_re = tune(
             "reinfect", series, ps, tau1=FIXTURE_TAU1, tau2=FIXTURE_TAU2, mu=FIXTURE_MU
-        )
-        _, rep_del = tune("delayed", series, ps, tau1=FIXTURE_TAU1, tau2=FIXTURE_TAU2)
+        ).report
+        rep_del = tune("delayed", series, ps, tau1=FIXTURE_TAU1, tau2=FIXTURE_TAU2).report
         worst_re = max(worst_re, rep_re.as_percent)
         assert rep_re.as_percent < 0.1
         assert rep_re.as_percent <= rep_del.as_percent

@@ -228,3 +228,74 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("wibble=1\n")
     assert main(["gen-fixtures", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def test_simulate_non_finite_state_exits_2_naming_day_and_period(tmp_path, capsys):
+    # beta*I*S overflows on day 1; the old clamp turned day 2's NaN into I = 0
+    rc = main(
+        [
+            "simulate",
+            "--model", "original",
+            "--beta", "1e300",
+            "--gamma", "0.1",
+            "--i0", "1",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    line = _one_error_line(capsys)
+    assert "original" in line and "day 2" in line and "period 1" in line
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    cases = tmp_path / "cases.csv"
+    cases.write_bytes(b"date,region,count\n2020-03-01,m\xff1,5\n")
+    metro_map = tmp_path / "map.csv"
+    metro_map.write_text("county,metro\nm1,metro-01\n")
+    rc = main(["segment", "--cases", str(cases), "--metro-map", str(metro_map), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "UTF-8" in _one_error_line(capsys)
+
+
+def test_non_utf8_config_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=7\nmetros=\xff\n")
+    assert main(["gen-fixtures", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    assert "UTF-8" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda e: e["reinfect"].pop("init"), "metros.metro-01.reinfect.init"),
+        (lambda e: e["reinfect"]["init"].pop("s"), "metros.metro-01.reinfect.init.s"),
+        (lambda e: e["reinfect"]["gamma"].__setitem__(3, "fast"), "metros.metro-01.reinfect.gamma.3"),
+        (lambda e: e["reinfect"].__setitem__("tau2", "14"), "metros.metro-01.reinfect.tau2"),
+        (lambda e: e.pop("periods"), "metros.metro-01.periods"),
+        (lambda e: e["periods"][2].pop("end"), "metros.metro-01.periods.2.end"),
+    ],
+)
+def test_simulate_fit_report_with_bad_field_exits_2(pipeline_dir, tmp_path, capsys, edit, field):
+    with open(os.path.join(pipeline_dir, "fit_report.json")) as fh:
+        report = json.load(fh)
+    edit(report["metros"]["metro-01"])
+    path = tmp_path / "fit_report.json"
+    path.write_text(json.dumps(report))
+    rc = main(
+        [
+            "simulate",
+            "--model", "reinfect",
+            "--fit-report", str(path),
+            "--metro", "metro-01",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    assert f"field {field} " in _one_error_line(capsys)

@@ -91,6 +91,14 @@ def test_daily_log_growth_drops_zero_days():
     assert [d for d, _ in pairs] == [START + timedelta(days=2)]
 
 
+def test_daily_log_growth_stays_inside_the_series():
+    # a 10-day series under a 20-day period: 9 recorded day pairs, no filled ones
+    series = CaseSeries("m", START, tuple(float(2**k) for k in range(10)))
+    pairs = daily_log_growth(series, Period(1, START - timedelta(days=5), START + timedelta(days=14)))
+    assert [d for d, _ in pairs] == [START + timedelta(days=k) for k in range(9)]
+    assert all(g == pytest.approx(math.log(2.0), abs=1e-12) for _, g in pairs)
+
+
 def _demo_values(rng=None, n_metros=8):
     rng = rng or np.random.default_rng(12)
     metros = [f"metro-{i:02d}" for i in range(1, n_metros + 1)]

@@ -3,6 +3,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epigrowth.errors import ConfigError, InsufficientDataError, ValidationError
 from epigrowth.fit import (
@@ -27,7 +29,7 @@ from epigrowth.fixtures import (
     piecewise_log_linear_counts,
 )
 from epigrowth.segment import Period, PeriodSet
-from epigrowth.sir import InflowSeries, PiecewiseParams, SirState, simulate
+from epigrowth.sir import VARIANTS, InflowSeries, PiecewiseParams, SirState, simulate
 from epigrowth.timeseries import CaseSeries, aggregate_to_metros
 
 START = date(2020, 3, 1)
@@ -241,17 +243,17 @@ def test_tune_single_point_grid_returns_that_point():
         gamma_min=gamma, gamma_max=gamma, gamma_points=1,
         refinement_levels=0,
     )
-    got, rep = tune("original", series, ps, cfg, init=init)
-    assert [p.beta for p in got.per_period] == [beta] * 5
-    assert [p.gamma for p in got.per_period] == [gamma] * 5
-    assert rep.as_percent == 0.0
+    res = tune("original", series, ps, cfg, init=init)
+    assert [p.beta for p in res.params.per_period] == [beta] * 5
+    assert [p.gamma for p in res.params.per_period] == [gamma] * 5
+    assert res.report.as_percent == 0.0
 
 
 def test_tune_shared_beta_locks_beta_across_periods():
     series, ps, init = _simulated_series()
     cfg = SearchConfig(beta_points=15, gamma_points=15, refinement_levels=1)
-    got, _ = tune("original", series, ps, cfg, init=init, shared_beta=True)
-    assert len({p.beta for p in got.per_period}) == 1
+    res = tune("original", series, ps, cfg, init=init, shared_beta=True)
+    assert len({p.beta for p in res.params.per_period}) == 1
 
 
 def test_tune_refinement_never_hurts():
@@ -264,8 +266,8 @@ def test_tune_refinement_never_hurts():
     ps = periods_over(lengths)
     coarse = SearchConfig(beta_points=21, gamma_points=21, refinement_levels=0)
     refined = SearchConfig(beta_points=21, gamma_points=21, refinement_levels=2)
-    _, rep0 = tune("original", series, ps, coarse)
-    _, rep2 = tune("original", series, ps, refined)
+    rep0 = tune("original", series, ps, coarse).report
+    rep2 = tune("original", series, ps, refined).report
     assert rep2.weighted_error <= rep0.weighted_error + 1e-9
 
 
@@ -274,10 +276,64 @@ def test_tune_recovers_generating_parameters_exactly():
     series = aggregate_to_metros(bundle.cases, bundle.metro_map)[0]
     truth = bundle.truths[series.region]
     ps = PeriodSet(series.region, bundle.periods.periods)
-    got, rep = tune(
+    res = tune(
         "reinfect", series, ps,
         tau1=FIXTURE_TAU1, tau2=FIXTURE_TAU2, mu=FIXTURE_MU,
     )
-    assert rep.as_percent == 0.0
-    assert [p.beta for p in got.per_period] == [p.beta for p in truth.params.per_period]
-    assert [p.gamma for p in got.per_period] == [p.gamma for p in truth.params.per_period]
+    assert res.report.as_percent == 0.0
+    assert [p.beta for p in res.params.per_period] == [p.beta for p in truth.params.per_period]
+    assert [p.gamma for p in res.params.per_period] == [p.gamma for p in truth.params.per_period]
+
+
+def _replay_tuned_run(model, slopes, seed, tau1=3, tau2=7, mu=0.0, epsilon=0.0, shared_beta=False):
+    """Tune on noisy piecewise counts, then check simulate() replays tune's own run."""
+    lengths = (10, 12, 14, 12, 10)
+    ps = periods_over(lengths)
+    rng = np.random.default_rng(seed)
+    series = CaseSeries("m", START, piecewise_log_linear_counts(500.0, slopes, lengths, rng=rng, noise_sigma=0.05))
+    inflow = InflowSeries(tuple(rng.uniform(0.0, 50.0, sum(lengths)))) if model == "tourism" else None
+    cfg = SearchConfig(beta_points=9, gamma_points=9, refinement_levels=1)
+    res = tune(
+        model, series, ps, cfg, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon,
+        inflow=inflow, shared_beta=shared_beta,
+    )
+    traj = simulate(model, res.params, res.init, ps, inflow)
+    assert traj.states == res.trajectory.states
+    assert traj.clamp_events == res.trajectory.clamp_events
+    assert res.sim_rates == sim_growth_rates(traj, ps)
+    assert res.data_rates == data_growth_rates(series, ps)
+    assert res.init == default_init(series, ps)
+    return res
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    model=st.sampled_from(VARIANTS),
+    slopes=st.lists(st.floats(-0.1, 0.15), min_size=5, max_size=5),
+    seed=st.integers(0, 2**16),
+    tau1=st.integers(0, 6),
+    tau2=st.integers(0, 12),
+    mu=st.floats(0.01, 1.5),
+    epsilon=st.floats(0.0, 1.0),
+    shared_beta=st.booleans(),
+)
+def test_tune_trajectory_is_what_simulate_reproduces(
+    model, slopes, seed, tau1, tau2, mu, epsilon, shared_beta
+):
+    try:
+        _replay_tuned_run(model, slopes, seed, tau1, tau2, mu, epsilon, shared_beta)
+    except ConfigError:
+        pass  # no feasible grid point for some period: nothing was committed
+
+
+@pytest.mark.parametrize("model", VARIANTS)
+def test_tune_replay_covers_every_variant(model):
+    res = _replay_tuned_run(model, (0.12, -0.05, 0.1, -0.04, 0.08), 11, mu=0.2, epsilon=0.5)
+    assert res.report.as_percent < 5.0
+
+
+def test_tune_replay_with_shared_beta_and_clamped_reinfection():
+    # mu > 1 moves more than R holds back to S, so R is clamped on some days
+    res = _replay_tuned_run("reinfect", (0.12, -0.05, 0.1, -0.04, 0.08), 4, mu=1.5, shared_beta=True)
+    assert res.trajectory.clamp_events > 0
+    assert len({p.beta for p in res.params.per_period}) == 1

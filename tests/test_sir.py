@@ -3,10 +3,13 @@ import math
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epigrowth.errors import ConfigError, StateError, ValidationError
 from epigrowth.segment import Period, PeriodSet
 from epigrowth.sir import (
+    VARIANTS,
     InflowSeries,
     PiecewiseParams,
     SirParams,
@@ -15,10 +18,6 @@ from epigrowth.sir import (
     load_inflow,
     simulate,
     simulated_growth_rates,
-    step_delayed,
-    step_original,
-    step_reinfect,
-    step_tourism,
     write_inflow_csv,
     write_trajectory_csv,
 )
@@ -38,62 +37,120 @@ def periods_over(start: date, lengths) -> PeriodSet:
 FIVE_WEEKS = periods_over(date(2020, 3, 1), (7, 7, 7, 7, 7))
 
 
+def constant(model, beta, gamma, init, **kw):
+    """simulate() with the same rates in all five periods of FIVE_WEEKS."""
+    inflow = kw.pop("inflow", None)
+    params = PiecewiseParams.from_rates([beta] * 5, [gamma] * 5, **kw)
+    return simulate(model, params, init, FIVE_WEEKS, inflow=inflow)
+
+
 def test_step_original_hand_computed():
-    p = SirParams(beta=0.5, gamma=0.1)
-    nxt = step_original(SirState(0.99, 0.01, 0.0), p)
+    nxt = constant("original", 0.5, 0.1, SirState(0.99, 0.01, 0.0)).states[1]
     assert nxt.s == pytest.approx(0.985050, abs=1e-12)
     assert nxt.i == pytest.approx(0.013950, abs=1e-12)
     assert nxt.r == pytest.approx(0.001, abs=1e-12)
 
 
 def test_disease_free_state_is_fixed_point():
-    p = SirParams(beta=0.9, gamma=0.4)
-    st = SirState(1.0, 0.0, 0.0)
-    assert step_original(st, p) == st
+    state = SirState(1.0, 0.0, 0.0)
+    traj = constant("original", 0.9, 0.4, state)
+    assert set(traj.states) == {state}
+    assert traj.clamp_events == 0
 
 
 def test_step_delayed_reads_lagged_infections():
-    # I history (10, 20, 40) with tau1=2: new infections read I(t-2)=10
-    hist = Trajectory(
-        (SirState(1000.0, 10.0, 0.0), SirState(1000.0, 20.0, 0.0), SirState(1000.0, 40.0, 0.0)),
-        t0=0,
-    )
-    p = SirParams(beta=1e-4, gamma=0.0, tau1=2, tau2=0)
-    nxt = step_delayed(hist, p)
-    assert nxt.s == pytest.approx(1000.0 - 1.0, abs=1e-12)
-    assert nxt.i == pytest.approx(41.0, abs=1e-12)
+    # tau1=2: the step leaving day t infects at beta * I(t-2) * S(t)
+    beta = 1e-4
+    traj = constant("delayed", beta, 0.0, SirState(1000.0, 10.0, 0.0), tau1=2, tau2=0)
+    states = traj.states
+    for t in range(2, 10):
+        new_infections = beta * states[t - 2].i * states[t].s
+        assert states[t + 1].s == states[t].s - new_infections
+        assert states[t + 1].i == states[t].i + new_infections
 
 
 def test_step_delayed_prehistory_uses_first_day():
-    # one-day history, any positive lag reads I(t0)
-    hist = Trajectory((SirState(100.0, 8.0, 0.0),), t0=0)
-    p = SirParams(beta=0.01, gamma=0.5, tau1=3, tau2=6)
-    nxt = step_delayed(hist, p)
-    undelayed = step_original(SirState(100.0, 8.0, 0.0), SirParams(beta=0.01, gamma=0.5))
-    assert nxt == undelayed
+    # reads before day 0 return I(0): the first step equals the undelayed one,
+    # and every step before day tau keeps reading I(0)
+    init = SirState(100.0, 8.0, 0.0)
+    delayed = constant("delayed", 0.01, 0.5, init, tau1=3, tau2=6).states
+    undelayed = constant("original", 0.01, 0.5, init).states
+    assert delayed[1] == undelayed[1]
+    for t in range(3):
+        assert delayed[t + 1].s == delayed[t].s - 0.01 * init.i * delayed[t].s
+    for t in range(6):
+        assert delayed[t + 1].r == delayed[t].r + 0.5 * init.i
 
 
-def test_step_delayed_rejects_empty_history():
-    with pytest.raises(StateError):
-        step_delayed([], SirParams(beta=0.1, gamma=0.1))
+def test_trajectory_rejects_empty_states():
     with pytest.raises(ValidationError):
         Trajectory((), t0=0)
 
 
 def test_step_reinfect_moves_recovered_back():
-    hist = Trajectory((SirState(0.0, 0.0, 100.0),), t0=0)
-    p = SirParams(beta=0.1, gamma=0.1, mu=0.1)
-    nxt = step_reinfect(hist, p)
+    nxt = constant("reinfect", 0.1, 0.1, SirState(0.0, 0.0, 100.0), mu=0.1).states[1]
     assert nxt.s == pytest.approx(10.0, abs=1e-12)
     assert nxt.i == 0.0
     assert nxt.r == pytest.approx(90.0, abs=1e-12)
 
 
 def test_step_tourism_adds_scaled_inflow():
-    hist = Trajectory((SirState(50.0, 0.0, 0.0),), t0=0)
-    p = SirParams(beta=0.0, gamma=0.0, epsilon=0.5)
-    nxt = step_tourism(hist, p, inflow=100.0)
-    assert nxt.s == pytest.approx(100.0, abs=1e-12)
+    inflow = InflowSeries((100.0,) * (FIVE_WEEKS.window.days - 1))
+    traj = constant("tourism", 0.0, 0.0, SirState(50.0, 0.0, 0.0), epsilon=0.5, inflow=inflow)
+    assert traj.states[1].s == pytest.approx(100.0, abs=1e-12)
+
+
+def test_simulate_non_finite_state_raises_naming_day_and_period():
+    # beta*I*S overflows on day 1, and 0 * inf poisons day 2
+    with pytest.raises(StateError, match=r"original: .*day 2 \(period 1\)"):
+        constant("original", 1e300, 0.1, SirState(1e5, 1.0, 0.0))
+    lengths = (7, 7, 7, 7, 7)
+    params = PiecewiseParams.from_rates([1e-6, 1e-6, 1e300, 1e-6, 1e-6], [0.1] * 5, tau1=2)
+    with pytest.raises(StateError, match=r"delayed: .*\(period 3\)"):
+        simulate("delayed", params, SirState(1e5, 1.0, 0.0), periods_over(date(2020, 3, 1), lengths))
+
+
+def _scalar_reference(model, params, init, periods, inflow=None):
+    """The forward-Euler recurrence written out in Python floats: (states, clamps)."""
+    s, i, r = [init.s], [init.i], [init.r]
+    clamps = 0
+    period_of_day = [k for k, p in enumerate(periods.periods) for _ in range(p.length)]
+    for t in range(periods.window.days - 1):
+        p = params.per_period[period_of_day[t]]
+        lag1, lag2 = (0, 0) if model == "original" else (p.tau1, p.tau2)
+        new_infections = p.beta * i[max(t - lag1, 0)] * s[t]
+        removals = p.gamma * i[max(t - lag2, 0)]
+        reentries = (p.mu if model == "reinfect" else 0.0) * r[t]
+        arrivals = p.epsilon * inflow.o[t] if model == "tourism" else 0.0
+        raw = (
+            s[t] - new_infections + reentries + arrivals,
+            i[t] + new_infections - removals,
+            r[t] + removals - reentries,
+        )
+        clamps += sum(v < 0.0 for v in raw)
+        for seq, v in zip((s, i, r), raw):
+            seq.append(v if v >= 0.0 else 0.0)
+    return tuple(SirState(*state) for state in zip(s, i, r)), clamps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(VARIANTS),
+    betas=st.lists(st.floats(0.0, 3e-5), min_size=5, max_size=5),
+    gammas=st.lists(st.floats(0.0, 1.5), min_size=5, max_size=5),
+    tau1=st.integers(0, 10),
+    tau2=st.integers(0, 10),
+    mu=st.floats(0.0, 1.5),
+    epsilon=st.floats(0.0, 1.0),
+    init=st.tuples(st.floats(1e3, 1e6), st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+)
+def test_simulate_matches_scalar_reference_bitwise(model, betas, gammas, tau1, tau2, mu, epsilon, init):
+    params = PiecewiseParams.from_rates(betas, gammas, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
+    inflow = InflowSeries(tuple(float(3 + d % 7) for d in range(FIVE_WEEKS.window.days - 1)))
+    traj = simulate(model, params, SirState(*init), FIVE_WEEKS, inflow)
+    states, clamps = _scalar_reference(model, params, SirState(*init), FIVE_WEEKS, inflow)
+    assert traj.states == states
+    assert traj.clamp_events == clamps
 
 
 def test_simulate_conserves_population():
