@@ -286,6 +286,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     tau1 = _to_int(args.tau1, "--tau1") if args.tau1 is not None else DEFAULT_TAU1
     tau2 = _to_int(args.tau2, "--tau2") if args.tau2 is not None else DEFAULT_TAU2
     mu = _to_float(args.mu, "--mu") if args.mu is not None else 0.0
+    for flag, value in (("--tau1", tau1), ("--tau2", tau2), ("--mu", mu)):
+        if value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value!r}")
     grid_points = (
         _to_int(args.grid_points, "--grid-points") if args.grid_points is not None else 101
     )

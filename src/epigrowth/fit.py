@@ -225,14 +225,15 @@ def _grid_eval(
 ) -> np.ndarray:
     """|fitted slope - target_k| for every (beta, gamma) candidate, beta-major order.
 
-    Extends the committed days through the period for all candidates at once
-    with the step kernel, taking the delays and the mu/epsilon rates from
-    ``shared``.  Slopes are fitted over fit_days, the day subset behind the
-    data slope, so the two are comparable; the batch slope rounds each
-    candidate exactly like fit_simple (x values on the same day axis), so a
-    candidate whose trajectory reproduces the observed counts scores within
-    float rounding of the data slope and cannot be displaced by a nearby grid
-    point.
+    ``days`` holds the committed run through day ``seg_lo``.  The step kernel
+    extends it through the period for all candidates at once, taking the
+    delays and the mu/epsilon rates from ``shared``.  Slopes are fitted over
+    fit_days, the day subset behind the data slope, so the two are
+    comparable: x values sit on the same day axis, and a candidate whose
+    trajectory reproduces the observed counts scores within float rounding of
+    the data slope, so a nearby grid point cannot displace it.  The batch sums
+    day by day, which fit_simple does only below 8 points, so the two agree
+    to rounding, not bit for bit.
 
     Candidates whose infected count dies on a fit day, or whose state stops
     being finite, are marked infeasible (np.inf); with check_boundary the day
@@ -240,39 +241,27 @@ def _grid_eval(
     must stay positive too, or the next period would start from an
     unrecoverable zero.
     """
-    i_days = list(days[1])
-    m = len(i_days)
-    nb, ng = len(bvals), len(gvals)
-    n_cand = nb * ng
-    _, finite = _euler_days(
-        model, (days[0], i_days, days[2]), np.repeat(bvals, ng), np.tile(gvals, nb),
+    n_cand = len(bvals) * len(gvals)
+    rows = np.flatnonzero(fit_days)  # block row d is day seg_lo + d
+    if len(rows) < 2:
+        return np.full(n_cand, np.inf)
+    block, _, finite = _euler_days(
+        model, days, np.repeat(bvals, len(gvals)), np.tile(gvals, len(bvals)),
         seg_hi + (1 if check_boundary else 0),
         shared.tau1, shared.tau2, shared.mu, shared.epsilon, o_vals,
     )
-
-    span = seg_hi - seg_lo
-    y = np.zeros((n_cand, span))
-    alive = np.ones(n_cand, dtype=bool) & finite
-    for d in range(span):
-        if not fit_days[d]:
-            continue
-        day = seg_lo + d
-        vals = i_days[day]
-        if day < m:
-            if vals > 0:
-                y[:, d] = math.log(vals)
-            else:
-                alive[:] = False
-        else:
-            alive &= vals > 0
-            y[alive, d] = np.log(vals[alive])
+    # Fit rows without a gap are a view: the block is this call's own scratch.
+    y = block[rows[0]:rows[-1] + 1] if rows[-1] - rows[0] == len(rows) - 1 else block[rows]
+    alive = finite & (y > 0).all(axis=0)
     if check_boundary:
-        alive &= i_days[seg_hi] > 0
-
+        alive &= block[-1] > 0
+    # Dead candidates are masked below; 1.0 keeps np.log off its slow path for 0 and inf.
+    np.copyto(y, 1.0, where=~alive)
+    np.log(y, out=y)
+    if rows[0] == 0 and days[1][-1] > 0:
+        y[0] = math.log(days[1][-1])  # the committed day: one float, logged as the data are
     x_fit = np.arange(x_off + seg_lo, x_off + seg_hi, dtype=float)[fit_days]
-    if len(x_fit) < 2:
-        return np.full(n_cand, np.inf)
-    slope = _ols_slope(x_fit, y[:, fit_days])[0]
+    slope = _ols_slope(x_fit, y)[0]
     return np.where(alive, np.abs(slope - target_k), np.inf)
 
 

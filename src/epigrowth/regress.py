@@ -68,21 +68,25 @@ def _as_xy(points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray):
-    """Closed-form least-squares slope of ``y`` on ``x`` along the last axis.
+    """Closed-form least-squares slope of ``y`` on ``x`` along the leading axis.
 
-    ``x`` holds n values; ``y`` is (n,) or (rows, n), one row per candidate.
-    Every sum reduces over the contiguous last axis, so a row of a batch
-    rounds exactly like the same row fitted alone.  Returns (slope, y mean,
-    x mean), the first two with y's leading shape.
+    ``x`` holds n values; ``y`` is (n,) or (n, columns), one column per
+    candidate.  Every sum reduces over axis 0.  A column of a batch is summed
+    day by day, while NumPy sums a 1-D ``y`` pairwise once it holds 8 or more
+    values, so a batch column and the same points fitted alone agree to
+    rounding, not bit for bit.  Returns (slope, y mean, x mean), the first two
+    with y's trailing shape.
     """
-    n = x.shape[-1]
+    n = x.shape[0]
     xm = x.sum() / n
-    ym = y.sum(axis=-1) / n
+    ym = y.sum(axis=0) / n
     xc = x - xm
     sxx = float((xc**2).sum())
     if sxx == 0.0:
         raise InsufficientDataError("x values are all identical")
-    return (xc * (y - ym[..., None])).sum(axis=-1) / sxx, ym, xm
+    dev = y - ym
+    dev *= xc.reshape(xc.shape + (1,) * (y.ndim - 1))
+    return dev.sum(axis=0) / sxx, ym, xm
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -177,45 +177,66 @@ class InflowSeries:
 
 
 def _euler_days(model, days, beta, gamma, until, tau1, tau2, mu, epsilon, o_vals, record=False):
-    """Extend the (s, i, r) day lists to ``until`` days for a batch of candidates.
+    """Step a batch of candidates from the last committed day to day ``until - 1``.
 
-    This is the one forward-Euler step of every variant.  ``beta`` and
-    ``gamma`` are arrays with one entry per candidate; list entries are floats
-    (days shared by every candidate) or arrays.  Delayed reads before day 0
-    return day 0 (constant pre-history); ``original`` reads today.  Negative
-    values are clamped to zero.  The I list always grows, since delayed reads
-    need it; with ``record`` the S and R lists grow too and the clamps are
-    counted over all candidates.  Returns (clamps, finite), ``finite`` marking
-    the candidates whose state stayed finite: a non-finite value never leaves
-    the state again, so the last day decides.
+    This is the one forward-Euler step of every variant.  ``days`` holds the
+    committed (s, i, r) float lists, m days long; ``beta`` and ``gamma`` are
+    arrays with one entry per candidate.  Delayed reads before day 0 return
+    day 0 (constant pre-history); ``original`` reads today.  Negative values
+    are clamped to zero.  Returns (block, clamps, finite).  ``block`` is
+    (days, candidates): row k holds the I of day m - 1 + k for every
+    candidate, so row 0 is the last committed day.  With ``record`` it is
+    (3, days, candidates), holding S, I and R, and ``clamps`` counts the
+    negative raw values over all candidates; without, S and R are kept for
+    the current day only and ``clamps`` is 0.  ``finite`` marks the
+    candidates whose state stayed finite: a non-finite value never leaves the
+    state again, so the last day decides.
     """
     s_days, i_days, r_days = days
     if model == "original":
         tau1 = tau2 = 0
+    # With mu = 0 the reentries term is +0.0, and adding it changes no clamped value.
     mu = mu if model == "reinfect" else 0.0
-    s, i, r = s_days[-1], i_days[-1], r_days[-1]
-    raw = []
+    first = len(i_days) - 1
+    steps = until - len(i_days)
+    n = len(beta)
+    if record:
+        block = np.empty((3, steps + 1, n))
+        block[:, 0] = np.array([s_days[first], i_days[first], r_days[first]])[:, None]
+        s_block, i_block, r_block = block
+        s, r = s_block[0], r_block[0]
+        raw = np.empty((3, steps, n))
+    else:
+        block = i_block = np.empty((steps + 1, n))
+        i_block[0] = i_days[first]
+        s, r = np.full(n, s_days[first]), np.full(n, r_days[first])
+    new_infections, removals, reentries = np.empty(n), np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite is checked below
-        for t in range(len(i_days) - 1, until - 1):
-            new_infections = beta * i_days[t - tau1 if t >= tau1 else 0] * s
-            removals = gamma * i_days[t - tau2 if t >= tau2 else 0]
-            reentries = mu * r
-            s = s - new_infections + reentries
+        for k in range(steps):
+            t = first + k
+            lag1, lag2 = max(t - tau1, 0), max(t - tau2, 0)
+            np.multiply(beta, i_block[lag1 - first] if lag1 >= first else i_days[lag1], out=new_infections)
+            new_infections *= s
+            np.multiply(gamma, i_block[lag2 - first] if lag2 >= first else i_days[lag2], out=removals)
+            if mu:
+                np.multiply(mu, r, out=reentries)
+            s_new, i_new, r_new = raw[:, k] if record else (s, i_block[k + 1], r)
+            np.subtract(s, new_infections, out=s_new)
+            np.add(i_block[k], new_infections, out=i_new)
+            i_new -= removals
+            np.add(r, removals, out=r_new)
+            if mu:
+                s_new += reentries
+                r_new -= reentries
             if model == "tourism":
-                s = s + epsilon * o_vals[t]
-            i = i + new_infections - removals
-            r = r + removals - reentries
+                s_new += epsilon * o_vals[t]
             if record:
-                raw += (s, i, r)
-            s = np.maximum(s, 0.0)
-            i = np.maximum(i, 0.0)
-            r = np.maximum(r, 0.0)
-            i_days.append(i)
-            if record:
-                s_days.append(s)
-                r_days.append(r)
-    clamps = int(np.count_nonzero(np.concatenate(raw) < 0.0)) if raw else 0
-    return clamps, np.isfinite(s) & np.isfinite(i) & np.isfinite(r)
+                s, r = s_block[k + 1], r_block[k + 1]
+            np.maximum(s_new, 0.0, out=s)
+            np.maximum(i_new, 0.0, out=i_block[k + 1])
+            np.maximum(r_new, 0.0, out=r)
+    clamps = int(np.count_nonzero(raw < 0.0)) if record else 0
+    return block, clamps, np.isfinite(s) & np.isfinite(i_block[-1]) & np.isfinite(r)
 
 
 def _inflow_values(model: str, inflow: InflowSeries | None, horizon: int):
@@ -236,14 +257,14 @@ def _commit(model, days, p: SirParams, until: int, o_vals, period: int) -> int:
     finite raises StateError naming the model, the first bad day and the period.
     """
     start = len(days[0])
-    clamps, finite = _euler_days(
+    block, clamps, finite = _euler_days(
         model, days, np.array([p.beta]), np.array([p.gamma]), until,
         p.tau1, p.tau2, p.mu, p.epsilon, o_vals, record=True,
     )
-    for seq in days:
-        seq[start:] = [float(v[0]) for v in seq[start:]]
+    for seq, rows in zip(days, block[:, 1:, 0]):
+        seq.extend(rows.tolist())
     if not finite.all():
-        day = next(t for t in range(start, until) if not all(math.isfinite(seq[t]) for seq in days))
+        day = start + int(np.flatnonzero(~np.isfinite(block[:, 1:, 0]).all(axis=0))[0])
         raise StateError(
             f"{model}: state is no longer finite on day {day} (period {period}); "
             "the rates are too large for this population"

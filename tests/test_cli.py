@@ -299,3 +299,21 @@ def test_simulate_fit_report_with_bad_field_exits_2(pipeline_dir, tmp_path, caps
     )
     assert rc == 2
     assert f"field {field} " in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag, value", [("--tau1", "-1"), ("--tau2", "-3"), ("--mu", "-1")])
+def test_fit_rejects_negative_delay_or_mu_before_tuning(pipeline_dir, tmp_path, capsys, flag, value):
+    rc = main(
+        [
+            "fit",
+            "--cases", os.path.join(pipeline_dir, "cases.csv"),
+            "--metro-map", os.path.join(pipeline_dir, "metro_map.csv"),
+            "--periods", os.path.join(pipeline_dir, "periods.csv"),
+            *FIT_FLAGS,
+            flag, value,
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 4
+    assert flag in _one_error_line(capsys)
+    assert not (tmp_path / "fit_report.json").exists()

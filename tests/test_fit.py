@@ -13,6 +13,7 @@ from epigrowth.fit import (
     GrowthRates,
     PeriodDiscrepancy,
     SearchConfig,
+    _grid_eval,
     beta_grid,
     data_growth_rates,
     default_init,
@@ -29,7 +30,7 @@ from epigrowth.fixtures import (
     piecewise_log_linear_counts,
 )
 from epigrowth.segment import Period, PeriodSet
-from epigrowth.sir import VARIANTS, InflowSeries, PiecewiseParams, SirState, simulate
+from epigrowth.sir import VARIANTS, InflowSeries, PiecewiseParams, SirParams, SirState, simulate
 from epigrowth.timeseries import CaseSeries, aggregate_to_metros
 
 START = date(2020, 3, 1)
@@ -337,3 +338,109 @@ def test_tune_replay_with_shared_beta_and_clamped_reinfection():
     res = _replay_tuned_run("reinfect", (0.12, -0.05, 0.1, -0.04, 0.08), 4, mu=1.5, shared_beta=True)
     assert res.trajectory.clamp_events > 0
     assert len({p.beta for p in res.params.per_period}) == 1
+
+
+def _reference_grid_eval(model, days, bvals, gvals, seg_lo, seg_hi, x_off, fit_days,
+                         check_boundary, target_k, shared, o_vals):
+    """The grid objective as first written: day lists of arrays, a candidate-major
+    log-I matrix filled one column per fit day, then the closed-form slope."""
+    tau1, tau2 = (0, 0) if model == "original" else (shared.tau1, shared.tau2)
+    mu = shared.mu if model == "reinfect" else 0.0
+    nb, ng = len(bvals), len(gvals)
+    n_cand = nb * ng
+    beta, gamma = np.repeat(bvals, ng), np.tile(gvals, nb)
+    i_days = list(days[1])
+    m = len(i_days)
+    s, i, r = days[0][-1], i_days[-1], days[2][-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(m - 1, seg_hi + (1 if check_boundary else 0) - 1):
+            new_infections = beta * i_days[t - tau1 if t >= tau1 else 0] * s
+            removals = gamma * i_days[t - tau2 if t >= tau2 else 0]
+            reentries = mu * r
+            s = s - new_infections + reentries
+            if model == "tourism":
+                s = s + shared.epsilon * o_vals[t]
+            i = i + new_infections - removals
+            r = r + removals - reentries
+            s = np.maximum(s, 0.0)
+            i = np.maximum(i, 0.0)
+            r = np.maximum(r, 0.0)
+            i_days.append(i)
+    span = seg_hi - seg_lo
+    y = np.zeros((n_cand, span))
+    alive = np.ones(n_cand, dtype=bool) & np.isfinite(s) & np.isfinite(i) & np.isfinite(r)
+    with np.errstate(invalid="ignore"):
+        for d in range(span):
+            if not fit_days[d]:
+                continue
+            vals = i_days[seg_lo + d]
+            if seg_lo + d < m:
+                if vals > 0:
+                    y[:, d] = math.log(vals)
+                else:
+                    alive[:] = False
+            else:
+                alive &= vals > 0
+                y[alive, d] = np.log(vals[alive])
+        if check_boundary:
+            alive &= i_days[seg_hi] > 0
+        x = np.arange(x_off + seg_lo, x_off + seg_hi, dtype=float)[fit_days]
+        if len(x) < 2:
+            return np.full(n_cand, np.inf)
+        y = y[:, fit_days]
+        xc = x - x.sum() / len(x)
+        ym = y.sum(axis=-1) / len(x)
+        slope = (xc * (y - ym[..., None])).sum(axis=-1) / float((xc**2).sum())
+        return np.where(alive, np.abs(slope - target_k), np.inf)
+
+
+_rate = st.floats(0.0, 3e-5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    model=st.sampled_from(VARIANTS),
+    committed=st.lists(
+        st.tuples(st.floats(1e3, 1e6), st.floats(0.0, 1e3), st.floats(0.0, 100.0)),
+        min_size=1, max_size=12,
+    ),
+    span=st.integers(1, 16),
+    data=st.data(),
+    check_boundary=st.booleans(),
+    bvals=st.lists(st.one_of(_rate, _rate, st.floats(1e290, 1e300)), min_size=1, max_size=7),
+    gvals=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=9),
+    tau1=st.integers(0, 10),
+    tau2=st.integers(0, 10),
+    mu=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    epsilon=st.floats(0.0, 1.0),
+    x_off=st.integers(0, 30),
+    target_k=st.floats(-0.2, 0.2),
+)
+def test_grid_eval_matches_reference_bitwise(
+    model, committed, span, data, check_boundary, bvals, gvals, tau1, tau2, mu, epsilon, x_off, target_k
+):
+    # days holds the committed run through the period's first day, as in tune
+    seg_lo = len(committed) - 1
+    seg_hi = seg_lo + span
+    fit_days = np.array(data.draw(st.lists(st.booleans(), min_size=span, max_size=span)))
+    days = tuple(list(col) for col in zip(*committed))
+    shared = SirParams(0.0, 0.0, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
+    o_vals = tuple(float(3 + d % 7) for d in range(seg_hi + 1))
+    args = (np.array(bvals), np.array(gvals), seg_lo, seg_hi, x_off, fit_days,
+            check_boundary, target_k, shared, o_vals)
+    got = _grid_eval(model, days, *args)
+    want = _reference_grid_eval(model, days, *args)
+    assert got.shape == (len(bvals) * len(gvals),)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert days == tuple(list(col) for col in zip(*committed))
+
+
+def test_grid_eval_logs_the_committed_day_as_the_reference_does():
+    i0 = 166.26389345623903  # np.log and math.log round this value differently
+    assert np.log(i0) != math.log(i0)
+    days = ([1e5], [i0], [0.0])
+    args = (np.linspace(0.0, 1e-5, 5), np.linspace(0.0, 0.5, 5), 0, 8, 3, np.ones(8, dtype=bool),
+            True, 0.05, SirParams(0.0, 0.0, tau1=2, tau2=4), None)
+    got = _grid_eval("delayed", days, *args)
+    assert np.isfinite(got).sum() > 1
+    assert np.array_equal(got.view(np.int64), _reference_grid_eval("delayed", days, *args).view(np.int64))
