@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from datetime import date, timedelta
 
@@ -95,6 +96,13 @@ def _to_float(value, flag: str) -> float:
     if not math.isfinite(out):
         raise ConfigError(f"{flag}: expected a finite number, got {value!r}")
     return out
+
+
+def _check_non_negative(*flag_values: tuple[str, float]) -> None:
+    """Reject a negative delay or rate flag as bad configuration, naming the flag."""
+    for flag, value in flag_values:
+        if value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value!r}")
 
 
 def _to_date(value, flag: str) -> date:
@@ -286,9 +294,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     tau1 = _to_int(args.tau1, "--tau1") if args.tau1 is not None else DEFAULT_TAU1
     tau2 = _to_int(args.tau2, "--tau2") if args.tau2 is not None else DEFAULT_TAU2
     mu = _to_float(args.mu, "--mu") if args.mu is not None else 0.0
-    for flag, value in (("--tau1", tau1), ("--tau2", tau2), ("--mu", mu)):
-        if value < 0:
-            raise ConfigError(f"{flag} must be >= 0, got {value!r}")
+    _check_non_negative(("--tau1", tau1), ("--tau2", tau2), ("--mu", mu))
     grid_points = (
         _to_int(args.grid_points, "--grid-points") if args.grid_points is not None else 101
     )
@@ -440,6 +446,7 @@ def _simulate_inputs(args: argparse.Namespace):
     tau2 = _to_int(args.tau2, "--tau2") if args.tau2 is not None else DEFAULT_TAU2
     mu = _to_float(args.mu, "--mu") if args.mu is not None else 0.0
     epsilon = _to_float(args.epsilon, "--epsilon") if args.epsilon is not None else 0.0
+    _check_non_negative(("--tau1", tau1), ("--tau2", tau2), ("--mu", mu), ("--epsilon", epsilon))
     window = _to_window(args.window) if args.window is not None else DEFAULT_WINDOW
     announcement = (
         _to_date(args.announcement, "--announcement")
@@ -553,8 +560,21 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads every token starting with '-' and a digit as a value.
+
+    argparse's own pattern misses the exponent form, so ``--beta -1e-6`` would
+    be taken for an unknown option; no option of this CLI starts with a digit.
+    Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epigrowth",
         description="Segment metro case curves, tune SIR-variant rates, and run correlation studies.",
     )

@@ -2,7 +2,9 @@
 
 Boundaries start at anchor dates and are refined by coordinate ascent on the
 length-weighted mean R-squared of the per-period log-linear fits.  The search
-box is fixed at +-search_radius days around each initial anchor.
+box is fixed at +-search_radius days around each initial anchor.  Sweeps
+repeat until one moves no boundary, and each candidate period is fitted once
+per metro, however many sweeps try it.
 """
 
 from __future__ import annotations
@@ -132,24 +134,34 @@ def initial_periods(window: DateInterval, anchors: Sequence[date], metro: str = 
 
 
 class _WindowFits:
-    """Closed-form per-segment OLS over the positive-count days of one window."""
+    """Per-segment OLS over the positive-count days of one window; each segment is fitted once."""
 
     def __init__(self, series: CaseSeries, window: DateInterval):
         log = to_log_series(series, window)  # raises if no positive counts
         series_offset = (window.start - series.start_date).days
-        self.day_rel = np.array([d - series_offset for d in log.xs()], dtype=int)
+        day_rel = [d - series_offset for d in log.xs()]
+        # before[d]: positive-count days ahead of window-relative day d, 0 <= d <= window.days
+        self.before = np.searchsorted(day_rel, np.arange(window.days + 1)).tolist()
         self.x = np.array(log.xs(), dtype=float)
         self.y = np.array(log.ys(), dtype=float)
         self.window_days = window.days
+        self._fits: dict[tuple[int, int], tuple[float, float, float, int] | None] = {}
 
     def segment_fit(self, lo: int, hi: int) -> tuple[float, float, float, int] | None:
-        """(slope, intercept, r2, n) over window-relative days [lo, hi), or None if unfittable."""
-        a, b = np.searchsorted(self.day_rel, (lo, hi))
+        """(slope, intercept, r2, n) over window-relative days [lo, hi), or None if unfittable.
+
+        Each (lo, hi) is fitted on first use and read back from then on.
+        """
+        try:
+            return self._fits[lo, hi]
+        except KeyError:
+            pass
+        a, b = self.before[lo], self.before[hi]
         n = b - a
-        if n < 2:
-            return None
         # distinct days, so two points always spread x
-        return (*_line_fit(self.x[a:b], self.y[a:b]), int(n))
+        fit = None if n < 2 else (*_line_fit(self.x[a:b], self.y[a:b]), n)
+        self._fits[lo, hi] = fit
+        return fit
 
     def objective(self, bounds: Sequence[int]) -> float:
         """Length-weighted mean R2 for boundaries ``bounds`` (window-relative start days)."""
@@ -174,7 +186,16 @@ def optimize_boundaries(
 
     Each boundary moves within +-search_radius days of its initial position,
     respecting the window and ``min_period_length``; sweeps repeat until no
-    boundary moves.  Objective ties go to the earliest date.
+    boundary moves.  Objective ties go to the earliest date.  Every candidate
+    period is fitted once per call, however many sweeps try it.
+
+    The sweeps end.  Boundaries stay inside their boxes.  When both periods
+    next to a boundary are at least ``min_period_length`` long, its current
+    position is among those tried, so moving it raises the objective, or
+    keeps it equal and moves the boundary earlier.  Any other move lengthens
+    a period the anchors left too short and shortens none below the minimum.
+    So (-short periods, objective, -sum(boundaries)) rises strictly with each
+    move, and no configuration of the finite box repeats.
     """
     if search_radius < 0:
         raise ConfigError(f"search radius must be >= 0, got {search_radius}")
@@ -196,7 +217,8 @@ def optimize_boundaries(
         raise InsufficientDataError(
             f"{series.region}: initial periods leave a segment with fewer than 2 positive counts"
         )
-    for _ in range(100):
+    moved = True
+    while moved:
         moved = False
         for j in range(NUM_PERIODS - 1):
             left = bounds[j - 1] if j > 0 else 0
@@ -214,8 +236,6 @@ def optimize_boundaries(
             if math.isfinite(best_obj) and best_b != bounds[j]:
                 bounds[j] = best_b
                 moved = True
-        if not moved:
-            break
 
     cuts = [0, *bounds, fits.window_days]
     periods = []

@@ -317,3 +317,44 @@ def test_fit_rejects_negative_delay_or_mu_before_tuning(pipeline_dir, tmp_path, 
     assert rc == 4
     assert flag in _one_error_line(capsys)
     assert not (tmp_path / "fit_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--tau1", "-1"), ("--tau2", "-3"), ("--mu", "-0.2"), ("--epsilon", "-0.5")]
+)
+def test_simulate_rejects_negative_delay_or_rate_naming_the_flag(tmp_path, capsys, flag, value):
+    rc = main(
+        [
+            "simulate",
+            "--model", "delayed",
+            "--beta", "1e-6",
+            "--gamma", "0.1",
+            "--i0", "1",
+            flag, value,
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 4
+    assert flag in _one_error_line(capsys)
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, rc, message",
+    [
+        (["simulate", "--model", "delayed", "--gamma", "0.1", "--i0", "1", "--beta", "-1e-6"],
+         2, "beta must be finite and >= 0, got -1e-06"),
+        (["simulate", "--model", "delayed", "--beta", "1e-6", "--i0", "1", "--gamma", "-1E+2"],
+         2, "gamma must be finite and >= 0, got -100.0"),
+        (["fit", "--cases", "c.csv", "--metro-map", "m.csv", "--periods", "p.csv", "--mu", "-1e-3"],
+         4, "--mu must be >= 0, got -0.001"),
+        (["segment", "--cases", "c.csv", "--metro-map", "m.csv", "--radius", "-1e1"],
+         4, "--radius: expected an integer, got '-1e1'"),
+        (["gen-fixtures", "--seed", "-2e3"], 4, "--seed: expected an integer, got '-2e3'"),
+    ],
+)
+def test_negative_exponent_value_reads_as_the_flag_value(tmp_path, capsys, argv, rc, message):
+    *head, flag, value = argv
+    for form in ([*head, flag, value], [*head, f"{flag}={value}"]):
+        assert main([*form, "--out", str(tmp_path)]) == rc
+        assert _one_error_line(capsys) == f"error: {message}"

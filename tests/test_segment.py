@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -5,10 +6,14 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from epigrowth import segment
+from epigrowth.cli import main
 from epigrowth.errors import ConfigError, InsufficientDataError, StateError, ValidationError
 from epigrowth.fixtures import piecewise_log_linear_counts
-from epigrowth.regress import SimpleFit
+from epigrowth.regress import SimpleFit, _line_fit
 from epigrowth.segment import (
     DEFAULT_ANCHOR_OFFSETS,
     DEFAULT_ANNOUNCEMENT,
@@ -24,7 +29,7 @@ from epigrowth.segment import (
     rows_from_period_sets,
     write_periods_csv,
 )
-from epigrowth.timeseries import CaseSeries, DateInterval
+from epigrowth.timeseries import CaseSeries, DateInterval, to_log_series
 
 
 def test_default_anchors_follow_announcement_offsets():
@@ -137,6 +142,142 @@ def test_optimizer_matches_exhaustive_search_on_small_box():
         best = max(best, fits.objective(list(combo)))
     got = fits.objective([(p.start - WINDOW.start).days for p in ps.periods[1:]])
     assert got == pytest.approx(best, abs=1e-9)
+
+
+def _reference_optimize(series, initial, search_radius, min_period_length):
+    """Uncached reference ascent: every trial refits all five periods; at most 100 sweeps.
+
+    Returns the cut days and the five (slope, intercept, r2, n) fits.
+    """
+    window = initial.window
+    log = to_log_series(series, window)
+    offset = (window.start - series.start_date).days
+    day_rel = np.array([d - offset for d in log.xs()], dtype=int)
+    x = np.array(log.xs(), dtype=float)
+    y = np.array(log.ys(), dtype=float)
+
+    def segment_fit(lo, hi):
+        a, b = np.searchsorted(day_rel, (lo, hi))
+        if b - a < 2:
+            return None
+        return (*_line_fit(x[a:b], y[a:b]), int(b - a))
+
+    def objective(bounds):
+        cuts = [0, *bounds, window.days]
+        total = 0.0
+        for lo, hi in zip(cuts, cuts[1:]):
+            fit = segment_fit(lo, hi)
+            if fit is None:
+                return -math.inf
+            total += fit[2] * (hi - lo)
+        return total / window.days
+
+    init = [(p.start - window.start).days for p in initial.periods[1:]]
+    bounds = list(init)
+    if not math.isfinite(objective(bounds)):
+        raise InsufficientDataError("initial periods leave an unfittable segment")
+    for _ in range(100):
+        moved = False
+        for j in range(4):
+            left = bounds[j - 1] if j > 0 else 0
+            right = bounds[j + 1] if j < 3 else window.days
+            lo = max(init[j] - search_radius, left + min_period_length)
+            hi = min(init[j] + search_radius, right - min_period_length)
+            best_b, best_obj = bounds[j], -math.inf
+            for b in range(lo, hi + 1):
+                obj = objective([*bounds[:j], b, *bounds[j + 1 :]])
+                if obj > best_obj:
+                    best_obj, best_b = obj, b
+            if math.isfinite(best_obj) and best_b != bounds[j]:
+                bounds[j] = best_b
+                moved = True
+        if not moved:
+            break
+    cuts = [0, *bounds, window.days]
+    fits = [segment_fit(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    if any(f is None for f in fits):
+        raise InsufficientDataError("an optimized period is unfittable")
+    return cuts, fits
+
+
+@st.composite
+def _segmentation_inputs(draw):
+    """A noisy piecewise log-linear series, maybe with zero days, and a search set-up."""
+    days = draw(st.integers(25, 80))
+    lead = draw(st.integers(0, 5))  # series days before the window
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    true_cuts = np.sort(rng.choice(np.arange(1, lead + days), size=4, replace=False))
+    lengths = np.diff([0, *true_cuts, lead + days]).tolist()
+    slopes = rng.uniform(-0.2, 0.2, size=5).tolist()
+    sigma = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))
+    counts = np.array(piecewise_log_linear_counts(500.0, slopes, lengths, rng, sigma))
+    counts[rng.random(counts.size) < draw(st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.6]))] = 0.0
+    start = date(2020, 3, 1)
+    window = DateInterval(start + timedelta(days=lead), start + timedelta(days=lead + days - 1))
+    offsets = draw(
+        st.sets(st.integers(2, days - 2), min_size=4, max_size=4)
+        .map(sorted)
+        .filter(lambda o: min(np.diff(o)) >= 2)
+    )
+    min_period = draw(st.integers(1, min(10, days // 5)))
+    radius = draw(st.integers(0, 14))
+    series = CaseSeries("m", start, tuple(counts.tolist()))
+    return series, initial_periods(window, anchors_at(window, offsets)), radius, min_period
+
+
+def _bits(value: float) -> int:
+    return int(np.array(value, dtype=np.float64).view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_segmentation_inputs())
+def test_optimizer_matches_uncached_reference_bitwise(case):
+    series, initial, radius, min_period = case
+    try:
+        cuts, fits = _reference_optimize(series, initial, radius, min_period)
+    except InsufficientDataError:
+        with pytest.raises(InsufficientDataError):
+            optimize_boundaries(series, initial, radius, min_period)
+        return
+    ps = optimize_boundaries(series, initial, radius, min_period)
+    start = initial.window.start
+    assert [(p.start - start).days for p in ps.periods] == cuts[:-1]
+    for p, (slope, intercept, r2, n) in zip(ps.periods, fits):
+        got = (p.fit.slope, p.fit.intercept, p.fit.r_squared)
+        assert [_bits(v) for v in got] == [_bits(slope), _bits(intercept), _bits(r2)]
+        assert p.fit.n == n
+
+
+def test_optimizer_fits_each_stretch_once(monkeypatch):
+    # every day has a positive count, so a fitted slice names its (lo, hi) stretch
+    series = _series_with_breaks(7, WINDOW, TRUE_BREAKS, SLOPES, sigma=0.05)
+    fitted = []
+
+    def recording_fit(x, y):
+        fitted.append((x[0], len(x)))
+        return _line_fit(x, y)
+
+    monkeypatch.setattr(segment, "_line_fit", recording_fit)
+    initial = initial_periods(WINDOW, anchors_at(WINDOW, (10, 31, 40, 59)))
+    optimize_boundaries(series, initial, search_radius=14, min_period_length=3)
+    assert fitted
+    assert len(set(fitted)) == len(fitted)
+
+
+def test_segment_output_bytes_are_pinned(tmp_path):
+    out = str(tmp_path)
+    assert main(["gen-fixtures", "--seed", "0", "--metros", "4", "--out", out]) == 0
+    cases, metro_map = tmp_path / "cases.csv", tmp_path / "metro_map.csv"
+    argv = ["segment", "--cases", str(cases), "--metro-map", str(metro_map), "--out", out]
+    assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("periods.csv", "protocol.csv")
+    }
+    assert digests == {
+        "periods.csv": "0fad2e4dbbe4f4f5f821c306fd19aab532ee0756edeb4dc97174e6603217e65c",
+        "protocol.csv": "0f3e957f6028fa640b96465d00b2d8f7e693002f2ec57386437b7aa59e894cfc",
+    }
 
 
 def test_optimizer_requires_fittable_initial_segments():
