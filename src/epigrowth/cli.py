@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -198,6 +199,55 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _map_in_order(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, spread over one forked worker per core.
+
+    Results are pickled back and returned in input order, so what the caller
+    writes does not depend on the worker count.  Workers are forked rather
+    than spawned, so they start with the parent's modules already imported
+    instead of importing NumPy again; the CLI starts no threads of its own
+    that a fork could catch mid-update.  With one core, one item or no
+    ``fork``, ``fn`` runs in this process.  The pool modules are imported
+    here so that importing the CLI stays as cheap as before.
+    """
+    import multiprocessing
+
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    workers = min(len(items), cores)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(fn, items))
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(fn, items))
+
+
+def _segment_job(series, *, window, anchors, radius, min_period):
+    """One metro's periods, or the InsufficientDataError that skips it."""
+    try:
+        return optimize_boundaries(
+            series,
+            initial_periods(window, anchors, series.region),
+            search_radius=radius,
+            min_period_length=min_period,
+        )
+    except InsufficientDataError as exc:
+        return exc
+
+
+def _tune_job(job, **kwargs):
+    """``tune`` for one (model, series, periods, mu) job, or the PipelineError it raised."""
+    model, series, periods, mu = job
+    try:
+        return tune(model, series, periods, mu=mu, **kwargs)
+    except PipelineError as exc:
+        return exc
+
+
 def cmd_gen_fixtures(args: argparse.Namespace) -> int:
     seed = _to_int(args.seed, "--seed") if args.seed is not None else 0
     n_metros = _to_int(args.metros, "--metros") if args.metros is not None else 8
@@ -247,7 +297,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
     period_sets = []
     protocol_rows: list[tuple[str, date | None, date | None, str]] = []
     skipped = 0
-    for series in metros:
+    job = functools.partial(_segment_job, window=window, anchors=anchors, radius=radius,
+                            min_period=min_period)
+    for series, ps in zip(metros, _map_in_order(job, metros)):
         first_case = next(
             (
                 series.start_date + timedelta(days=idx)
@@ -256,13 +308,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
             ),
             None,
         )
-        initial = initial_periods(window, anchors, series.region)
-        try:
-            ps = optimize_boundaries(
-                series, initial, search_radius=radius, min_period_length=min_period
-            )
-        except InsufficientDataError as exc:
-            print(f"warning: {series.region}: {exc}; skipped", file=sys.stderr)
+        if isinstance(ps, InsufficientDataError):
+            print(f"warning: {series.region}: {ps}; skipped", file=sys.stderr)
             protocol_rows.append((series.region, first_case, None, "no fittable periods"))
             skipped += 1
             continue
@@ -319,15 +366,24 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "metros": {},
     }
     table_rows: list[tuple[str, float | None, float | None]] = []
+    jobs = [
+        (model, series_by[metro], period_sets[metro], mu if model == "reinfect" else 0.0)
+        for metro in sorted(period_sets)
+        if metro in series_by
+        for model in FIT_MODELS
+    ]
+    job = functools.partial(
+        _tune_job, cfg=cfg, tau1=tau1, tau2=tau2, shared_beta=bool(args.shared_beta)
+    )
+    results = iter(_map_in_order(job, jobs))
     for metro in sorted(period_sets):
         ps = period_sets[metro]
-        series = series_by.get(metro)
         entry: dict = {
             "periods": [
                 {"start": p.start.isoformat(), "end": p.end.isoformat()} for p in ps.periods
             ]
         }
-        if series is None:
+        if metro not in series_by:
             print(f"warning: {metro}: no case data; skipped", file=sys.stderr)
             entry["error"] = "no case data"
             report["metros"][metro] = entry
@@ -335,38 +391,29 @@ def cmd_fit(args: argparse.Namespace) -> int:
             continue
         pcts: dict[str, float | None] = {}
         for model in FIT_MODELS:
-            try:
-                res = tune(
-                    model,
-                    series,
-                    ps,
-                    cfg,
-                    tau1=tau1,
-                    tau2=tau2,
-                    mu=mu if model == "reinfect" else 0.0,
-                    shared_beta=bool(args.shared_beta),
-                )
-                params, init, rep = res.params, res.init, res.report
-                entry[model] = {
-                    "beta": [p.beta for p in params.per_period],
-                    "gamma": [p.gamma for p in params.per_period],
-                    "tau1": params.tau1,
-                    "tau2": params.tau2,
-                    "mu": params.mu,
-                    "epsilon": params.epsilon,
-                    "init": {"s": init.s, "i": init.i, "r": init.r},
-                    "k_data": list(res.data_rates.k),
-                    "k_sim": list(res.sim_rates.k),
-                    "per_period_abs_diff": [p.abs_diff for p in rep.per_period],
-                    "weighted_error": rep.weighted_error,
-                    "as_percent": rep.as_percent,
-                    "clamp_events": res.trajectory.clamp_events,
-                }
-                pcts[model] = rep.as_percent
-            except PipelineError as exc:
-                print(f"warning: {metro}/{model}: {exc}", file=sys.stderr)
-                entry[model] = {"error": str(exc)}
+            res = next(results)
+            if isinstance(res, PipelineError):
+                print(f"warning: {metro}/{model}: {res}", file=sys.stderr)
+                entry[model] = {"error": str(res)}
                 pcts[model] = None
+                continue
+            params, init, rep = res.params, res.init, res.report
+            entry[model] = {
+                "beta": [p.beta for p in params.per_period],
+                "gamma": [p.gamma for p in params.per_period],
+                "tau1": params.tau1,
+                "tau2": params.tau2,
+                "mu": params.mu,
+                "epsilon": params.epsilon,
+                "init": {"s": init.s, "i": init.i, "r": init.r},
+                "k_data": list(res.data_rates.k),
+                "k_sim": list(res.sim_rates.k),
+                "per_period_abs_diff": [p.abs_diff for p in rep.per_period],
+                "weighted_error": rep.weighted_error,
+                "as_percent": rep.as_percent,
+                "clamp_events": res.trajectory.clamp_events,
+            }
+            pcts[model] = rep.as_percent
         report["metros"][metro] = entry
         table_rows.append((metro, pcts.get("delayed"), pcts.get("reinfect")))
     out = _out_dir(args)
@@ -446,7 +493,14 @@ def _simulate_inputs(args: argparse.Namespace):
     tau2 = _to_int(args.tau2, "--tau2") if args.tau2 is not None else DEFAULT_TAU2
     mu = _to_float(args.mu, "--mu") if args.mu is not None else 0.0
     epsilon = _to_float(args.epsilon, "--epsilon") if args.epsilon is not None else 0.0
-    _check_non_negative(("--tau1", tau1), ("--tau2", tau2), ("--mu", mu), ("--epsilon", epsilon))
+    _check_non_negative(
+        ("--beta", beta),
+        ("--gamma", gamma),
+        ("--tau1", tau1),
+        ("--tau2", tau2),
+        ("--mu", mu),
+        ("--epsilon", epsilon),
+    )
     window = _to_window(args.window) if args.window is not None else DEFAULT_WINDOW
     announcement = (
         _to_date(args.announcement, "--announcement")

@@ -22,7 +22,7 @@ from .errors import ParseError, ValidationError
 from .fit import GrowthRates
 from .regress import bucket_temperature, encode_dummies, fit_multi
 from .segment import Period, PeriodSet
-from .timeseries import CaseSeries, _as_text
+from .timeseries import CaseSeries, _as_text, _check_header
 
 NA_RANK = "rank-deficient"
 NA_SAMPLES = "insufficient-samples"
@@ -265,12 +265,7 @@ def load_demographics(source) -> tuple[DemographicTable, list[str]]:
     flagged with a warning; the study skips them for that group.
     """
     reader = csv.reader(_as_text(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("demographics file is empty") from None
-    if tuple(header) != DEMOGRAPHICS_HEADER:
-        raise ParseError(f"expected header {','.join(DEMOGRAPHICS_HEADER)}, got {','.join(header)}")
+    _check_header(next(reader, None), DEMOGRAPHICS_HEADER, "demographics CSV")
     values: dict[str, dict[str, dict[str, float]]] = {}
     for row in reader:
         if not row:
@@ -313,12 +308,7 @@ def write_demographics_csv(table: DemographicTable, fh: io.TextIOBase) -> None:
 
 def load_weather(source) -> WeatherTable:
     reader = csv.reader(_as_text(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("weather file is empty") from None
-    if tuple(header) != WEATHER_HEADER:
-        raise ParseError(f"expected header {','.join(WEATHER_HEADER)}, got {','.join(header)}")
+    _check_header(next(reader, None), WEATHER_HEADER, "weather CSV")
     rows = []
     for row in reader:
         if not row:

@@ -24,5 +24,9 @@ class StateError(PipelineError):
     """Operation needs state the object does not carry yet (e.g. unfitted periods)."""
 
 
+class ConvergenceError(PipelineError):
+    """An iterative numerical routine did not converge."""
+
+
 class ConfigError(PipelineError):
     """Invalid or incomplete run configuration."""

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, ValidationError
+from .errors import ConvergenceError, InsufficientDataError, ValidationError
 from .timeseries import LogSeries
 
 BUCKET_SCHEMES = {
@@ -237,7 +237,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    raise ConvergenceError("incomplete beta continued fraction did not converge")
 
 
 def _beta_frac(a: float, b: float, x: float) -> float:

@@ -308,13 +308,10 @@ def write_periods_csv(rows: Iterable[PeriodRow], out: IO[str]) -> None:
 
 
 def load_periods_csv(source: IO) -> list[PeriodRow]:
-    from .timeseries import _as_text  # shared stream handling
+    from .timeseries import _as_text, _check_header  # shared stream and header handling
 
     reader = csv.reader(_as_text(source))
-    header = next(reader, None)
-    got = [c.strip().lower() for c in header] if header else None
-    if got != list(PERIODS_HEADER):
-        raise ParseError(f"periods CSV must start with header '{','.join(PERIODS_HEADER)}'")
+    _check_header(next(reader, None), PERIODS_HEADER, "periods CSV")
     rows = []
     for row in reader:
         if not row:

@@ -326,13 +326,10 @@ def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:
 
 
 def load_inflow(source: IO) -> InflowSeries:
-    from .timeseries import _as_text
+    from .timeseries import _as_text, _check_header
 
     reader = csv.reader(_as_text(source))
-    header = next(reader, None)
-    got = [c.strip().lower() for c in header] if header else None
-    if got != list(INFLOW_HEADER):
-        raise ParseError(f"inflow CSV must start with header '{','.join(INFLOW_HEADER)}'")
+    _check_header(next(reader, None), INFLOW_HEADER, "inflow CSV")
     values = []
     for row in reader:
         if not row:

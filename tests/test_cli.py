@@ -1,11 +1,16 @@
 import csv
+import faulthandler
+import hashlib
 import json
+import multiprocessing
 import os
 from datetime import date
 
 import pytest
 
+from epigrowth import cli
 from epigrowth.cli import PROTOCOL_HEADER, TABLE2_HEADER, main
+from epigrowth.errors import InsufficientDataError, ValidationError
 
 
 FIT_FLAGS = ["--grid-points", "21", "--refinements", "1"]
@@ -264,6 +269,24 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     assert "UTF-8" in _one_error_line(capsys)
 
 
+def test_correlate_with_a_wrong_weather_column_exits_2(pipeline_dir, tmp_path, capsys):
+    weather = tmp_path / "weather.csv"
+    with open(os.path.join(pipeline_dir, "weather.csv")) as fh:
+        weather.write_text(fh.read().replace("high", "hi", 1))
+    rc = main(
+        [
+            "correlate",
+            "--cases", os.path.join(pipeline_dir, "cases.csv"),
+            "--metro-map", os.path.join(pipeline_dir, "metro_map.csv"),
+            "--periods", os.path.join(pipeline_dir, "periods.csv"),
+            "--weather", str(weather),
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    assert _one_error_line(capsys) == "error: weather CSV must start with header 'metro,date,type,high,low'"
+
+
 def test_non_utf8_config_exits_4(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"seed=7\nmetros=\xff\n")
@@ -343,9 +366,9 @@ def test_simulate_rejects_negative_delay_or_rate_naming_the_flag(tmp_path, capsy
     "argv, rc, message",
     [
         (["simulate", "--model", "delayed", "--gamma", "0.1", "--i0", "1", "--beta", "-1e-6"],
-         2, "beta must be finite and >= 0, got -1e-06"),
+         4, "--beta must be >= 0, got -1e-06"),
         (["simulate", "--model", "delayed", "--beta", "1e-6", "--i0", "1", "--gamma", "-1E+2"],
-         2, "gamma must be finite and >= 0, got -100.0"),
+         4, "--gamma must be >= 0, got -100.0"),
         (["fit", "--cases", "c.csv", "--metro-map", "m.csv", "--periods", "p.csv", "--mu", "-1e-3"],
          4, "--mu must be >= 0, got -0.001"),
         (["segment", "--cases", "c.csv", "--metro-map", "m.csv", "--radius", "-1e1"],
@@ -358,3 +381,108 @@ def test_negative_exponent_value_reads_as_the_flag_value(tmp_path, capsys, argv,
     for form in ([*head, flag, value], [*head, f"{flag}={value}"]):
         assert main([*form, "--out", str(tmp_path)]) == rc
         assert _one_error_line(capsys) == f"error: {message}"
+
+
+def _use_cores(monkeypatch, n):
+    """Make the CLI see n usable cores, so n > 1 runs per-metro work in forked workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_fit_output_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, cores):
+    _use_cores(monkeypatch, cores)
+    out = str(tmp_path)
+    inputs = ["--cases", str(tmp_path / "cases.csv"), "--metro-map", str(tmp_path / "metro_map.csv")]
+    assert main(["gen-fixtures", "--seed", "0", "--metros", "4", "--out", out]) == 0
+    assert main(["segment", *inputs, "--out", out]) == 0
+    periods = ["--periods", str(tmp_path / "periods.csv")]
+    assert main(["fit", *inputs, *periods, "--mu", "0.2", *FIT_FLAGS, "--out", out]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("periods.csv", "protocol.csv", "fit_report.json", "table2.csv")
+    }
+    assert digests == {
+        "periods.csv": "0fad2e4dbbe4f4f5f821c306fd19aab532ee0756edeb4dc97174e6603217e65c",
+        "protocol.csv": "0f3e957f6028fa640b96465d00b2d8f7e693002f2ec57386437b7aa59e894cfc",
+        "fit_report.json": "ada919c52dbf07a2c94deaa06e90b2fc5e81d3e00e5f6c625148698ec5708e67",
+        "table2.csv": "e8ae92703181914ffe656c536fd3118a44fce9f44b3d7ac2ef10bf7ab56f9509",
+    }
+
+
+def _plant(monkeypatch, name, region, model, exc):
+    """Make cli.<name> raise exc for one metro (and, for tune, one model).
+
+    Forked workers inherit the patched module, so the failure happens inside them.
+    """
+    real = getattr(cli, name)
+
+    def planted(*args, **kwargs):
+        call_model, series = (args[0], args[1]) if name == "tune" else (model, args[0])
+        if series.region == region and call_model == model:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, planted)
+
+
+def test_worker_failures_read_as_in_process_ones(pipeline_dir, tmp_path, monkeypatch, capsys):
+    """Per-metro errors give the same entries, exit code and warning order pooled or not."""
+    # a metro with periods but no case data sits between metro-01 and metro-02
+    rows = _read_rows(os.path.join(pipeline_dir, "periods.csv"))
+    rows += [["metro-01b", *row[1:]] for row in rows if row[0] == "metro-01"]
+    periods = tmp_path / "periods.csv"
+    with open(periods, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    inputs = [
+        "--cases", os.path.join(pipeline_dir, "cases.csv"),
+        "--metro-map", os.path.join(pipeline_dir, "metro_map.csv"),
+    ]
+    _plant(monkeypatch, "tune", "metro-02", "delayed", ValidationError("planted failure"))
+    _plant(monkeypatch, "tune", "metro-03", "reinfect", ValidationError("planted too"))
+    _plant(monkeypatch, "optimize_boundaries", "metro-02", None,
+           InsufficientDataError("planted shortage"))
+    runs = []
+    for cores in (1, 2):
+        _use_cores(monkeypatch, cores)
+        out = tmp_path / str(cores)
+        rc_fit = main(["fit", *inputs, "--periods", str(periods), *FIT_FLAGS, "--out", str(out)])
+        rc_segment = main(["segment", *inputs, "--out", str(out)])
+        files = {name: (out / name).read_bytes()
+                 for name in ("fit_report.json", "table2.csv", "periods.csv", "protocol.csv")}
+        runs.append((rc_fit, rc_segment, capsys.readouterr().err.splitlines(), files))
+    assert runs[0] == runs[1]
+    rc_fit, rc_segment, err, files = runs[0]
+    assert (rc_fit, rc_segment) == (0, 0)
+    assert err == [
+        "warning: metro-01b: no case data; skipped",
+        "warning: metro-02/delayed: planted failure",
+        "warning: metro-03/reinfect: planted too",
+        "warning: metro-02: planted shortage; skipped",
+    ]
+    report = json.loads(files["fit_report.json"])["metros"]
+    assert report["metro-02"]["delayed"] == {"error": "planted failure"}
+    assert report["metro-03"]["reinfect"] == {"error": "planted too"}
+    assert "beta" in report["metro-02"]["reinfect"] and "beta" in report["metro-03"]["delayed"]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_unexpected_worker_exception_propagates_out_of_main(pipeline_dir, tmp_path, monkeypatch,
+                                                            cores):
+    _use_cores(monkeypatch, cores)
+    _plant(monkeypatch, "tune", "metro-02", "reinfect", RuntimeError("planted crash"))
+    argv = [
+        "fit",
+        "--cases", os.path.join(pipeline_dir, "cases.csv"),
+        "--metro-map", os.path.join(pipeline_dir, "metro_map.csv"),
+        "--periods", os.path.join(pipeline_dir, "periods.csv"),
+        *FIT_FLAGS,
+        "--out", str(tmp_path),
+    ]
+    faulthandler.dump_traceback_later(120, exit=True)  # a hung pool fails the run, not CI time
+    try:
+        with pytest.raises(RuntimeError, match="^planted crash$"):
+            main(argv)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "fit_report.json").exists()

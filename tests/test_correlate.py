@@ -335,6 +335,13 @@ def test_weather_csv_roundtrip():
     assert load_weather(buf) == table
 
 
+def test_loaders_strip_and_lowercase_the_header():
+    weather = load_weather(io.StringIO("Metro, Date,Type,High,Low\nm,2020-03-01,rainy,55,41\n"))
+    assert weather == WeatherTable((WeatherRow("m", date(2020, 3, 1), "rainy", 55.0, 41.0),))
+    demo, _ = load_demographics(io.StringIO(" METRO,Group,subcategory ,Value\nm,age,young,40\n"))
+    assert demo == DemographicTable({"age": {"m": {"young": 40.0}}})
+
+
 def test_load_weather_rejects_bad_rows():
     header = "metro,date,type,high,low\n"
     with pytest.raises(ParseError):

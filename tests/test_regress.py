@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epigrowth.errors import InsufficientDataError, ValidationError
+from epigrowth.errors import ConvergenceError, InsufficientDataError, PipelineError, ValidationError
 from epigrowth.regress import (
+    _betacf,
     bucket_temperature,
     encode_dummies,
     fit_multi,
@@ -121,6 +122,12 @@ def test_student_t_sf_symmetry_and_center():
     assert student_t_sf(0.0, 7) == pytest.approx(1.0, abs=1e-12)
     for t in (0.3, 1.7, 4.2):
         assert student_t_sf(t, 9) == pytest.approx(student_t_sf(-t, 9), abs=1e-15)
+
+
+def test_betacf_non_convergence_is_a_pipeline_error():
+    with pytest.raises(ConvergenceError, match="^incomplete beta continued fraction did not converge$") as info:
+        _betacf(1e6, 1e6, 0.5)
+    assert isinstance(info.value, PipelineError)
 
 
 def test_student_t_sf_rejects_bad_dof():
