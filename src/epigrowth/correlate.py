@@ -22,7 +22,7 @@ from .errors import ParseError, ValidationError
 from .fit import GrowthRates
 from .regress import bucket_temperature, encode_dummies, fit_multi
 from .segment import Period, PeriodSet
-from .timeseries import CaseSeries, _as_text, _check_header
+from .timeseries import CaseSeries, read_table
 
 NA_RANK = "rank-deficient"
 NA_SAMPLES = "insufficient-samples"
@@ -121,25 +121,19 @@ class WeatherTable:
     rows: tuple[WeatherRow, ...]
 
     def __post_init__(self) -> None:
-        seen = set()
+        by_key: dict[tuple[str, date], WeatherRow] = {}
         for row in self.rows:
             key = (row.metro, row.day)
-            if key in seen:
+            if key in by_key:
                 raise ValidationError(f"duplicate weather row for {row.metro} on {row.day}")
-            seen.add(key)
+            by_key[key] = row
+        object.__setattr__(self, "_by_key", by_key)
 
     def lookup(self, metro: str, day: date) -> WeatherRow | None:
-        return self._index().get((metro, day))
+        return self._by_key.get((metro, day))
 
     def metros(self) -> list[str]:
         return sorted({row.metro for row in self.rows})
-
-    def _index(self) -> dict[tuple[str, date], WeatherRow]:
-        cached = getattr(self, "_cache", None)
-        if cached is None:
-            cached = {(row.metro, row.day): row for row in self.rows}
-            object.__setattr__(self, "_cache", cached)
-        return cached
 
 
 def weighted_avg_growth(
@@ -168,16 +162,14 @@ def daily_log_growth(series: CaseSeries, period: Period) -> list[tuple[date, flo
 
     Only recorded days count: the period is clipped to the series range.
     """
-    out: list[tuple[date, float]] = []
-    day = max(period.start, series.start_date)
-    last = min(period.end, series.end_date)
-    while day < last:
-        c0 = series.count_on(day)
-        c1 = series.count_on(day + timedelta(days=1))
-        if c0 > 0 and c1 > 0:
-            out.append((day, math.log(c1) - math.log(c0)))
-        day += timedelta(days=1)
-    return out
+    first, counts = series.within(period.interval)
+    logs = [math.log(c) if c > 0 else None for c in counts]
+    start = series.start_date + timedelta(days=first)
+    return [
+        (start + timedelta(days=k), b - a)
+        for k, (a, b) in enumerate(zip(logs, logs[1:]))
+        if a is not None and b is not None
+    ]
 
 
 def demographic_study(demo: DemographicTable, response: Mapping[str, float]) -> CorrelationReport:
@@ -264,23 +256,18 @@ def load_demographics(source) -> tuple[DemographicTable, list[str]]:
     Metros missing some of a group's subcategories stay in the table but are
     flagged with a warning; the study skips them for that group.
     """
-    reader = csv.reader(_as_text(source))
-    _check_header(next(reader, None), DEMOGRAPHICS_HEADER, "demographics CSV")
     values: dict[str, dict[str, dict[str, float]]] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"line {reader.line_num}: expected 4 fields, got {len(row)}")
-        metro, group, subcat, raw = (field.strip() for field in row)
+    for line, (metro, group, subcat, raw) in read_table(
+        source, DEMOGRAPHICS_HEADER, "demographics CSV", label="line"
+    ):
         if not metro or not group or not subcat:
-            raise ParseError(f"line {reader.line_num}: empty key field")
+            raise ParseError(f"line {line}: empty key field")
         try:
             value = float(raw)
         except ValueError:
-            raise ParseError(f"line {reader.line_num}: bad value {raw!r}") from None
+            raise ParseError(f"line {line}: bad value {raw!r}") from None
         if not math.isfinite(value) or value < 0 or value > 100:
-            raise ValidationError(f"line {reader.line_num}: value {raw} outside [0, 100]")
+            raise ValidationError(f"line {line}: value {raw} outside [0, 100]")
         per_metro = values.setdefault(group, {}).setdefault(metro, {})
         if subcat in per_metro:
             raise ValidationError(f"duplicate demographics row for {metro}/{group}/{subcat}")
@@ -307,28 +294,26 @@ def write_demographics_csv(table: DemographicTable, fh: io.TextIOBase) -> None:
 
 
 def load_weather(source) -> WeatherTable:
-    reader = csv.reader(_as_text(source))
-    _check_header(next(reader, None), WEATHER_HEADER, "weather CSV")
     rows = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ParseError(f"line {reader.line_num}: expected 5 fields, got {len(row)}")
-        metro, raw_day, kind, raw_high, raw_low = (field.strip() for field in row)
-        try:
-            day = date.fromisoformat(raw_day)
-        except ValueError:
-            raise ParseError(f"line {reader.line_num}: bad date {raw_day!r}") from None
+    days: dict[str, date] = {}  # each distinct date string is parsed once
+    for line, (metro, raw_day, kind, raw_high, raw_low) in read_table(
+        source, WEATHER_HEADER, "weather CSV", label="line"
+    ):
+        day = days.get(raw_day)
+        if day is None:
+            try:
+                day = days[raw_day] = date.fromisoformat(raw_day)
+            except ValueError:
+                raise ParseError(f"line {line}: bad date {raw_day!r}") from None
         try:
             high = float(raw_high)
             low = float(raw_low)
         except ValueError:
-            raise ParseError(f"line {reader.line_num}: bad temperature") from None
+            raise ParseError(f"line {line}: bad temperature") from None
         try:
             rows.append(WeatherRow(metro, day, kind, high, low))
         except ValidationError as exc:
-            raise ValidationError(f"line {reader.line_num}: {exc}") from None
+            raise ValidationError(f"line {line}: {exc}") from None
     return WeatherTable(tuple(rows))
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from datetime import timedelta
 from typing import Sequence
 
 import numpy as np
@@ -147,14 +146,9 @@ def gamma_grid(cfg: SearchConfig) -> np.ndarray:
 def default_init(series: CaseSeries, periods: PeriodSet, s0_scale: float = DEFAULT_S0_SCALE) -> SirState:
     """Seed state: I0 = first positive windowed count, S0 = s0_scale * I0, R0 = 0."""
     window = periods.window
-    lo = max(window.start, series.start_date)
-    hi = min(window.end, series.end_date)
-    day = lo
-    while day <= hi:
-        c = series.count_on(day)
+    for c in series.within(window)[1]:
         if c > 0:
             return SirState(s0_scale * c, c, 0.0)
-        day += timedelta(days=1)
     raise InsufficientDataError(
         f"{series.region}: no positive counts inside {window.start}..{window.end} to seed a run"
     )
@@ -320,11 +314,10 @@ def tune(
     for per_idx in range(5):
         seg_lo, seg_hi = cuts[per_idx], cuts[per_idx + 1]
         target = data.k[per_idx]
+        first, counts = series.within(periods.periods[per_idx].interval)
+        lead = first - x_off - seg_lo  # the period's day of the first series count in it
         fit_days = np.zeros(seg_hi - seg_lo, dtype=bool)
-        for d in range(seg_hi - seg_lo):
-            day = window.start + timedelta(days=seg_lo + d)
-            if series.start_date <= day <= series.end_date:
-                fit_days[d] = series.count_on(day) > 0
+        fit_days[lead:lead + len(counts)] = np.array(counts) > 0
         check_boundary = seg_hi < cuts[5]
         b_lo, b_hi = b_lo0, b_hi0
         g_lo, g_hi = g_lo0, g_hi0

@@ -121,16 +121,17 @@ def _independent_columns(x: np.ndarray) -> np.ndarray:
     keep = np.zeros(m, dtype=bool)
     for j in range(m):
         col = x[:, j].astype(float)
-        norm0 = np.linalg.norm(col)
+        norm0 = math.sqrt(col @ col)  # np.linalg.norm's own 1-D formula, without its overhead
         if norm0 == 0.0:
             continue
         v = col.copy()
         for _ in range(2):  # re-orthogonalize for stability
             for q in basis:
                 v -= (q @ v) * q
-        if np.linalg.norm(v) > tol * norm0:
+        norm = math.sqrt(v @ v)
+        if norm > tol * norm0:
             keep[j] = True
-            basis.append(v / np.linalg.norm(v))
+            basis.append(v / norm)
     return keep
 
 

@@ -9,7 +9,6 @@ per metro, however many sweeps try it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
@@ -25,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .regress import SimpleFit, _line_fit
-from .timeseries import CaseSeries, DateInterval, to_log_series
+from .timeseries import CaseSeries, DateInterval, read_table, to_log_series
 
 NUM_PERIODS = 5
 DEFAULT_WINDOW = DateInterval(date(2020, 3, 1), date(2020, 6, 30))
@@ -308,29 +307,13 @@ def write_periods_csv(rows: Iterable[PeriodRow], out: IO[str]) -> None:
 
 
 def load_periods_csv(source: IO) -> list[PeriodRow]:
-    from .timeseries import _as_text, _check_header  # shared stream and header handling
-
-    reader = csv.reader(_as_text(source))
-    _check_header(next(reader, None), PERIODS_HEADER, "periods CSV")
     rows = []
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) != len(PERIODS_HEADER):
-            raise ParseError(f"periods CSV line {line}: expected {len(PERIODS_HEADER)} fields")
+    for line, (metro, index, start, end, *fit) in read_table(
+        source, PERIODS_HEADER, "periods CSV", say_got=False
+    ):
         try:
-            rows.append(
-                PeriodRow(
-                    metro=row[0].strip(),
-                    period_index=int(row[1]),
-                    start=date.fromisoformat(row[2].strip()),
-                    end=date.fromisoformat(row[3].strip()),
-                    slope=float(row[4]),
-                    intercept=float(row[5]),
-                    r2=float(row[6]),
-                )
-            )
+            days = map(date.fromisoformat, (start, end))
+            rows.append(PeriodRow(metro, int(index), *days, *map(float, fit)))
         except ValueError:
             raise ParseError(f"periods CSV line {line}: malformed row") from None
     return rows

@@ -11,7 +11,6 @@ counted; a state that stops being finite raises StateError.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, StateError, ValidationError
 from .segment import PeriodSet
-from .timeseries import DateInterval
+from .timeseries import read_table
 
 VARIANTS = ("original", "delayed", "reinfect", "tourism")
 DEFAULT_TAU1 = 5
@@ -326,20 +325,11 @@ def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:
 
 
 def load_inflow(source: IO) -> InflowSeries:
-    from .timeseries import _as_text, _check_header
-
-    reader = csv.reader(_as_text(source))
-    _check_header(next(reader, None), INFLOW_HEADER, "inflow CSV")
     values = []
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) != 2:
-            raise ParseError(f"inflow CSV line {line}: expected 2 fields")
+    for line, (raw_day, raw_value) in read_table(source, INFLOW_HEADER, "inflow CSV", say_got=False):
         try:
-            day = int(row[0])
-            val = float(row[1])
+            day = int(raw_day)
+            val = float(raw_value)
         except ValueError:
             raise ParseError(f"inflow CSV line {line}: malformed row") from None
         if day != len(values):

@@ -13,23 +13,12 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import IO, Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import InsufficientDataError, ParseError, ValidationError
 
 CASES_HEADER = ("date", "region", "count")
 METRO_MAP_HEADER = ("county", "metro")
-
-
-def _as_text(source: IO) -> IO[str]:
-    if isinstance(source, (str, bytes)):
-        raise TypeError("load functions take an open file object, not a path or content")
-    try:
-        raw = source.read()
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        name = getattr(source, "name", "input")
-        raise ParseError(f"{name}: not UTF-8 text (byte {exc.start})") from None
-    return io.StringIO(raw)
 
 
 @dataclass(frozen=True)
@@ -89,14 +78,11 @@ class CaseSeries:
     def interval(self) -> DateInterval:
         return DateInterval(self.start_date, self.end_date)
 
-    def index_of(self, day: date) -> int:
-        idx = (day - self.start_date).days
-        if not 0 <= idx < len(self.counts):
-            raise ValidationError(f"{self.region}: {day} outside series range")
-        return idx
-
-    def count_on(self, day: date) -> float:
-        return self.counts[self.index_of(day)]
+    def within(self, window: DateInterval) -> tuple[int, tuple[float, ...]]:
+        """(index of the first day, counts) of the days the series shares with ``window``."""
+        lo = max((window.start - self.start_date).days, 0)
+        hi = min((window.end - self.start_date).days + 1, len(self.counts))
+        return lo, self.counts[lo:max(lo, hi)]
 
     def filled_count(self, day: date) -> float:
         """Count with aggregation fill rules: 0 before the first recorded day,
@@ -152,10 +138,46 @@ class MetroMap:
         return tuple(sorted(set(self.entries.values())))
 
 
-def _check_header(row: list[str] | None, expected: tuple[str, ...], what: str) -> None:
-    got = [c.strip().lower() for c in row] if row else None
-    if got != list(expected):
-        raise ParseError(f"{what} must start with header '{','.join(expected)}'")
+def read_table(
+    source: IO, header: tuple[str, ...], what: str, *, label: str | None = None, say_got: bool = True
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, stripped fields)`` for each data row of a CSV table.
+
+    Every loader reads through here, so all share these rules: the source is
+    UTF-8 text; its first row is ``header`` (cells stripped and lowercased);
+    blank lines are skipped; other rows hold ``len(header)`` fields; and CSV
+    the csv module cannot read (a field over its size limit) is a ParseError.
+    ``what`` names the table in the header error.  Line-numbered errors start
+    with ``label`` (default "``what`` line") and the line the row ends on;
+    ``say_got`` adds the field count found to the field-count error.
+    """
+    if isinstance(source, (str, bytes)):
+        raise TypeError("load functions take an open file object, not a path or content")
+    try:
+        text = source.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", "input")
+        raise ParseError(f"{name}: not UTF-8 text (byte {exc.start})") from None
+    label = label or f"{what} line"
+    width = len(header)
+    reader = csv.reader(io.StringIO(text))
+    try:
+        first = next(reader, None)
+        if [c.strip().lower() for c in first or ()] != list(header):
+            raise ParseError(f"{what} must start with header '{','.join(header)}'")
+        for row in reader:
+            line = reader.line_num
+            row = [c.strip() for c in row]
+            if len(row) != width:
+                if not row:
+                    continue
+                got = f", got {len(row)}" if say_got else ""
+                raise ParseError(f"{label} {line}: expected {width} fields{got}")
+            yield line, row
+    except csv.Error as exc:
+        raise ParseError(f"{label} {reader.line_num}: {exc}") from None
 
 
 def load_cases(source: IO) -> tuple[list[CaseSeries], list[str]]:
@@ -163,54 +185,54 @@ def load_cases(source: IO) -> tuple[list[CaseSeries], list[str]]:
 
     Gap days inside a region's range are filled by carrying the previous
     count forward; each contiguous gap produces one warning.  Malformed rows,
-    negative counts, and duplicate (date, region) pairs are errors.
+    negative counts, counts too large for a float, and duplicate
+    (date, region) pairs are errors.
     """
-    reader = csv.reader(_as_text(source))
-    _check_header(next(reader, None), CASES_HEADER, "cases CSV")
-    per_region: dict[str, dict[date, float]] = {}
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) != 3:
-            raise ParseError(f"cases CSV line {line}: expected 3 fields, got {len(row)}")
-        raw_date, region, raw_count = (c.strip() for c in row)
-        try:
-            day = date.fromisoformat(raw_date)
-        except ValueError:
-            raise ParseError(f"cases CSV line {line}: bad date {raw_date!r}") from None
+    per_region: dict[str, dict[int, float]] = {}  # region -> day ordinal -> count
+    ordinals: dict[str, int] = {}  # each distinct date string is parsed once
+    for line, (raw_date, region, raw_count) in read_table(source, CASES_HEADER, "cases CSV"):
+        day = ordinals.get(raw_date)
+        if day is None:
+            try:
+                day = ordinals[raw_date] = date.fromisoformat(raw_date).toordinal()
+            except ValueError:
+                raise ParseError(f"cases CSV line {line}: bad date {raw_date!r}") from None
         try:
             count = int(raw_count)
         except ValueError:
             raise ParseError(f"cases CSV line {line}: bad count {raw_count!r}") from None
         if count < 0:
-            raise ValidationError(f"cases CSV line {line}: negative count for {region} on {day}")
+            raise ValidationError(
+                f"cases CSV line {line}: negative count for {region} on {date.fromordinal(day)}"
+            )
         if not region:
             raise ParseError(f"cases CSV line {line}: empty region")
-        by_date = per_region.setdefault(region, {})
-        if day in by_date:
-            raise ValidationError(f"cases CSV line {line}: duplicate entry for ({day}, {region})")
-        by_date[day] = float(count)
+        by_day = per_region.setdefault(region, {})
+        if day in by_day:
+            raise ValidationError(
+                f"cases CSV line {line}: duplicate entry for ({date.fromordinal(day)}, {region})"
+            )
+        try:
+            by_day[day] = float(count)
+        except OverflowError:
+            raise ParseError(f"cases CSV line {line}: bad count {raw_count!r}") from None
 
     series: list[CaseSeries] = []
     warnings: list[str] = []
     for region in sorted(per_region):
-        by_date = per_region[region]
-        days = sorted(by_date)
-        counts: list[float] = []
-        cursor = days[0]
-        for day in days:
-            gap = (day - cursor).days
-            if gap > 0:
+        by_day = per_region[region]
+        ordered = sorted(by_day)
+        counts = [by_day[ordered[0]]]
+        for prev, day in zip(ordered, ordered[1:]):
+            gap = day - prev - 1
+            if gap:
                 warnings.append(
-                    f"{region}: no data for {gap} day(s) after {cursor - timedelta(days=1)}; "
+                    f"{region}: no data for {gap} day(s) after {date.fromordinal(prev)}; "
                     f"carried {counts[-1]:g} forward"
                 )
                 counts.extend([counts[-1]] * gap)
-                cursor = day
-            counts.append(by_date[day])
-            cursor = day + timedelta(days=1)
-        series.append(CaseSeries(region, days[0], tuple(counts)))
+            counts.append(by_day[day])
+        series.append(CaseSeries(region, date.fromordinal(ordered[0]), tuple(counts)))
     return series, warnings
 
 
@@ -224,16 +246,8 @@ def write_cases_csv(series: Iterable[CaseSeries], out: IO[str]) -> None:
 
 
 def load_metro_map(source: IO) -> MetroMap:
-    reader = csv.reader(_as_text(source))
-    _check_header(next(reader, None), METRO_MAP_HEADER, "metro-map CSV")
     entries: dict[str, str] = {}
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) != 2:
-            raise ParseError(f"metro-map CSV line {line}: expected 2 fields, got {len(row)}")
-        county, metro = (c.strip() for c in row)
+    for line, (county, metro) in read_table(source, METRO_MAP_HEADER, "metro-map CSV"):
         if not county or not metro:
             raise ParseError(f"metro-map CSV line {line}: empty county or metro")
         if county in entries:
@@ -266,12 +280,16 @@ def aggregate_to_metros(series: Iterable[CaseSeries], metro_map: MetroMap) -> li
     for metro in sorted(members):
         group = members[metro]
         start = min(s.start_date for s in group)
-        end = max(s.end_date for s in group)
-        counts = []
-        for i in range((end - start).days + 1):
-            day = start + timedelta(days=i)
-            counts.append(sum(s.filled_count(day) for s in group))
-        out.append(CaseSeries(metro, start, tuple(counts)))
+        total = np.zeros((max(s.end_date for s in group) - start).days + 1)
+        # Counties are added in group order, so each day's total is the same
+        # left-to-right float sum as adding the filled counts one by one.
+        with np.errstate(over="ignore"):  # an infinite total is rejected by CaseSeries
+            for s in group:
+                lo = (s.start_date - start).days
+                hi = lo + len(s.counts)
+                total[lo:hi] += s.counts
+                total[hi:] += s.counts[-1]
+        out.append(CaseSeries(metro, start, tuple(total.tolist())))
     return out
 
 
@@ -281,15 +299,8 @@ def to_log_series(series: CaseSeries, window: DateInterval) -> LogSeries:
     Day indices are measured from the series' own start date.  Zero-count
     days are dropped; a window with no positive counts is an error.
     """
-    lo = max(window.start, series.start_date)
-    hi = min(window.end, series.end_date)
-    points = []
-    day = lo
-    while day <= hi:
-        c = series.count_on(day)
-        if c > 0:
-            points.append(((day - series.start_date).days, math.log(c)))
-        day += timedelta(days=1)
+    first, counts = series.within(window)
+    points = [(d, math.log(c)) for d, c in enumerate(counts, start=first) if c > 0]
     if not points:
         raise InsufficientDataError(
             f"{series.region}: no positive counts in {window.start}..{window.end}"

@@ -7,6 +7,8 @@ import os
 from datetime import date
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from epigrowth import cli
 from epigrowth.cli import PROTOCOL_HEADER, TABLE2_HEADER, main
@@ -486,3 +488,173 @@ def test_unexpected_worker_exception_propagates_out_of_main(pipeline_dir, tmp_pa
         faulthandler.cancel_dump_traceback_later()
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "fit_report.json").exists()
+
+
+# Every input file the CLI reads, by the name gen-fixtures and segment give it.
+INPUT_KINDS = ("cases", "metro_map", "periods", "demographics", "weather", "inflow")
+
+
+def _argv_reading(kind, files, out):
+    """A command that reads the ``kind`` file, every other input taken from ``files``."""
+    if kind == "inflow":
+        return ["simulate", "--model", "tourism", "--beta", "1e-6", "--gamma", "0.1", "--i0", "1",
+                "--epsilon", "0.1", "--inflow", files["inflow"], "--out", out]
+    cases = ["--cases", files["cases"], "--metro-map", files["metro_map"]]
+    if kind in ("cases", "metro_map"):
+        return ["segment", *cases, "--out", out]
+    return ["correlate", *cases, "--periods", files["periods"],
+            "--demographics", files["demographics"], "--weather", files["weather"], "--out", out]
+
+
+def _run_with_input(pipeline_dir, tmp_path, kind, content):
+    """Run the command reading ``kind`` with that file replaced by ``content`` (str or bytes)."""
+    files = {k: os.path.join(pipeline_dir, f"{k}.csv") for k in INPUT_KINDS}
+    files[kind] = str(tmp_path / f"{kind}.csv")
+    data = content.encode("utf-8") if isinstance(content, str) else content
+    with open(files[kind], "wb") as fh:
+        fh.write(data)
+    return main(_argv_reading(kind, files, str(tmp_path / "out")))
+
+
+CASES_HDR = "date,region,count\n"
+MAP_HDR = "county,metro\n"
+DEMO_HDR = "metro,group,subcategory,value\n"
+WEATHER_HDR = "metro,date,type,high,low\n"
+PERIODS_HDR = "metro,period_index,start,end,slope,intercept,r2\n"
+INFLOW_HDR = "day,o\n"
+GOOD_PERIODS = "".join(
+    f"metro-01,{k},{start},{end},0.1,1.0,0.9\n"
+    for k, (start, end) in enumerate(
+        [("2020-03-01", "2020-03-20"), ("2020-03-21", "2020-04-10"), ("2020-04-11", "2020-05-01"),
+         ("2020-05-02", "2020-05-31"), ("2020-06-01", "2020-06-30")],
+        start=1,
+    )
+)
+
+# (file, content, exit code, the one stderr line): every error path of the six loaders.
+LOADER_ERRORS = [
+    ("cases", "", 2, "cases CSV must start with header 'date,region,count'"),
+    ("cases", "date,county,count\n", 2, "cases CSV must start with header 'date,region,count'"),
+    ("cases", CASES_HDR + "2020-03-01,a\n", 2, "cases CSV line 2: expected 3 fields, got 2"),
+    ("cases", CASES_HDR + "\n \n", 2, "cases CSV line 3: expected 3 fields, got 1"),
+    ("cases", CASES_HDR + "2020-02-30,a,1\n", 2, "cases CSV line 2: bad date '2020-02-30'"),
+    ("cases", CASES_HDR + "2020-03-01,a, 1.5 \n", 2, "cases CSV line 2: bad count '1.5'"),
+    ("cases", CASES_HDR + "2020-03-01,a,-1\n", 2, "cases CSV line 2: negative count for a on 2020-03-01"),
+    ("cases", CASES_HDR + "2020-03-01, ,1\n", 2, "cases CSV line 2: empty region"),
+    ("cases", CASES_HDR + "2020-03-01,a,1\n\n2020-03-01,a,2\n", 2,
+     "cases CSV line 4: duplicate entry for (2020-03-01, a)"),
+    ("cases", CASES_HDR + '2020-03-01,"a\nb",x\n', 2, "cases CSV line 3: bad count 'x'"),
+    ("cases", CASES_HDR + "2020-03-01,nowhere,1\n", 2, "counties missing from metro map: nowhere"),
+    ("cases", CASES_HDR + "2020-03-01,a," + "9" * 5000 + "\n", 2,
+     f"cases CSV line 2: bad count '{'9' * 5000}'"),
+    ("metro_map", "county\n", 2, "metro-map CSV must start with header 'county,metro'"),
+    ("metro_map", MAP_HDR + "a,b,c\n", 2, "metro-map CSV line 2: expected 2 fields, got 3"),
+    ("metro_map", MAP_HDR + "a, \n", 2, "metro-map CSV line 2: empty county or metro"),
+    ("metro_map", MAP_HDR + "a,m\na,n\n", 2, "metro-map CSV line 3: county 'a' mapped twice"),
+    ("demographics", "metro,group\n", 2,
+     "demographics CSV must start with header 'metro,group,subcategory,value'"),
+    ("demographics", DEMO_HDR + "m,g,s\n", 2, "line 2: expected 4 fields, got 3"),
+    ("demographics", DEMO_HDR + "m,,s,1\n", 2, "line 2: empty key field"),
+    ("demographics", DEMO_HDR + "m,g,s,x\n", 2, "line 2: bad value 'x'"),
+    ("demographics", DEMO_HDR + "m,g,s, 101 \n", 2, "line 2: value 101 outside [0, 100]"),
+    ("demographics", DEMO_HDR + "m,g,s,nan\n", 2, "line 2: value nan outside [0, 100]"),
+    ("demographics", DEMO_HDR + "m,g,s,1\nm,g,s,2\n", 2, "duplicate demographics row for m/g/s"),
+    ("weather", "metro,date,type,high\n", 2,
+     "weather CSV must start with header 'metro,date,type,high,low'"),
+    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,50\n", 2, "line 2: expected 5 fields, got 4"),
+    ("weather", WEATHER_HDR + "m,2020-13-01,sunny,50,40\n", 2, "line 2: bad date '2020-13-01'"),
+    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,warm,40\n", 2, "line 2: bad temperature"),
+    ("weather", WEATHER_HDR + "m,2020-03-01,hail,50,40\n", 2, "line 2: unknown weather type 'hail'"),
+    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,inf,40\n", 2, "line 2: temperatures must be finite"),
+    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,40,50\n", 2, "line 2: m 2020-03-01: high below low"),
+    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,50,40\nm,2020-03-01,rainy,50,40\nm,x,sunny,1,0\n", 2,
+     "line 4: bad date 'x'"),
+    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,50,40\nm,2020-03-01,rainy,50,40\n", 2,
+     "duplicate weather row for m on 2020-03-01"),
+    ("periods", "metro,period_index,start,end\n", 2,
+     "periods CSV must start with header 'metro,period_index,start,end,slope,intercept,r2'"),
+    ("periods", PERIODS_HDR + "metro-01,1,2020-03-01\n", 2, "periods CSV line 2: expected 7 fields"),
+    ("periods", PERIODS_HDR + "metro-01,one,2020-03-01,2020-03-20,0.1,1.0,0.9\n", 2,
+     "periods CSV line 2: malformed row"),
+    ("periods", PERIODS_HDR + "metro-01,1,2020-03-01,2020-03-20,0.1,1.0,0.9\n", 2,
+     "expected 5 periods, got 1"),
+    ("periods", PERIODS_HDR + GOOD_PERIODS.replace("2020-04-11", "2020-04-12"), 2,
+     "period 3 starts 2020-04-12, expected the day after 2020-04-10"),
+    ("inflow", "day\n", 2, "inflow CSV must start with header 'day,o'"),
+    ("inflow", INFLOW_HDR + "0,1,2\n", 2, "inflow CSV line 2: expected 2 fields"),
+    ("inflow", INFLOW_HDR + "0,x\n", 2, "inflow CSV line 2: malformed row"),
+    ("inflow", INFLOW_HDR + "0,1\n2,1\n", 2, "inflow CSV line 3: days must run 0,1,2,... got 2"),
+    ("inflow", INFLOW_HDR + "0,-1\n", 2, "inflow values must be finite and >= 0, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("kind, content, rc, message", LOADER_ERRORS)
+def test_loader_error_text_and_exit_code(pipeline_dir, tmp_path, capsys, kind, content, rc, message):
+    assert _run_with_input(pipeline_dir, tmp_path, kind, content) == rc
+    assert _one_error_line(capsys) == f"error: {message}"
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_non_utf8_input_names_the_file_and_byte(pipeline_dir, tmp_path, capsys, kind):
+    assert _run_with_input(pipeline_dir, tmp_path, kind, b"\xff") == 2
+    path = tmp_path / f"{kind}.csv"
+    assert _one_error_line(capsys) == f"error: {path}: not UTF-8 text (byte 0)"
+
+
+def test_oversized_csv_field_exits_2_naming_the_line(pipeline_dir, tmp_path, capsys):
+    content = CASES_HDR + "2020-03-01," + "a" * 140_000 + ",1\n"
+    assert _run_with_input(pipeline_dir, tmp_path, "cases", content) == 2
+    assert _one_error_line(capsys) == (
+        "error: cases CSV line 2: field larger than field limit (131072)"
+    )
+
+
+def test_count_too_large_for_a_float_is_a_bad_count(pipeline_dir, tmp_path, capsys):
+    nines = "9" * 400
+    assert _run_with_input(pipeline_dir, tmp_path, "cases", f"{CASES_HDR}2020-03-01,a,{nines}\n") == 2
+    assert _one_error_line(capsys) == f"error: cases CSV line 2: bad count '{nines}'"
+
+
+MUTATIONS = ("truncate", "insert-bytes", "swap-fields", "duplicate-row", "huge-field", "huge-number")
+
+
+def _mutate(data, text: str, mutation: str) -> bytes:
+    """One drawn edit of a well-formed input file; fields are comma-split (fixtures quote none)."""
+    raw = text.encode("utf-8")
+    if mutation == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw)), label="cut")]
+    if mutation == "insert-bytes":
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        return raw[:at] + data.draw(st.binary(min_size=1, max_size=6), label="bytes") + raw[at:]
+    rows = [line.split(",") for line in text.splitlines()]
+    k = data.draw(st.integers(0, len(rows) - 1), label="row")
+    row = rows[k]
+    if mutation == "duplicate-row":
+        rows.insert(data.draw(st.integers(0, len(rows)), label="to"), list(row))
+    elif mutation == "swap-fields":
+        i, j = (data.draw(st.integers(0, len(row) - 1), label=f"field {n}") for n in (1, 2))
+        row[i], row[j] = row[j], row[i]
+    elif mutation == "huge-field":
+        row[data.draw(st.integers(0, len(row) - 1), label="field")] = "a" * 140_000
+    else:  # huge-number: a number that int() takes but a float cannot hold
+        numeric = [i for i, field in enumerate(row) if field.lstrip("-").replace(".", "", 1).isdigit()]
+        if numeric:
+            row[data.draw(st.sampled_from(numeric), label="field")] = "9" * 400
+    return "".join(",".join(r) + "\n" for r in rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=st.sampled_from(MUTATIONS), data=st.data())
+def test_mutated_input_file_exits_cleanly(pipeline_dir, tmp_path, monkeypatch, capsys, kind, mutation, data):
+    """Whatever is done to an input file, the command reading it ends with an exit code and, on
+    failure, exactly one ``error:`` line; main() raising would be a traceback at the shell."""
+    _use_cores(monkeypatch, 1)
+    with open(os.path.join(pipeline_dir, f"{kind}.csv"), encoding="utf-8") as fh:
+        content = _mutate(data, fh.read(), mutation)
+    capsys.readouterr()
+    rc = _run_with_input(pipeline_dir, tmp_path, kind, content)
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert rc in (0, 2, 3, 4)
+    assert len(errors) == (0 if rc == 0 else 1), errors

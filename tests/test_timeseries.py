@@ -1,7 +1,10 @@
+import csv
 import io
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epigrowth.errors import InsufficientDataError, ParseError, ValidationError
 from epigrowth.timeseries import (
@@ -11,6 +14,7 @@ from epigrowth.timeseries import (
     aggregate_to_metros,
     load_cases,
     load_metro_map,
+    read_table,
     to_log_series,
     write_cases_csv,
     write_metro_map_csv,
@@ -36,8 +40,10 @@ def test_interval_rejects_reversed_dates():
 def test_series_lookup_and_fill():
     s = CaseSeries("metro-x", MAR1, (5, 0, 7))
     assert s.end_date == date(2020, 3, 3)
-    assert s.count_on(date(2020, 3, 2)) == 0
-    assert s.index_of(date(2020, 3, 3)) == 2
+    # within clips the window to the series: (offset of its first day, counts)
+    assert s.within(DateInterval(date(2020, 3, 2), date(2020, 3, 9))) == (1, (0.0, 7.0))
+    assert s.within(DateInterval(date(2020, 2, 1), MAR1)) == (0, (5.0,))
+    assert s.within(DateInterval(date(2020, 3, 5), date(2020, 3, 9))) == (4, ())
     # filled_count extends the range: zero before, last value after
     assert s.filled_count(date(2020, 2, 20)) == 0
     assert s.filled_count(date(2020, 4, 1)) == 7
@@ -50,12 +56,6 @@ def test_series_rejects_bad_counts():
         CaseSeries("m", MAR1, ())
     with pytest.raises(ValidationError):
         CaseSeries("", MAR1, (1,))
-
-
-def test_count_on_outside_range_raises():
-    s = CaseSeries("m", MAR1, (1, 2))
-    with pytest.raises(ValidationError):
-        s.count_on(date(2020, 3, 9))
 
 
 def test_load_cases_parses_and_sorts_regions():
@@ -157,3 +157,107 @@ def test_log_series_empty_window_raises():
     s = CaseSeries("m", MAR1, (0, 0, 0))
     with pytest.raises(InsufficientDataError):
         to_log_series(s, s.interval)
+
+
+def _reference_aggregate(series, metro_map):
+    """aggregate_to_metros as it was written before it used NumPy: a day-by-day sum.
+
+    That code summed with ``sum()``, which adds floats left to right up to
+    Python 3.11 (3.12 compensates), so the sum is spelled out as that loop.
+    """
+    members = {}
+    for s in series:
+        members.setdefault(metro_map.entries[s.region], []).append(s)
+    out = []
+    for metro in sorted(members):
+        group = members[metro]
+        start = min(s.start_date for s in group)
+        end = max(s.end_date for s in group)
+        counts = []
+        for i in range((end - start).days + 1):
+            day = start + timedelta(days=i)
+            total = 0
+            for s in group:
+                total = total + s.filled_count(day)
+            counts.append(total)
+        out.append(CaseSeries(metro, start, tuple(counts)))
+    return out
+
+
+_county = st.tuples(
+    st.integers(0, 40),  # start offset: counties start and end on different days
+    st.lists(
+        st.one_of(st.integers(0, 1000), st.integers(2**53 - 10, 2**62)).map(float),
+        min_size=1,
+        max_size=30,
+    ),
+    st.integers(0, 2),  # metro
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_county, min_size=1, max_size=8))
+def test_aggregate_matches_the_day_by_day_sum_bit_for_bit(counties):
+    series = [
+        CaseSeries(f"c{k}", MAR1 + timedelta(days=start), tuple(counts))
+        for k, (start, counts, _) in enumerate(counties)
+    ]
+    mm = MetroMap({f"c{k}": f"m{metro}" for k, (_, _, metro) in enumerate(counties)})
+    got = aggregate_to_metros(series, mm)
+    want = _reference_aggregate(series, mm)
+    assert [(s.region, s.start_date) for s in got] == [(s.region, s.start_date) for s in want]
+    for g, w in zip(got, want):
+        assert [c.hex() for c in g.counts] == [c.hex() for c in w.counts]
+
+
+def test_aggregate_of_counts_too_large_to_sum_is_rejected():
+    mm = MetroMap({"c1": "m", "c2": "m"})
+    series = [CaseSeries("c1", MAR1, (1e308,)), CaseSeries("c2", MAR1, (1e308,))]
+    with pytest.raises(ValidationError, match="finite"):
+        aggregate_to_metros(series, mm)
+
+
+def _reference_rows(text, width, label):
+    """The loop each loader ran before read_table: csv rows, blanks skipped, fields stripped."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader, None)
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(f"{label} {reader.line_num}: expected {width} fields, got {len(row)}")
+        rows.append((reader.line_num, [c.strip() for c in row]))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=[",", '"', "\n", "\r", " ", "\t", "\x1c", "\xa0", "a", "1"], max_size=40))
+def test_read_table_rows_are_the_stripped_csv_rows(body):
+    text = "a,b\n" + body
+    try:
+        want = _reference_rows(text, 2, "t CSV line")
+    except (ParseError, csv.Error) as exc:
+        want = exc
+    try:
+        got = list(read_table(io.StringIO(text), ("a", "b"), "t CSV"))
+    except ParseError as exc:
+        got = exc
+    if isinstance(want, Exception):
+        assert isinstance(got, ParseError)
+        if isinstance(want, ParseError):
+            assert str(got) == str(want)
+    else:
+        assert got == want
+
+
+def test_read_table_shared_rules():
+    text = "A , B\n\n x ,y\n"
+    assert list(read_table(io.StringIO(text), ("a", "b"), "t CSV")) == [(3, ["x", "y"])]
+    with pytest.raises(ParseError, match="^t CSV must start with header 'a,b'$"):
+        list(read_table(io.StringIO("a\n"), ("a", "b"), "t CSV"))
+    with pytest.raises(ParseError, match="^line 2: expected 2 fields$"):
+        list(read_table(io.StringIO("a,b\n1\n"), ("a", "b"), "t CSV", label="line", say_got=False))
+    big = "x" * (csv.field_size_limit() + 1)
+    with pytest.raises(ParseError, match=r"^t CSV line 3: field larger than field limit \(\d+\)$"):
+        list(read_table(io.StringIO(f"a,b\n1,2\n1,{big}\n"), ("a", "b"), "t CSV"))
