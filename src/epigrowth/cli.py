@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from datetime import date, timedelta
+from typing import Callable, NamedTuple
 
 from .correlate import (
     WEATHER_MODES,
@@ -99,13 +100,6 @@ def _to_float(value, flag: str) -> float:
     return out
 
 
-def _check_non_negative(*flag_values: tuple[str, float]) -> None:
-    """Reject a negative delay or rate flag as bad configuration, naming the flag."""
-    for flag, value in flag_values:
-        if value < 0:
-            raise ConfigError(f"{flag} must be >= 0, got {value!r}")
-
-
 def _to_date(value, flag: str) -> date:
     try:
         return date.fromisoformat(str(value))
@@ -113,7 +107,7 @@ def _to_date(value, flag: str) -> date:
         raise ConfigError(f"{flag}: expected YYYY-MM-DD, got {value!r}") from None
 
 
-def _to_window(value, flag: str = "--window") -> DateInterval:
+def _to_window(value, flag: str) -> DateInterval:
     parts = str(value).split(":")
     if len(parts) != 2:
         raise ConfigError(f"{flag}: expected START:END, got {value!r}")
@@ -124,54 +118,86 @@ def _to_window(value, flag: str = "--window") -> DateInterval:
     return DateInterval(start, end)
 
 
-def _to_anchors(value, flag: str = "--anchors") -> tuple[date, ...]:
+def _to_anchors(value, flag: str) -> tuple[date, ...]:
     parts = [p for p in str(value).split(",") if p.strip()]
     return tuple(_to_date(p.strip(), flag) for p in parts)
 
 
-def _as_bool(value: str, key: str) -> bool:
-    low = value.lower()
+def _to_bool(value, flag: str) -> bool:
+    low = str(value).lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ConfigError(f"{flag}: expected a boolean, got {value!r}")
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill still-unset argparse values from the key=value config file."""
-    path = getattr(args, "config", None)
-    if path is None:
-        return
+class _Option(NamedTuple):
+    """One option of a subcommand: its flag, how a flag or config value is read, its default.
+
+    ``convert`` None keeps the value as given (a path or a name); ``_to_bool``
+    makes the flag a switch.  ``non_negative`` rejects a converted value below 0.
+    """
+
+    flag: str
+    help: str
+    convert: Callable | None = None
+    default: object = None
+    non_negative: bool = False
+
+    @property
+    def key(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+def _resolve_options(args: argparse.Namespace) -> None:
+    """Set each option of the subcommand on ``args``: its flag, else its config value, else default.
+
+    A flag or config value is converted and checked; a default is used as it is.  A config
+    key is an option's flag name, with ``-`` or ``_``; any other key is rejected.
+    """
+    keys = {opt.key for opt in args.options} - {"config"}
     pairs: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: not UTF-8 text (byte {exc.start})") from None
         for line_num, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{line_num}: expected key=value")
+                raise ConfigError(f"{args.config}:{line_num}: expected key=value")
+            if "\0" in line:  # no path, flag or value holds one; open() would raise ValueError
+                raise ConfigError(f"{args.config}:{line_num}: NUL character")
             key, _, value = line.partition("=")
             pairs[key.strip().replace("-", "_")] = value.strip()
-    for key, value in pairs.items():
-        if key in ("config", "command", "func") or not hasattr(args, key):
-            raise ConfigError(f"{path}: unknown key {key!r}")
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            if not current:
-                setattr(args, key, _as_bool(value, key))
-        elif current is None:
-            setattr(args, key, value)
+    for key in pairs:
+        if key not in keys:
+            raise ConfigError(f"{args.config}: unknown key {key!r}")
+    for opt in args.options:
+        raw = getattr(args, opt.key)
+        if raw is None:
+            raw = pairs.get(opt.key)
+        if raw is None:
+            value = opt.default
+        else:
+            value = raw if opt.convert is None else opt.convert(raw, opt.flag)
+            if opt.non_negative and value < 0:
+                raise ConfigError(f"{opt.flag} must be >= 0, got {value!r}")
+        setattr(args, opt.key, value)
 
 
 def _out_dir(args: argparse.Namespace) -> str:
-    out = args.out if args.out is not None else "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
+
+
+def _anchors(args: argparse.Namespace) -> tuple[date, ...]:
+    """``--anchors``, else the default boundaries for ``--announcement``."""
+    return default_anchors(args.announcement) if args.anchors is None else args.anchors
 
 
 def _load_case_metros(args: argparse.Namespace):
@@ -249,16 +275,7 @@ def _tune_job(job, **kwargs):
 
 
 def cmd_gen_fixtures(args: argparse.Namespace) -> int:
-    seed = _to_int(args.seed, "--seed") if args.seed is not None else 0
-    n_metros = _to_int(args.metros, "--metros") if args.metros is not None else 8
-    window = _to_window(args.window) if args.window is not None else DEFAULT_WINDOW
-    announcement = (
-        _to_date(args.announcement, "--announcement")
-        if args.announcement is not None
-        else DEFAULT_ANNOUNCEMENT
-    )
-    anchors = _to_anchors(args.anchors) if args.anchors is not None else None
-    bundle = make_bundle(seed, n_metros, window, announcement, anchors)
+    bundle = make_bundle(args.seed, args.metros, args.window, args.announcement, args.anchors)
     out = _out_dir(args)
     with open(os.path.join(out, "cases.csv"), "w", newline="") as fh:
         write_cases_csv(bundle.cases, fh)
@@ -271,34 +288,17 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
     with open(os.path.join(out, "inflow.csv"), "w", newline="") as fh:
         write_inflow_csv(bundle.inflow, fh)
     _write_json(os.path.join(out, "fixture_params.json"), bundle.manifest())
-    print(f"gen-fixtures: wrote {n_metros} metro(s) to {out}")
+    print(f"gen-fixtures: wrote {args.metros} metro(s) to {out}")
     return 0
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    window = _to_window(args.window) if args.window is not None else DEFAULT_WINDOW
-    announcement = (
-        _to_date(args.announcement, "--announcement")
-        if args.announcement is not None
-        else DEFAULT_ANNOUNCEMENT
-    )
-    anchors = (
-        _to_anchors(args.anchors) if args.anchors is not None else default_anchors(announcement)
-    )
-    radius = (
-        _to_int(args.radius, "--radius") if args.radius is not None else DEFAULT_SEARCH_RADIUS
-    )
-    min_period = (
-        _to_int(args.min_period, "--min-period")
-        if args.min_period is not None
-        else DEFAULT_MIN_PERIOD
-    )
     metros = _load_case_metros(args)
     period_sets = []
     protocol_rows: list[tuple[str, date | None, date | None, str]] = []
     skipped = 0
-    job = functools.partial(_segment_job, window=window, anchors=anchors, radius=radius,
-                            min_period=min_period)
+    job = functools.partial(_segment_job, window=args.window, anchors=_anchors(args),
+                            radius=args.radius, min_period=args.min_period)
     for series, ps in zip(metros, _map_in_order(job, metros)):
         first_case = next(
             (
@@ -314,7 +314,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
             skipped += 1
             continue
         period_sets.append(ps)
-        call = protocol_followed_date(ps, announcement)
+        call = protocol_followed_date(ps, args.announcement)
         protocol_rows.append((series.region, first_case, call.date, call.note))
     out = _out_dir(args)
     with open(os.path.join(out, "periods.csv"), "w", newline="") as fh:
@@ -338,42 +338,25 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    tau1 = _to_int(args.tau1, "--tau1") if args.tau1 is not None else DEFAULT_TAU1
-    tau2 = _to_int(args.tau2, "--tau2") if args.tau2 is not None else DEFAULT_TAU2
-    mu = _to_float(args.mu, "--mu") if args.mu is not None else 0.0
-    _check_non_negative(("--tau1", tau1), ("--tau2", tau2), ("--mu", mu))
-    grid_points = (
-        _to_int(args.grid_points, "--grid-points") if args.grid_points is not None else 101
-    )
-    refinements = (
-        _to_int(args.refinements, "--refinements") if args.refinements is not None else 3
-    )
     cfg = SearchConfig(
-        beta_points=grid_points, gamma_points=grid_points, refinement_levels=refinements
+        beta_points=args.grid_points,
+        gamma_points=args.grid_points,
+        refinement_levels=args.refinements,
     )
     metros = _load_case_metros(args)
     period_sets = _load_period_sets(args)
     series_by = {s.region: s for s in metros}
-    report: dict = {
-        "config": {
-            "tau1": tau1,
-            "tau2": tau2,
-            "mu": mu,
-            "grid_points": grid_points,
-            "refinements": refinements,
-            "shared_beta": bool(args.shared_beta),
-        },
-        "metros": {},
-    }
+    settings = ("tau1", "tau2", "mu", "grid_points", "refinements", "shared_beta")
+    report: dict = {"config": {key: getattr(args, key) for key in settings}, "metros": {}}
     table_rows: list[tuple[str, float | None, float | None]] = []
     jobs = [
-        (model, series_by[metro], period_sets[metro], mu if model == "reinfect" else 0.0)
+        (model, series_by[metro], period_sets[metro], args.mu if model == "reinfect" else 0.0)
         for metro in sorted(period_sets)
         if metro in series_by
         for model in FIT_MODELS
     ]
     job = functools.partial(
-        _tune_job, cfg=cfg, tau1=tau1, tau2=tau2, shared_beta=bool(args.shared_beta)
+        _tune_job, cfg=cfg, tau1=args.tau1, tau2=args.tau2, shared_beta=args.shared_beta
     )
     results = iter(_map_in_order(job, jobs))
     for metro in sorted(period_sets):
@@ -487,37 +470,15 @@ def _simulate_inputs(args: argparse.Namespace):
         init = _report_field(path, fitted, where, "init", dict)
         init = SirState(*(_report_field(path, init, (*where, "init"), k, _NUMBER) for k in "sir"))
         return model, params, init, PeriodSet(metro, tuple(periods))
-    beta = _to_float(_require(args.beta, "--beta"), "--beta")
-    gamma = _to_float(_require(args.gamma, "--gamma"), "--gamma")
-    tau1 = _to_int(args.tau1, "--tau1") if args.tau1 is not None else DEFAULT_TAU1
-    tau2 = _to_int(args.tau2, "--tau2") if args.tau2 is not None else DEFAULT_TAU2
-    mu = _to_float(args.mu, "--mu") if args.mu is not None else 0.0
-    epsilon = _to_float(args.epsilon, "--epsilon") if args.epsilon is not None else 0.0
-    _check_non_negative(
-        ("--beta", beta),
-        ("--gamma", gamma),
-        ("--tau1", tau1),
-        ("--tau2", tau2),
-        ("--mu", mu),
-        ("--epsilon", epsilon),
-    )
-    window = _to_window(args.window) if args.window is not None else DEFAULT_WINDOW
-    announcement = (
-        _to_date(args.announcement, "--announcement")
-        if args.announcement is not None
-        else DEFAULT_ANNOUNCEMENT
-    )
-    anchors = (
-        _to_anchors(args.anchors) if args.anchors is not None else default_anchors(announcement)
-    )
-    periods = initial_periods(window, anchors)
-    i0 = _to_float(_require(args.i0, "--i0"), "--i0")
-    s0 = _to_float(args.s0, "--s0") if args.s0 is not None else DEFAULT_S0_SCALE * i0
-    r0 = _to_float(args.r0, "--r0") if args.r0 is not None else 0.0
+    beta = _require(args.beta, "--beta")
+    gamma = _require(args.gamma, "--gamma")
+    periods = initial_periods(args.window, _anchors(args))
+    i0 = _require(args.i0, "--i0")
+    s0 = DEFAULT_S0_SCALE * i0 if args.s0 is None else args.s0
     params = PiecewiseParams.from_rates(
-        [beta] * 5, [gamma] * 5, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon
+        [beta] * 5, [gamma] * 5, tau1=args.tau1, tau2=args.tau2, mu=args.mu, epsilon=args.epsilon
     )
-    return model, params, SirState(s0, i0, r0), periods
+    return model, params, SirState(s0, i0, args.r0), periods
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -627,81 +588,85 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+_COMMON = (
+    _Option("--config", "key=value file; explicit flags win"),
+    _Option("--out", "output directory (default: current directory)", default="."),
+)
+_CASES = (
+    _Option("--cases", "cases CSV (date,region,count)"),
+    _Option("--metro-map", "county-to-metro CSV"),
+)
+_PERIODS = _Option("--periods", "periods CSV from segment")
+_CALENDAR = (
+    _Option("--window", "START:END dates", _to_window, DEFAULT_WINDOW),
+    _Option("--announcement", "protocol announcement date", _to_date, DEFAULT_ANNOUNCEMENT),
+    _Option("--anchors", "comma-separated boundary dates", _to_anchors),
+)
+_DELAY_MODEL = (
+    _Option("--tau1", "infection delay in days", _to_int, DEFAULT_TAU1, non_negative=True),
+    _Option("--tau2", "removal delay in days", _to_int, DEFAULT_TAU2, non_negative=True),
+    _Option("--mu", "reinfection rate", _to_float, 0.0, non_negative=True),
+)
+
+# subcommand: (help, function, options after the common ones); the order is that of --help
+_COMMANDS = {
+    "gen-fixtures": ("write a synthetic input bundle", cmd_gen_fixtures, (
+        _Option("--seed", "rng seed (default 0)", _to_int, 0, non_negative=True),
+        _Option("--metros", "number of metros (default 8)", _to_int, 8),
+        *_CALENDAR,
+    )),
+    "segment": ("split each metro curve into five periods", cmd_segment, (
+        *_CASES,
+        *_CALENDAR,
+        _Option("--radius", "boundary search radius in days", _to_int, DEFAULT_SEARCH_RADIUS),
+        _Option("--min-period", "minimum period length in days", _to_int, DEFAULT_MIN_PERIOD),
+    )),
+    "fit": ("tune per-period rates for the delayed and reinfection variants", cmd_fit, (
+        *_CASES,
+        _PERIODS,
+        *_DELAY_MODEL,
+        _Option("--grid-points", "grid points per axis (default 101)", _to_int, 101),
+        _Option("--refinements", "grid refinement levels (default 3)", _to_int, 3),
+        _Option("--shared-beta", "tune beta on period 1 only", _to_bool, False),
+    )),
+    "simulate": ("run one variant and write its trajectory", cmd_simulate, (
+        _Option("--model", f"one of {', '.join(VARIANTS)}"),
+        _Option("--fit-report", "fit_report.json to pull parameters from"),
+        _Option("--metro", "metro name (with --fit-report or for plot data)"),
+        _Option("--beta", "constant infection rate", _to_float, non_negative=True),
+        _Option("--gamma", "constant removal rate", _to_float, non_negative=True),
+        *_DELAY_MODEL,
+        _Option("--epsilon", "tourist infection rate", _to_float, 0.0, non_negative=True),
+        *_CALENDAR,
+        _Option("--i0", "initial infected count", _to_float, non_negative=True),
+        _Option("--s0", "initial susceptible count (default 1e5 * i0)", _to_float,
+                non_negative=True),
+        _Option("--r0", "initial removed count (default 0)", _to_float, 0.0, non_negative=True),
+        _Option("--inflow", "inflow CSV (day,o) for the tourism variant"),
+        *_CASES,
+    )),
+    "correlate": ("demographic and weather correlation studies", cmd_correlate, (
+        *_CASES,
+        _PERIODS,
+        _Option("--demographics", "demographics CSV"),
+        _Option("--weather", "weather CSV"),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="epigrowth",
         description="Segment metro case curves, tune SIR-variant rates, and run correlation studies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key=value file; explicit flags win")
-        p.add_argument("--out", help="output directory (default: current directory)")
-
-    p = sub.add_parser("gen-fixtures", help="write a synthetic input bundle")
-    common(p)
-    p.add_argument("--seed", help="rng seed (default 0)")
-    p.add_argument("--metros", help="number of metros (default 8)")
-    p.add_argument("--window", help="START:END dates")
-    p.add_argument("--announcement", help="protocol announcement date")
-    p.add_argument("--anchors", help="comma-separated boundary dates")
-    p.set_defaults(func=cmd_gen_fixtures)
-
-    p = sub.add_parser("segment", help="split each metro curve into five periods")
-    common(p)
-    p.add_argument("--cases", help="cases CSV (date,region,count)")
-    p.add_argument("--metro-map", help="county-to-metro CSV")
-    p.add_argument("--window", help="START:END dates")
-    p.add_argument("--announcement", help="protocol announcement date")
-    p.add_argument("--anchors", help="comma-separated boundary dates")
-    p.add_argument("--radius", help="boundary search radius in days")
-    p.add_argument("--min-period", help="minimum period length in days")
-    p.set_defaults(func=cmd_segment)
-
-    p = sub.add_parser("fit", help="tune per-period rates for the delayed and reinfection variants")
-    common(p)
-    p.add_argument("--cases", help="cases CSV")
-    p.add_argument("--metro-map", help="county-to-metro CSV")
-    p.add_argument("--periods", help="periods CSV from segment")
-    p.add_argument("--tau1", help="infection delay in days")
-    p.add_argument("--tau2", help="removal delay in days")
-    p.add_argument("--mu", help="reinfection rate for the reinfection variant")
-    p.add_argument("--grid-points", help="grid points per axis (default 101)")
-    p.add_argument("--refinements", help="grid refinement levels (default 3)")
-    p.add_argument("--shared-beta", action="store_true", help="tune beta on period 1 only")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("simulate", help="run one variant and write its trajectory")
-    common(p)
-    p.add_argument("--model", help=f"one of {', '.join(VARIANTS)}")
-    p.add_argument("--fit-report", help="fit_report.json to pull parameters from")
-    p.add_argument("--metro", help="metro name (with --fit-report or for plot data)")
-    p.add_argument("--beta", help="constant infection rate")
-    p.add_argument("--gamma", help="constant removal rate")
-    p.add_argument("--tau1", help="infection delay in days")
-    p.add_argument("--tau2", help="removal delay in days")
-    p.add_argument("--mu", help="reinfection rate")
-    p.add_argument("--epsilon", help="tourist infection rate")
-    p.add_argument("--window", help="START:END dates")
-    p.add_argument("--announcement", help="protocol announcement date")
-    p.add_argument("--anchors", help="comma-separated boundary dates")
-    p.add_argument("--i0", help="initial infected count")
-    p.add_argument("--s0", help="initial susceptible count (default 1e5 * i0)")
-    p.add_argument("--r0", help="initial removed count (default 0)")
-    p.add_argument("--inflow", help="inflow CSV (day,o) for the tourism variant")
-    p.add_argument("--cases", help="cases CSV for the plot-data column")
-    p.add_argument("--metro-map", help="county-to-metro CSV")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("correlate", help="demographic and weather correlation studies")
-    common(p)
-    p.add_argument("--cases", help="cases CSV")
-    p.add_argument("--metro-map", help="county-to-metro CSV")
-    p.add_argument("--periods", help="periods CSV from segment")
-    p.add_argument("--demographics", help="demographics CSV")
-    p.add_argument("--weather", help="weather CSV")
-    p.set_defaults(func=cmd_correlate)
-
+    for name, (help_text, func, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        options = (*_COMMON, *options)
+        for opt in options:
+            switch = {"action": "store_true", "default": None} if opt.convert is _to_bool else {}
+            p.add_argument(opt.flag, help=opt.help, **switch)
+        p.set_defaults(func=func, options=options)
     return parser
 
 
@@ -709,7 +674,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _resolve_options(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -132,11 +132,18 @@ class SearchConfig:
             raise ConfigError("gamma_max must be >= gamma_min")
 
 
-def beta_grid(cfg: SearchConfig, s0: float) -> np.ndarray:
+def _beta_range(cfg: SearchConfig, s0: float) -> tuple[float, float]:
+    """``(beta_min, beta_max)`` of the search, beta_max auto-scaled to 1/S0 when unset."""
     if cfg.beta_max is None and s0 <= 0:
         raise ConfigError("beta_max auto-scaling needs a positive initial susceptible count")
     hi = cfg.beta_max if cfg.beta_max is not None else 1.0 / s0
-    return np.linspace(cfg.beta_min, hi, cfg.beta_points)
+    if hi < cfg.beta_min:
+        raise ConfigError("auto-scaled beta_max fell below beta_min")
+    return cfg.beta_min, hi
+
+
+def beta_grid(cfg: SearchConfig, s0: float) -> np.ndarray:
+    return np.linspace(*_beta_range(cfg, s0), cfg.beta_points)
 
 
 def gamma_grid(cfg: SearchConfig) -> np.ndarray:
@@ -295,12 +302,7 @@ def tune(
     window = periods.window
     o_vals = _inflow_values(model, inflow, window.days)
 
-    if cfg.beta_max is None and init.s <= 0:
-        raise ConfigError("beta_max auto-scaling needs a positive initial susceptible count")
-    b_lo0 = cfg.beta_min
-    b_hi0 = cfg.beta_max if cfg.beta_max is not None else 1.0 / init.s
-    if b_hi0 < b_lo0:
-        raise ConfigError("auto-scaled beta_max fell below beta_min")
+    b_lo0, b_hi0 = _beta_range(cfg, init.s)
     g_lo0, g_hi0 = cfg.gamma_min, cfg.gamma_max
 
     cuts = [0]

@@ -154,23 +154,6 @@ class InflowSeries:
                 raise ValidationError(f"inflow values must be finite and >= 0, got {v}")
         object.__setattr__(self, "o", vals)
 
-    @classmethod
-    def constant(cls, value: float, days: int) -> "InflowSeries":
-        return cls((float(value),) * days)
-
-    @classmethod
-    def from_period_means(cls, values: Sequence[float], periods: "PeriodSet") -> "InflowSeries":
-        """Expand one average daily inflow per period into a daily series."""
-        vals = tuple(float(v) for v in values)
-        if len(vals) != len(periods.periods):
-            raise ValidationError(
-                f"need one inflow value per period ({len(periods.periods)}), got {len(vals)}"
-            )
-        daily: list[float] = []
-        for v, p in zip(vals, periods.periods):
-            daily.extend([v] * p.length)
-        return cls(tuple(daily))
-
     def __len__(self) -> int:
         return len(self.o)
 

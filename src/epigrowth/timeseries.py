@@ -131,9 +131,6 @@ class MetroMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", dict(self.entries))
 
-    def metro_of(self, county: str) -> str | None:
-        return self.entries.get(county)
-
     def metros(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.entries.values())))
 

@@ -226,7 +226,7 @@ def test_tune_tourism_requires_long_enough_inflow():
     with pytest.raises(ConfigError):
         tune("tourism", series, ps, cfg)
     with pytest.raises(ConfigError):
-        tune("tourism", series, ps, cfg, inflow=InflowSeries.constant(1.0, 10))
+        tune("tourism", series, ps, cfg, inflow=InflowSeries((1.0,) * 10))
 
 
 def test_tune_needs_a_growth_rate_in_every_period():

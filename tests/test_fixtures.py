@@ -35,8 +35,8 @@ def test_make_bundle_structure():
     assert [s.region for s in bundle.cases] == sorted(s.region for s in bundle.cases)
     assert sorted(bundle.truths) == ["metro-01", "metro-02", "metro-03"]
     for metro, truth in bundle.truths.items():
-        assert bundle.metro_map.metro_of(truth.counties[0]) == metro
-        assert bundle.metro_map.metro_of(truth.counties[1]) == metro
+        assert bundle.metro_map.entries[truth.counties[0]] == metro
+        assert bundle.metro_map.entries[truth.counties[1]] == metro
     assert len(bundle.inflow) == bundle.window.days
     assert sum(bundle.periods.lengths()) == bundle.window.days
     with pytest.raises(ConfigError):

@@ -295,12 +295,3 @@ def test_inflow_roundtrip_and_validation():
     assert load_inflow(buf).o == inflow.o
     with pytest.raises(ValidationError):
         InflowSeries((1.0, -2.0))
-
-
-def test_inflow_from_period_means_expands_lengths():
-    inflow = InflowSeries.from_period_means([1, 2, 3, 4, 5], FIVE_WEEKS)
-    assert len(inflow) == FIVE_WEEKS.window.days
-    assert inflow.o[6] == 1.0
-    assert inflow.o[7] == 2.0
-    with pytest.raises(ValidationError):
-        InflowSeries.from_period_means([1, 2], FIVE_WEEKS)

@@ -118,8 +118,8 @@ def test_cases_roundtrip():
 
 def test_metro_map_roundtrip_and_lookup():
     mm = MetroMap({"a-east": "a", "a-west": "a", "b-main": "b"})
-    assert mm.metro_of("a-east") == "a"
-    assert mm.metro_of("nowhere") is None
+    assert mm.entries["a-east"] == "a"
+    assert "nowhere" not in mm.entries
     assert mm.metros() == ("a", "b")
     buf = io.StringIO()
     write_metro_map_csv(mm, buf)
