@@ -63,12 +63,10 @@ from .sir import (
     SirState,
     Trajectory,
     simulate,
-    simulated_growth_rates,
 )
 from .timeseries import (
     CaseSeries,
     DateInterval,
-    LogSeries,
     MetroMap,
     aggregate_to_metros,
     load_cases,
@@ -91,7 +89,6 @@ __all__ = [
     "GrowthRates",
     "InflowSeries",
     "InsufficientDataError",
-    "LogSeries",
     "MetroMap",
     "MultiFit",
     "ParseError",
@@ -131,7 +128,6 @@ __all__ = [
     "protocol_followed_date",
     "sim_growth_rates",
     "simulate",
-    "simulated_growth_rates",
     "student_t_sf",
     "to_log_series",
     "tune",

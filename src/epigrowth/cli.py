@@ -40,6 +40,7 @@ from .segment import (
     DEFAULT_MIN_PERIOD,
     DEFAULT_SEARCH_RADIUS,
     DEFAULT_WINDOW,
+    NUM_PERIODS,
     Period,
     PeriodSet,
     default_anchors,
@@ -120,6 +121,8 @@ def _to_window(value, flag: str) -> DateInterval:
 
 def _to_anchors(value, flag: str) -> tuple[date, ...]:
     parts = [p for p in str(value).split(",") if p.strip()]
+    if len(parts) != NUM_PERIODS - 1:
+        raise ConfigError(f"{flag}: expected {NUM_PERIODS - 1} dates, got {len(parts)}")
     return tuple(_to_date(p.strip(), flag) for p in parts)
 
 
@@ -136,14 +139,14 @@ class _Option(NamedTuple):
     """One option of a subcommand: its flag, how a flag or config value is read, its default.
 
     ``convert`` None keeps the value as given (a path or a name); ``_to_bool``
-    makes the flag a switch.  ``non_negative`` rejects a converted value below 0.
+    makes the flag a switch.  ``minimum`` rejects a converted value below it.
     """
 
     flag: str
     help: str
     convert: Callable | None = None
     default: object = None
-    non_negative: bool = False
+    minimum: int | None = None
 
     @property
     def key(self) -> str:
@@ -185,8 +188,8 @@ def _resolve_options(args: argparse.Namespace) -> None:
             value = opt.default
         else:
             value = raw if opt.convert is None else opt.convert(raw, opt.flag)
-            if opt.non_negative and value < 0:
-                raise ConfigError(f"{opt.flag} must be >= 0, got {value!r}")
+            if opt.minimum is not None and value < opt.minimum:
+                raise ConfigError(f"{opt.flag} must be >= {opt.minimum}, got {value!r}")
         setattr(args, opt.key, value)
 
 
@@ -603,45 +606,46 @@ _CALENDAR = (
     _Option("--anchors", "comma-separated boundary dates", _to_anchors),
 )
 _DELAY_MODEL = (
-    _Option("--tau1", "infection delay in days", _to_int, DEFAULT_TAU1, non_negative=True),
-    _Option("--tau2", "removal delay in days", _to_int, DEFAULT_TAU2, non_negative=True),
-    _Option("--mu", "reinfection rate", _to_float, 0.0, non_negative=True),
+    _Option("--tau1", "infection delay in days", _to_int, DEFAULT_TAU1, minimum=0),
+    _Option("--tau2", "removal delay in days", _to_int, DEFAULT_TAU2, minimum=0),
+    _Option("--mu", "reinfection rate", _to_float, 0.0, minimum=0),
 )
 
 # subcommand: (help, function, options after the common ones); the order is that of --help
 _COMMANDS = {
     "gen-fixtures": ("write a synthetic input bundle", cmd_gen_fixtures, (
-        _Option("--seed", "rng seed (default 0)", _to_int, 0, non_negative=True),
-        _Option("--metros", "number of metros (default 8)", _to_int, 8),
+        _Option("--seed", "rng seed (default 0)", _to_int, 0, minimum=0),
+        _Option("--metros", "number of metros (default 8)", _to_int, 8, minimum=1),
         *_CALENDAR,
     )),
     "segment": ("split each metro curve into five periods", cmd_segment, (
         *_CASES,
         *_CALENDAR,
-        _Option("--radius", "boundary search radius in days", _to_int, DEFAULT_SEARCH_RADIUS),
-        _Option("--min-period", "minimum period length in days", _to_int, DEFAULT_MIN_PERIOD),
+        _Option("--radius", "boundary search radius in days", _to_int, DEFAULT_SEARCH_RADIUS,
+                minimum=0),
+        _Option("--min-period", "minimum period length in days", _to_int, DEFAULT_MIN_PERIOD,
+                minimum=1),
     )),
     "fit": ("tune per-period rates for the delayed and reinfection variants", cmd_fit, (
         *_CASES,
         _PERIODS,
         *_DELAY_MODEL,
-        _Option("--grid-points", "grid points per axis (default 101)", _to_int, 101),
-        _Option("--refinements", "grid refinement levels (default 3)", _to_int, 3),
+        _Option("--grid-points", "grid points per axis (default 101)", _to_int, 101, minimum=1),
+        _Option("--refinements", "grid refinement levels (default 3)", _to_int, 3, minimum=0),
         _Option("--shared-beta", "tune beta on period 1 only", _to_bool, False),
     )),
     "simulate": ("run one variant and write its trajectory", cmd_simulate, (
         _Option("--model", f"one of {', '.join(VARIANTS)}"),
         _Option("--fit-report", "fit_report.json to pull parameters from"),
         _Option("--metro", "metro name (with --fit-report or for plot data)"),
-        _Option("--beta", "constant infection rate", _to_float, non_negative=True),
-        _Option("--gamma", "constant removal rate", _to_float, non_negative=True),
+        _Option("--beta", "constant infection rate", _to_float, minimum=0),
+        _Option("--gamma", "constant removal rate", _to_float, minimum=0),
         *_DELAY_MODEL,
-        _Option("--epsilon", "tourist infection rate", _to_float, 0.0, non_negative=True),
+        _Option("--epsilon", "tourist infection rate", _to_float, 0.0, minimum=0),
         *_CALENDAR,
-        _Option("--i0", "initial infected count", _to_float, non_negative=True),
-        _Option("--s0", "initial susceptible count (default 1e5 * i0)", _to_float,
-                non_negative=True),
-        _Option("--r0", "initial removed count (default 0)", _to_float, 0.0, non_negative=True),
+        _Option("--i0", "initial infected count", _to_float, minimum=0),
+        _Option("--s0", "initial susceptible count (default 1e5 * i0)", _to_float, minimum=0),
+        _Option("--r0", "initial removed count (default 0)", _to_float, 0.0, minimum=0),
         _Option("--inflow", "inflow CSV (day,o) for the tourism variant"),
         *_CASES,
     )),

@@ -1,5 +1,8 @@
 """Per-period (beta, gamma) tuning against observed log-growth slopes.
 
+A growth rate is the log-linear slope over a period's positive data days.
+``segment._WindowFits`` fits it for the data and for a simulated run; the grid
+fits its candidates over the same days.
 The tuner works period by period, carrying the simulated state across
 boundaries: for each period it evaluates a (beta, gamma) grid, keeps the
 candidate whose fitted log-I slope is closest to the data slope (ties to the
@@ -13,6 +16,7 @@ reproduces the committed trajectory bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -20,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, ValidationError
-from .regress import _ols_slope, fit_simple
-from .segment import PeriodSet
+from .regress import _ols_slope
+from .segment import NUM_PERIODS, PeriodSet, _WindowFits
 from .sir import (
     DEFAULT_TAU1,
     DEFAULT_TAU2,
@@ -34,9 +38,8 @@ from .sir import (
     _commit,
     _euler_days,
     _inflow_values,
-    simulated_growth_rates,
 )
-from .timeseries import CaseSeries, to_log_series
+from .timeseries import CaseSeries
 
 DEFAULT_S0_SCALE = 1e5
 GROWTH_SOURCES = ("data", "simulation")
@@ -161,35 +164,44 @@ def default_init(series: CaseSeries, periods: PeriodSet, s0_scale: float = DEFAU
     )
 
 
+def _cuts(periods: PeriodSet) -> list[int]:
+    """Window-relative first day of each period, then the window length."""
+    return [0, *itertools.accumulate(p.length for p in periods.periods)]
+
+
+def _growth_rates(
+    series: CaseSeries, periods: PeriodSet, source: str
+) -> tuple[GrowthRates, _WindowFits | None]:
+    """Each period's slope (None below 2 positive days) and positive-day count, and the fits.
+
+    A window without a positive day has no fits, every rate None and every count 0."""
+    try:
+        fits = _WindowFits(series, periods.window)
+    except InsufficientDataError:
+        return GrowthRates((None,) * NUM_PERIODS, (0,) * NUM_PERIODS, source), None
+    ks, ns = [], []
+    cuts = _cuts(periods)
+    for lo, hi in zip(cuts, cuts[1:]):
+        fit = fits.segment_fit(lo, hi)
+        ks.append(None if fit is None else fit[0])
+        ns.append(fits.before[hi] - fits.before[lo])
+    return GrowthRates(tuple(ks), tuple(ns), source), fits
+
+
 def data_growth_rates(series: CaseSeries, periods: PeriodSet) -> GrowthRates:
     """Fitted slope of log counts per period; None (with n recorded) when unfittable."""
-    ks: list[float | None] = []
-    ns: list[int] = []
-    for p in periods.periods:
-        try:
-            log = to_log_series(series, p.interval)
-        except InsufficientDataError:
-            ks.append(None)
-            ns.append(0)
-            continue
-        if len(log) < 2:
-            ks.append(None)
-            ns.append(len(log))
-            continue
-        ks.append(fit_simple(log).slope)
-        ns.append(len(log))
-    return GrowthRates(tuple(ks), tuple(ns), "data")
+    return _growth_rates(series, periods, "data")[0]
 
 
 def sim_growth_rates(traj: Trajectory, periods: PeriodSet) -> GrowthRates:
-    """simulated_growth_rates wrapped with per-period positive-day counts."""
-    slopes = simulated_growth_rates(traj, periods)
+    """Fitted slope of log I per period, day 0 at the window start, as the data are fitted."""
     window = periods.window
-    ns = []
-    for p in periods.periods:
-        off = (p.start - window.start).days
-        ns.append(sum(1 for d in range(p.length) if traj.states[off + d].i > 0))
-    return GrowthRates(slopes, tuple(ns), "simulation")
+    if len(traj) < window.days:
+        raise ValidationError(
+            f"trajectory holds {len(traj)} days but the period window spans {window.days}"
+        )
+    infected = tuple(state.i for state in traj.states[:window.days])
+    return _growth_rates(CaseSeries("simulated I", window.start, infected), periods, "simulation")[0]
 
 
 def discrepancy(sim: GrowthRates, data: GrowthRates, periods: PeriodSet) -> DiscrepancyReport:
@@ -217,8 +229,8 @@ def _grid_eval(
     gvals: np.ndarray,
     seg_lo: int,
     seg_hi: int,
-    x_off: int,
-    fit_days: np.ndarray,
+    rows: np.ndarray,
+    x_fit: np.ndarray,
     check_boundary: bool,
     target_k: float,
     shared: SirParams,
@@ -229,12 +241,13 @@ def _grid_eval(
     ``days`` holds the committed run through day ``seg_lo``.  The step kernel
     extends it through the period for all candidates at once, taking the
     delays and the mu/epsilon rates from ``shared``.  Slopes are fitted over
-    fit_days, the day subset behind the data slope, so the two are
-    comparable: x values sit on the same day axis, and a candidate whose
-    trajectory reproduces the observed counts scores within float rounding of
-    the data slope, so a nearby grid point cannot displace it.  The batch sums
-    day by day, which fit_simple does only below 8 points, so the two agree
-    to rounding, not bit for bit.
+    the fit days, the positive data days behind the data slope: ``rows`` are
+    their rows of the kernel's block (row d is day seg_lo + d), and ``x_fit``
+    their days on the data's axis.  So the two slopes are comparable, and a
+    candidate whose trajectory reproduces the observed counts scores within
+    float rounding of the data slope; a nearby grid point cannot displace it.
+    The batch sums day by day, which the data fit does only below 8 points,
+    so the two agree to rounding, not bit for bit.
 
     Candidates whose infected count dies on a fit day, or whose state stops
     being finite, are marked infeasible (np.inf); with check_boundary the day
@@ -243,7 +256,6 @@ def _grid_eval(
     unrecoverable zero.
     """
     n_cand = len(bvals) * len(gvals)
-    rows = np.flatnonzero(fit_days)  # block row d is day seg_lo + d
     if len(rows) < 2:
         return np.full(n_cand, np.inf)
     block, _, finite = _euler_days(
@@ -261,7 +273,6 @@ def _grid_eval(
     np.log(y, out=y)
     if rows[0] == 0 and days[1][-1] > 0:
         y[0] = math.log(days[1][-1])  # the committed day: one float, logged as the data are
-    x_fit = np.arange(x_off + seg_lo, x_off + seg_hi, dtype=float)[fit_days]
     slope = _ols_slope(x_fit, y)[0]
     return np.where(alive, np.abs(slope - target_k), np.inf)
 
@@ -292,7 +303,7 @@ def tune(
     shared = SirParams(0.0, 0.0, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
     if init is None:
         init = default_init(series, periods)
-    data = data_growth_rates(series, periods)
+    data, fits = _growth_rates(series, periods, "data")
     for idx, k in enumerate(data.k):
         if k is None:
             raise InsufficientDataError(
@@ -305,10 +316,7 @@ def tune(
     b_lo0, b_hi0 = _beta_range(cfg, init.s)
     g_lo0, g_hi0 = cfg.gamma_min, cfg.gamma_max
 
-    cuts = [0]
-    for p in periods.periods:
-        cuts.append(cuts[-1] + p.length)
-    x_off = (window.start - series.start_date).days
+    cuts = _cuts(periods)
 
     days: tuple[list[float], list[float], list[float]] = ([init.s], [init.i], [init.r])
     per_period: list[SirParams] = []
@@ -316,10 +324,8 @@ def tune(
     for per_idx in range(5):
         seg_lo, seg_hi = cuts[per_idx], cuts[per_idx + 1]
         target = data.k[per_idx]
-        first, counts = series.within(periods.periods[per_idx].interval)
-        lead = first - x_off - seg_lo  # the period's day of the first series count in it
-        fit_days = np.zeros(seg_hi - seg_lo, dtype=bool)
-        fit_days[lead:lead + len(counts)] = np.array(counts) > 0
+        fit_lo, fit_hi = fits.before[seg_lo], fits.before[seg_hi]
+        rows, x_fit = fits.days[fit_lo:fit_hi] - seg_lo, fits.x[fit_lo:fit_hi]
         check_boundary = seg_hi < cuts[5]
         b_lo, b_hi = b_lo0, b_hi0
         g_lo, g_hi = g_lo0, g_hi0
@@ -331,7 +337,7 @@ def tune(
                 bvals = np.linspace(b_lo, b_hi, cfg.beta_points)
             gvals = np.linspace(g_lo, g_hi, cfg.gamma_points)
             obj = _grid_eval(
-                model, days, bvals, gvals, seg_lo, seg_hi, x_off, fit_days,
+                model, days, bvals, gvals, seg_lo, seg_hi, rows, x_fit,
                 check_boundary, target, shared, o_vals,
             )
             j = int(np.argmin(obj))
@@ -357,7 +363,7 @@ def tune(
         per_period.append(p)
 
     states = tuple(SirState(s, i, r) for s, i, r in zip(*days))
-    traj = Trajectory(states, t0=0, clamp_events=clamp_events)
+    traj = Trajectory(states, clamp_events=clamp_events)
     sim = sim_growth_rates(traj, periods)
     return TuneResult(
         PiecewiseParams(tuple(per_period)), init, traj, data, sim, discrepancy(sim, data, periods)

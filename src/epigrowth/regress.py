@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InsufficientDataError, ValidationError
-from .timeseries import LogSeries
 
 BUCKET_SCHEMES = {
     # strict lower bounds: (H threshold, M threshold); at-or-below M threshold is L
@@ -56,17 +55,6 @@ class DummyEncoding:
     columns: np.ndarray  # shape (n_rows, len(levels) - 1), 0/1 floats
 
 
-def _as_xy(points) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(points, LogSeries):
-        points = points.points
-    pts = list(points)
-    if any(len(p) != 2 for p in pts):
-        raise ValidationError("points must be (x, y) pairs")
-    x = np.array([float(p[0]) for p in pts])
-    y = np.array([float(p[1]) for p in pts])
-    return x, y
-
-
 def _ols_slope(x: np.ndarray, y: np.ndarray):
     """Closed-form least-squares slope of ``y`` on ``x`` along the leading axis.
 
@@ -103,10 +91,14 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 def fit_simple(points) -> SimpleFit:
     """Ordinary least squares y = slope*x + intercept.
 
-    Accepts a LogSeries or any sequence of (x, y) pairs.  R-squared is defined
+    Accepts any sequence of (x, y) pairs.  R-squared is defined
     as 1 when the residual sum of squares is zero (constant-y convention).
     """
-    x, y = _as_xy(points)
+    pts = list(points)
+    if any(len(p) != 2 for p in pts):
+        raise ValidationError("points must be (x, y) pairs")
+    x = np.array([float(p[0]) for p in pts])
+    y = np.array([float(p[1]) for p in pts])
     n = len(x)
     if n < 2:
         raise InsufficientDataError(f"need at least 2 points to fit a line, got {n}")

@@ -133,16 +133,16 @@ def initial_periods(window: DateInterval, anchors: Sequence[date], metro: str = 
 
 
 class _WindowFits:
-    """Per-segment OLS over the positive-count days of one window; each segment is fitted once."""
+    """Per-stretch OLS of log count on day over the positive-count days of one window.
+
+    The one fit behind every per-period growth rate; each stretch is fitted once.
+    """
 
     def __init__(self, series: CaseSeries, window: DateInterval):
-        log = to_log_series(series, window)  # raises if no positive counts
-        series_offset = (window.start - series.start_date).days
-        day_rel = [d - series_offset for d in log.xs()]
-        # before[d]: positive-count days ahead of window-relative day d, 0 <= d <= window.days
-        self.before = np.searchsorted(day_rel, np.arange(window.days + 1)).tolist()
-        self.x = np.array(log.xs(), dtype=float)
-        self.y = np.array(log.ys(), dtype=float)
+        self.x, self.y = to_log_series(series, window)  # raises if no positive counts
+        # days: each point's window-relative day; before[d]: points ahead of day d <= window.days
+        self.days = self.x.astype(int) - (window.start - series.start_date).days
+        self.before = np.searchsorted(self.days, np.arange(window.days + 1)).tolist()
         self.window_days = window.days
         self._fits: dict[tuple[int, int], tuple[float, float, float, int] | None] = {}
 

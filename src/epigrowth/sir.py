@@ -6,7 +6,9 @@ degenerate cases (tau=0, mu=0, epsilon=0) bit-for-bit equal to the simpler
 models.  The tuner runs the kernel on a whole (beta, gamma) grid at once;
 ``simulate`` runs it on a one-candidate batch, and float64 arithmetic is the
 same elementwise at every batch size.  Negative values are clamped to zero and
-counted; a state that stops being finite raises StateError.
+counted; a clamp can create population, since the flow that overdrew a
+compartment still reaches the next one in full.  A state that stops being
+finite raises StateError.
 """
 
 from __future__ import annotations
@@ -73,10 +75,9 @@ class SirState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Daily states; day j corresponds to day-index t0 + j."""
+    """Daily states; day j is day j of the period window."""
 
     states: tuple[SirState, ...]
-    t0: int = 0
     clamp_events: int = 0
 
     def __post_init__(self) -> None:
@@ -277,34 +278,13 @@ def simulate(
         cut += period.length
         clamp_events += _commit(model, days, p, min(cut + 1, horizon), o_vals, idx)
     states = tuple(SirState(s, i, r) for s, i, r in zip(*days))
-    return Trajectory(states, t0=0, clamp_events=clamp_events)
-
-
-def simulated_growth_rates(traj: Trajectory, periods: PeriodSet) -> tuple[float | None, ...]:
-    """Fitted log-I slope per period; None when a period has under 2 positive days."""
-    from .regress import fit_simple
-
-    window = periods.window
-    if len(traj) < window.days:
-        raise ValidationError(
-            f"trajectory holds {len(traj)} days but the period window spans {window.days}"
-        )
-    slopes: list[float | None] = []
-    for p in periods.periods:
-        off = (p.start - window.start).days
-        pts = []
-        for d in range(p.length):
-            i_val = traj.states[off + d].i
-            if i_val > 0:
-                pts.append((traj.t0 + off + d, math.log(i_val)))
-        slopes.append(fit_simple(pts).slope if len(pts) >= 2 else None)
-    return tuple(slopes)
+    return Trajectory(states, clamp_events=clamp_events)
 
 
 def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:
     out.write(",".join(TRAJECTORY_HEADER) + "\n")
     for j, st in enumerate(traj.states):
-        out.write(f"{traj.t0 + j},{st.s!r},{st.i!r},{st.r!r}\n")
+        out.write(f"{j},{st.s!r},{st.i!r},{st.r!r}\n")
 
 
 def load_inflow(source: IO) -> InflowSeries:

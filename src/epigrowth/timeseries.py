@@ -96,33 +96,6 @@ class CaseSeries:
 
 
 @dataclass(frozen=True)
-class LogSeries:
-    """(day-index, log count) points for positive-count days, days strictly increasing."""
-
-    points: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple((int(d), float(v)) for d, v in self.points)
-        prev = None
-        for d, v in pts:
-            if not math.isfinite(v):
-                raise ValidationError(f"log count at day {d} is not finite")
-            if prev is not None and d <= prev:
-                raise ValidationError("day indices must be strictly increasing")
-            prev = d
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def xs(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.points)
-
-    def ys(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.points)
-
-
-@dataclass(frozen=True)
 class MetroMap:
     """County-to-metro assignment; a county belongs to at most one metro."""
 
@@ -290,11 +263,12 @@ def aggregate_to_metros(series: Iterable[CaseSeries], metro_map: MetroMap) -> li
     return out
 
 
-def to_log_series(series: CaseSeries, window: DateInterval) -> LogSeries:
-    """Natural log of the positive counts inside ``window``.
+def to_log_series(series: CaseSeries, window: DateInterval) -> tuple[np.ndarray, np.ndarray]:
+    """(day, natural log of the count) of the positive-count days inside ``window``.
 
-    Day indices are measured from the series' own start date.  Zero-count
-    days are dropped; a window with no positive counts is an error.
+    Returns two float arrays, days ascending.  Day indices are measured from
+    the series' own start date.  Zero-count days are dropped; a window with
+    no positive counts is an error.
     """
     first, counts = series.within(window)
     points = [(d, math.log(c)) for d, c in enumerate(counts, start=first) if c > 0]
@@ -302,4 +276,5 @@ def to_log_series(series: CaseSeries, window: DateInterval) -> LogSeries:
         raise InsufficientDataError(
             f"{series.region}: no positive counts in {window.start}..{window.end}"
         )
-    return LogSeries(tuple(points))
+    days, logs = zip(*points)
+    return np.array(days, dtype=float), np.array(logs)

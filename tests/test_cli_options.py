@@ -47,6 +47,22 @@ SIMULATE = ["simulate", "--model", "original", "--beta", "1e-6", "--gamma", "0.1
          "--shared-beta: expected a boolean, got 'maybe'"),
         (["fit", "--cases", "c.csv"], "shared-beta=\n",
          "--shared-beta: expected a boolean, got ''"),
+        (["segment", "--anchors", ""], None, "--anchors: expected 4 dates, got 0"),
+        (["segment"], "anchors=\n", "--anchors: expected 4 dates, got 0"),
+        ([*SIMULATE, "--anchors", "2020-04-01,2020-04-20,2020-05-10"], None,
+         "--anchors: expected 4 dates, got 3"),
+        (SIMULATE, "anchors=2020-04-01\n", "--anchors: expected 4 dates, got 1"),
+        (["gen-fixtures", "--anchors", "2020-04-01,2020-04-20,2020-05-10,2020-06-01,2020-06-10"],
+         None, "--anchors: expected 4 dates, got 5"),
+        (["gen-fixtures"], "anchors=\n", "--anchors: expected 4 dates, got 0"),
+        (["gen-fixtures", "--metros", "0"], None, "--metros must be >= 1, got 0"),
+        (["gen-fixtures"], "metros=-3\n", "--metros must be >= 1, got -3"),
+        (["fit", "--grid-points", "0"], None, "--grid-points must be >= 1, got 0"),
+        (["fit"], "grid-points=-2\n", "--grid-points must be >= 1, got -2"),
+        (["fit", "--refinements", "-1"], None, "--refinements must be >= 0, got -1"),
+        (["segment", "--radius", "-1"], None, "--radius must be >= 0, got -1"),
+        (["segment", "--min-period", "0"], None, "--min-period must be >= 1, got 0"),
+        (["segment"], "min_period=-1\n", "--min-period must be >= 1, got -1"),
     ],
 )
 def test_bad_option_value_exits_4_naming_the_flag(tmp_path, capsys, argv, config, message):

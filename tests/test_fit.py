@@ -29,9 +29,19 @@ from epigrowth.fixtures import (
     make_bundle,
     piecewise_log_linear_counts,
 )
-from epigrowth.segment import Period, PeriodSet
-from epigrowth.sir import VARIANTS, InflowSeries, PiecewiseParams, SirParams, SirState, simulate
-from epigrowth.timeseries import CaseSeries, aggregate_to_metros
+from epigrowth.cli import main
+from epigrowth.regress import fit_simple
+from epigrowth.segment import Period, PeriodSet, load_periods_csv, period_sets_from_rows
+from epigrowth.sir import (
+    VARIANTS,
+    InflowSeries,
+    PiecewiseParams,
+    SirParams,
+    SirState,
+    Trajectory,
+    simulate,
+)
+from epigrowth.timeseries import CaseSeries, aggregate_to_metros, load_cases, load_metro_map
 
 START = date(2020, 3, 1)
 
@@ -394,6 +404,13 @@ def _reference_grid_eval(model, days, bvals, gvals, seg_lo, seg_hi, x_off, fit_d
         return np.where(alive, np.abs(slope - target_k), np.inf)
 
 
+def _fit_rows(bvals, gvals, seg_lo, seg_hi, x_off, fit_days, *rest):
+    """The reference's arguments as _grid_eval takes them: fit days as block rows and x values."""
+    rows = np.flatnonzero(fit_days)
+    x_fit = np.arange(x_off + seg_lo, x_off + seg_hi, dtype=float)[fit_days]
+    return (bvals, gvals, seg_lo, seg_hi, rows, x_fit, *rest)
+
+
 _rate = st.floats(0.0, 3e-5)
 
 
@@ -428,7 +445,7 @@ def test_grid_eval_matches_reference_bitwise(
     o_vals = tuple(float(3 + d % 7) for d in range(seg_hi + 1))
     args = (np.array(bvals), np.array(gvals), seg_lo, seg_hi, x_off, fit_days,
             check_boundary, target_k, shared, o_vals)
-    got = _grid_eval(model, days, *args)
+    got = _grid_eval(model, days, *_fit_rows(*args))
     want = _reference_grid_eval(model, days, *args)
     assert got.shape == (len(bvals) * len(gvals),)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -441,6 +458,117 @@ def test_grid_eval_logs_the_committed_day_as_the_reference_does():
     days = ([1e5], [i0], [0.0])
     args = (np.linspace(0.0, 1e-5, 5), np.linspace(0.0, 0.5, 5), 0, 8, 3, np.ones(8, dtype=bool),
             True, 0.05, SirParams(0.0, 0.0, tau1=2, tau2=4), None)
-    got = _grid_eval("delayed", days, *args)
+    got = _grid_eval("delayed", days, *_fit_rows(*args))
     assert np.isfinite(got).sum() > 1
     assert np.array_equal(got.view(np.int64), _reference_grid_eval("delayed", days, *args).view(np.int64))
+
+
+def _reference_data_rates(series, periods):
+    """data_growth_rates as first written: per period, the (day, log count) points of
+    its positive days, then fit_simple; slope None below 2 points."""
+    ks, ns = [], []
+    for p in periods.periods:
+        first, counts = series.within(p.interval)
+        points = [(d, math.log(c)) for d, c in enumerate(counts, start=first) if c > 0]
+        ks.append(fit_simple(points).slope if len(points) >= 2 else None)
+        ns.append(len(points))
+    return ks, ns
+
+
+def _reference_sim_rates(traj, periods):
+    """sim_growth_rates as first written: per period, the (window day, log I) points of
+    its positive days, then fit_simple, and a second walk to count those days."""
+    window = periods.window
+    ks, ns = [], []
+    for p in periods.periods:
+        off = (p.start - window.start).days
+        pts = []
+        for d in range(p.length):
+            i_val = traj.states[off + d].i
+            if i_val > 0:
+                pts.append((off + d, math.log(i_val)))
+        ks.append(fit_simple(pts).slope if len(pts) >= 2 else None)
+        ns.append(sum(1 for d in range(p.length) if traj.states[off + d].i > 0))
+    return ks, ns
+
+
+def _slope_bits(ks):
+    return [None if k is None else int(np.float64(k).view(np.int64)) for k in ks]
+
+
+_count = st.one_of(st.just(0.0), st.floats(0.5, 1e9), st.integers(1, 10**6).map(float))
+
+
+_period_lengths = st.lists(st.integers(1, 12), min_size=5, max_size=5)
+
+
+def _zero_periods(values, lead, lengths, dead):
+    """Zero every value whose window day (index + lead) falls in a period listed in ``dead``."""
+    cuts = np.cumsum([0, *lengths])
+    return [
+        0.0 if any(cuts[p] <= k + lead < cuts[p + 1] for p in dead) else v
+        for k, v in enumerate(values)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lengths=_period_lengths, lead=st.integers(-8, 8), data=st.data())
+def test_data_growth_rates_match_the_per_period_reference_bitwise(lengths, lead, data):
+    """Series that start before or after the window, end inside it, with zero days and
+    all-zero periods: the window fit gives each period the reference's slope and count."""
+    days = sum(lengths)
+    n = data.draw(st.integers(1, days + 16))
+    counts = data.draw(st.lists(_count, min_size=n, max_size=n))
+    counts = _zero_periods(counts, lead, lengths, data.draw(st.sets(st.integers(0, 4))))
+    series = CaseSeries("m", START + timedelta(days=lead), tuple(counts))
+    ps = periods_over(lengths)
+    got = data_growth_rates(series, ps)
+    want_k, want_n = _reference_data_rates(series, ps)
+    assert _slope_bits(got.k) == _slope_bits(want_k)
+    assert list(got.n) == want_n
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=_period_lengths, data=st.data())
+def test_sim_growth_rates_match_the_per_period_reference_bitwise(lengths, data):
+    """Drawn I values with zero days, all-zero periods and an I that dies, and
+    simulated runs whose I dies by clamping, as long as the window or longer."""
+    ps = periods_over(lengths)
+    days = ps.window.days
+    if data.draw(st.booleans()):
+        n = days + data.draw(st.integers(0, 3))
+        i_vals = data.draw(st.lists(_count, min_size=n, max_size=n))
+        i_vals = _zero_periods(i_vals, 0, lengths, data.draw(st.sets(st.integers(0, 4))))
+        dies = data.draw(st.integers(0, n))
+        i_vals = [v if k < dies else 0.0 for k, v in enumerate(i_vals)]
+        traj = Trajectory(tuple(SirState(1e6, v, 0.0) for v in i_vals))
+    else:
+        model = data.draw(st.sampled_from(("original", "delayed", "reinfect")))
+        params = PiecewiseParams.from_rates(
+            data.draw(st.lists(st.floats(0.0, 3e-5), min_size=5, max_size=5)),
+            data.draw(st.lists(st.floats(0.0, 3.0), min_size=5, max_size=5)),
+            tau1=data.draw(st.integers(0, 6)), tau2=data.draw(st.integers(0, 6)),
+            mu=data.draw(st.floats(0.0, 0.5)),
+        )
+        traj = simulate(model, params, SirState(1e5, data.draw(st.floats(0.0, 1e3)), 0.0), ps)
+    got = sim_growth_rates(traj, ps)
+    want_k, want_n = _reference_sim_rates(traj, ps)
+    assert _slope_bits(got.k) == _slope_bits(want_k)
+    assert list(got.n) == want_n
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_periods_csv_slopes_are_the_data_growth_rates_bitwise(tmp_path, seed):
+    out = str(tmp_path)
+    cases = ["--cases", f"{out}/cases.csv", "--metro-map", f"{out}/metro_map.csv"]
+    assert main(["gen-fixtures", "--seed", str(seed), "--metros", "4", "--out", out]) == 0
+    assert main(["segment", *cases, "--out", out]) == 0
+    with open(f"{out}/cases.csv") as fc, open(f"{out}/metro_map.csv") as fm:
+        series_by = {s.region: s for s in aggregate_to_metros(load_cases(fc)[0], load_metro_map(fm))}
+    with open(f"{out}/periods.csv") as fh:
+        rows = load_periods_csv(fh)
+    period_sets = period_sets_from_rows(rows)
+    assert len(period_sets) == 4
+    for metro, ps in period_sets.items():
+        written = [r.slope for r in rows if r.metro == metro]
+        assert _slope_bits(data_growth_rates(series_by[metro], ps).k) == _slope_bits(written)

@@ -150,11 +150,9 @@ def _reference_optimize(series, initial, search_radius, min_period_length):
     Returns the cut days and the five (slope, intercept, r2, n) fits.
     """
     window = initial.window
-    log = to_log_series(series, window)
+    x, y = to_log_series(series, window)
     offset = (window.start - series.start_date).days
-    day_rel = np.array([d - offset for d in log.xs()], dtype=int)
-    x = np.array(log.xs(), dtype=float)
-    y = np.array(log.ys(), dtype=float)
+    day_rel = np.array([d - offset for d in x], dtype=int)
 
     def segment_fit(lo, hi):
         a, b = np.searchsorted(day_rel, (lo, hi))

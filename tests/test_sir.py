@@ -3,10 +3,11 @@ import math
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epigrowth.errors import ConfigError, StateError, ValidationError
+from epigrowth.fit import sim_growth_rates
 from epigrowth.segment import Period, PeriodSet
 from epigrowth.sir import (
     VARIANTS,
@@ -17,7 +18,6 @@ from epigrowth.sir import (
     Trajectory,
     load_inflow,
     simulate,
-    simulated_growth_rates,
     write_inflow_csv,
     write_trajectory_csv,
 )
@@ -84,7 +84,7 @@ def test_step_delayed_prehistory_uses_first_day():
 
 def test_trajectory_rejects_empty_states():
     with pytest.raises(ValidationError):
-        Trajectory((), t0=0)
+        Trajectory(())
 
 
 def test_step_reinfect_moves_recovered_back():
@@ -163,6 +163,30 @@ def test_simulate_conserves_population():
     assert worst / total0 < 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@example("original", 1e5, 10.0, 0.0, 1e5, 0.1, 0, 0, 0.0)  # README: drift 8.999, 1 clamp event
+@given(
+    model=st.sampled_from(("original", "delayed", "reinfect")),
+    s0=st.floats(1.0, 1e6),
+    i0=st.floats(0.0, 1e4),
+    r0=st.floats(0.0, 1e4),
+    beta_s0=st.floats(0.0, 5.0),
+    gamma=st.floats(0.0, 3.0),
+    tau1=st.integers(0, 8),
+    tau2=st.integers(0, 8),
+    mu=st.floats(0.0, 2.0),
+)
+def test_only_a_clamp_moves_the_total(model, s0, i0, r0, beta_s0, gamma, tau1, tau2, mu):
+    """Outside tourism, a drift of S + I + R above rounding means a clamp fired."""
+    init = SirState(s0, i0, r0)
+    try:
+        traj = constant(model, beta_s0 / s0, gamma, init, tau1=tau1, tau2=tau2, mu=mu)
+    except StateError:
+        return  # the state overflowed: simulate keeps no trajectory to measure
+    drift = max(abs(state.total - init.total) for state in traj.states) / init.total
+    assert drift <= 1e-9 or traj.clamp_events > 0
+
+
 def test_simulate_tourism_adds_exact_inflow_each_step():
     days = FIVE_WEEKS.window.days
     inflow = InflowSeries(tuple(float(5 + d % 3) for d in range(days - 1)))
@@ -239,15 +263,15 @@ def test_parameter_degeneracies_match_delayed_bitwise():
 def test_growth_rates_on_exact_exponential():
     days = FIVE_WEEKS.window.days
     states = tuple(SirState(1e6, math.exp(0.1 * t), 0.0) for t in range(days))
-    traj = Trajectory(states, t0=0)
-    rates = simulated_growth_rates(traj, FIVE_WEEKS)
+    traj = Trajectory(states)
+    rates = sim_growth_rates(traj, FIVE_WEEKS).k
     for k in rates:
         assert k == pytest.approx(0.1, abs=1e-9)
 
 
 def test_growth_rates_constant_series_is_flat():
     states = tuple(SirState(10.0, 42.0, 0.0) for _ in range(FIVE_WEEKS.window.days))
-    rates = simulated_growth_rates(Trajectory(states, t0=0), FIVE_WEEKS)
+    rates = sim_growth_rates(Trajectory(states), FIVE_WEEKS).k
     assert rates == (0.0,) * 5
 
 
@@ -256,7 +280,7 @@ def test_growth_rates_all_zero_period_is_none():
     states = tuple(
         SirState(10.0, 5.0 if t >= 7 else 0.0, 0.0) for t in range(days)
     )
-    rates = simulated_growth_rates(Trajectory(states, t0=0), FIVE_WEEKS)
+    rates = sim_growth_rates(Trajectory(states), FIVE_WEEKS).k
     assert rates[0] is None
     assert rates[2] == 0.0
 
@@ -278,7 +302,7 @@ def test_sir_params_validation():
 
 def test_trajectory_csv_roundtrip_preserves_floats():
     states = (SirState(1.25, 0.1 + 0.2, 0.0), SirState(1.0, 2.0, 3.0))
-    traj = Trajectory(states, t0=0)
+    traj = Trajectory(states)
     buf = io.StringIO()
     write_trajectory_csv(traj, buf)
     lines = buf.getvalue().splitlines()
