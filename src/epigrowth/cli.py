@@ -9,7 +9,7 @@ configuration or usage.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import functools
 import json
 import math
@@ -24,7 +24,6 @@ from .correlate import (
     demographic_study,
     load_demographics,
     load_weather,
-    report_to_dict,
     weather_study,
     weighted_avg_growth,
     write_demographics_csv,
@@ -32,7 +31,7 @@ from .correlate import (
     write_weather_csv,
     write_weather_report_csv,
 )
-from .errors import ConfigError, InsufficientDataError, ParseError, PipelineError
+from .errors import ConfigError, InsufficientDataError, ParseError, PipelineError, ValidationError
 from .fit import DEFAULT_S0_SCALE, SearchConfig, data_growth_rates, tune
 from .fixtures import make_bundle
 from .segment import (
@@ -47,9 +46,7 @@ from .segment import (
     initial_periods,
     load_periods_csv,
     optimize_boundaries,
-    period_sets_from_rows,
     protocol_followed_date,
-    rows_from_period_sets,
     write_periods_csv,
 )
 from .sir import (
@@ -70,6 +67,7 @@ from .timeseries import (
     load_metro_map,
     write_cases_csv,
     write_metro_map_csv,
+    write_table,
 )
 
 TABLE2_HEADER = ("metro", "only_delayed_pct", "reinfected_pct")
@@ -199,8 +197,13 @@ def _out_dir(args: argparse.Namespace) -> str:
 
 
 def _anchors(args: argparse.Namespace) -> tuple[date, ...]:
-    """``--anchors``, else the default boundaries for ``--announcement``."""
-    return default_anchors(args.announcement) if args.anchors is None else args.anchors
+    """``--anchors`` or the ``--announcement`` defaults, which must ascend inside ``--window``."""
+    anchors = default_anchors(args.announcement) if args.anchors is None else args.anchors
+    try:
+        initial_periods(args.window, anchors)
+    except ValidationError as exc:
+        raise ConfigError(f"--anchors: {exc}") from None
+    return anchors
 
 
 def _load_case_metros(args: argparse.Namespace):
@@ -215,11 +218,7 @@ def _load_case_metros(args: argparse.Namespace):
 
 def _load_period_sets(args: argparse.Namespace) -> dict[str, PeriodSet]:
     with open(_require(args.periods, "--periods"), newline="") as fh:
-        return period_sets_from_rows(load_periods_csv(fh))
-
-
-def _na(value: float | None) -> str:
-    return "NA" if value is None else repr(value)
+        return load_periods_csv(fh)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -278,7 +277,7 @@ def _tune_job(job, **kwargs):
 
 
 def cmd_gen_fixtures(args: argparse.Namespace) -> int:
-    bundle = make_bundle(args.seed, args.metros, args.window, args.announcement, args.anchors)
+    bundle = make_bundle(args.seed, args.metros, args.window, args.announcement, _anchors(args))
     out = _out_dir(args)
     with open(os.path.join(out, "cases.csv"), "w", newline="") as fh:
         write_cases_csv(bundle.cases, fh)
@@ -296,12 +295,12 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
+    job = functools.partial(_segment_job, window=args.window, anchors=_anchors(args),
+                            radius=args.radius, min_period=args.min_period)
     metros = _load_case_metros(args)
     period_sets = []
     protocol_rows: list[tuple[str, date | None, date | None, str]] = []
     skipped = 0
-    job = functools.partial(_segment_job, window=args.window, anchors=_anchors(args),
-                            radius=args.radius, min_period=args.min_period)
     for series, ps in zip(metros, _map_in_order(job, metros)):
         first_case = next(
             (
@@ -321,20 +320,10 @@ def cmd_segment(args: argparse.Namespace) -> int:
         protocol_rows.append((series.region, first_case, call.date, call.note))
     out = _out_dir(args)
     with open(os.path.join(out, "periods.csv"), "w", newline="") as fh:
-        write_periods_csv(rows_from_period_sets(period_sets), fh)
+        write_periods_csv(period_sets, fh)
     protocol_rows.sort(key=lambda r: (r[2] is None, r[2] or date.min, r[0]))
     with open(os.path.join(out, "protocol.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PROTOCOL_HEADER)
-        for metro, first, when, note in protocol_rows:
-            writer.writerow(
-                [
-                    metro,
-                    first.isoformat() if first is not None else "NA",
-                    when.isoformat() if when is not None else "NA",
-                    note,
-                ]
-            )
+        write_table(fh, PROTOCOL_HEADER, protocol_rows)
     tail = f", skipped {skipped}" if skipped else ""
     print(f"segment: wrote periods for {len(period_sets)} metro(s) to {out}{tail}")
     return 0
@@ -404,10 +393,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         table_rows.append((metro, pcts.get("delayed"), pcts.get("reinfect")))
     out = _out_dir(args)
     with open(os.path.join(out, "table2.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TABLE2_HEADER)
-        for metro, delayed_pct, reinfect_pct in table_rows:
-            writer.writerow([metro, _na(delayed_pct), _na(reinfect_pct)])
+        write_table(fh, TABLE2_HEADER, table_rows)
     _write_json(os.path.join(out, "fit_report.json"), report)
     print(f"fit: wrote discrepancies for {len(table_rows)} metro(s) to {out}")
     return 0
@@ -505,16 +491,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     with open(os.path.join(out, "trajectory.csv"), "w", newline="") as fh:
         write_trajectory_csv(traj, fh)
+    plot_rows = []
+    for day_idx, state in enumerate(traj.states):
+        log_sim = math.log(state.i) if state.i > 0 else None
+        log_data = None
+        if data_series is not None:
+            count = data_series.filled_count(window.start + timedelta(days=day_idx))
+            log_data = math.log(count) if count > 0 else None
+        plot_rows.append((day_idx, log_sim, log_data))
     with open(os.path.join(out, "plotdata.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PLOTDATA_HEADER)
-        for day_idx, state in enumerate(traj.states):
-            log_sim = math.log(state.i) if state.i > 0 else None
-            log_data = None
-            if data_series is not None:
-                count = data_series.filled_count(window.start + timedelta(days=day_idx))
-                log_data = math.log(count) if count > 0 else None
-            writer.writerow([day_idx, _na(log_sim), _na(log_data)])
+        write_table(fh, PLOTDATA_HEADER, plot_rows)
 
     totals = [state.total for state in traj.states]
     drift = 0.0
@@ -560,7 +546,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         demo_report = demographic_study(demo, response)
         with open(os.path.join(out, "table3.csv"), "w", newline="") as fh:
             write_group_report_csv(demo_report, fh)
-        studies[demo_report.study] = report_to_dict(demo_report)
+        studies[demo_report.study] = dataclasses.asdict(demo_report)
     if args.weather is not None:
         with open(args.weather, newline="") as fh:
             weather = load_weather(fh)
@@ -568,7 +554,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
             weather_report = weather_study(weather, series_by, usable, mode)
             with open(os.path.join(out, name), "w", newline="") as fh:
                 write_weather_report_csv(weather_report, fh)
-            studies[weather_report.study] = report_to_dict(weather_report)
+            studies[weather_report.study] = dataclasses.asdict(weather_report)
     payload = {
         "response": {metro: response[metro] for metro in sorted(response)},
         "studies": studies,

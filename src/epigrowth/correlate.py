@@ -9,7 +9,6 @@ each pair.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from .errors import ParseError, ValidationError
 from .fit import GrowthRates
 from .regress import bucket_temperature, encode_dummies, fit_multi
 from .segment import Period, PeriodSet
-from .timeseries import CaseSeries, read_table
+from .timeseries import CaseSeries, read_table, write_table
 
 NA_RANK = "rank-deficient"
 NA_SAMPLES = "insufficient-samples"
@@ -285,12 +284,12 @@ def load_demographics(source) -> tuple[DemographicTable, list[str]]:
 
 
 def write_demographics_csv(table: DemographicTable, fh: io.TextIOBase) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(DEMOGRAPHICS_HEADER)
-    for group in table.groups():
-        for metro in sorted(table.values[group]):
-            for subcat in sorted(table.values[group][metro]):
-                writer.writerow([metro, group, subcat, repr(table.values[group][metro][subcat])])
+    write_table(fh, DEMOGRAPHICS_HEADER, (
+        (metro, group, subcat, value)
+        for group in table.groups()
+        for metro, per_metro in sorted(table.values[group].items())
+        for subcat, value in sorted(per_metro.items())
+    ))
 
 
 def load_weather(source) -> WeatherTable:
@@ -318,25 +317,16 @@ def load_weather(source) -> WeatherTable:
 
 
 def write_weather_csv(table: WeatherTable, fh: io.TextIOBase) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(WEATHER_HEADER)
-    for row in sorted(table.rows, key=lambda r: (r.metro, r.day)):
-        writer.writerow([row.metro, row.day.isoformat(), row.kind, repr(row.high), repr(row.low)])
-
-
-def _cell_text(value: float | None) -> str:
-    return "NA" if value is None else repr(value)
+    rows = sorted(table.rows, key=lambda r: (r.metro, r.day))
+    write_table(fh, WEATHER_HEADER, ((r.metro, r.day, r.kind, r.high, r.low) for r in rows))
 
 
 def write_group_report_csv(report: CorrelationReport, fh: io.TextIOBase) -> None:
     if report.study != "demographic":
         raise ValidationError(f"expected a demographic report, got {report.study!r}")
     r2_by_group = {g.group: g.r_squared for g in report.groups}
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(GROUP_REPORT_HEADER)
-    for cell in report.cells:
-        group, subcat = cell.key
-        writer.writerow([group, subcat, _cell_text(cell.p_value), _cell_text(r2_by_group[group])])
+    rows = ((*cell.key, cell.p_value, r2_by_group[cell.key[0]]) for cell in report.cells)
+    write_table(fh, GROUP_REPORT_HEADER, rows)
 
 
 def write_weather_report_csv(report: CorrelationReport, fh: io.TextIOBase) -> None:
@@ -346,35 +336,5 @@ def write_weather_report_csv(report: CorrelationReport, fh: io.TextIOBase) -> No
     for cell in report.cells:
         metro, tag = cell.key
         by_metro.setdefault(metro, {})[tag] = cell.p_value
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(WEATHER_REPORT_HEADER)
-    for metro in sorted(by_metro):
-        row = [metro]
-        row.extend(_cell_text(by_metro[metro].get(f"P{idx}")) for idx in range(1, 6))
-        writer.writerow(row)
-
-
-def report_to_dict(report: CorrelationReport) -> dict:
-    """JSON-ready view; None values become nulls."""
-    return {
-        "study": report.study,
-        "groups": [
-            {
-                "group": g.group,
-                "r_squared": g.r_squared,
-                "n": g.n,
-                "na_reason": g.na_reason,
-            }
-            for g in report.groups
-        ],
-        "cells": [
-            {
-                "key": list(cell.key),
-                "p_value": cell.p_value,
-                "r_squared": cell.r_squared,
-                "n": cell.n,
-                "na_reason": cell.na_reason,
-            }
-            for cell in report.cells
-        ],
-    }
+    rows = ((m, *(tags.get(f"P{k}") for k in range(1, 6))) for m, tags in sorted(by_metro.items()))
+    write_table(fh, WEATHER_REPORT_HEADER, rows)

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .regress import SimpleFit, _line_fit
-from .timeseries import CaseSeries, DateInterval, read_table, to_log_series
+from .timeseries import CaseSeries, DateInterval, read_table, to_log_series, write_table
 
 NUM_PERIODS = 5
 DEFAULT_WINDOW = DateInterval(date(2020, 3, 1), date(2020, 6, 30))
@@ -272,63 +272,36 @@ def protocol_followed_date(periods: PeriodSet, announcement: date = DEFAULT_ANNO
     )
 
 
-@dataclass(frozen=True)
-class PeriodRow:
-    """One periods-CSV row."""
-
-    metro: str
-    period_index: int
-    start: date
-    end: date
-    slope: float
-    intercept: float
-    r2: float
-
-
-def rows_from_period_sets(period_sets: Iterable[PeriodSet]) -> list[PeriodRow]:
+def write_periods_csv(period_sets: Iterable[PeriodSet], out: IO[str]) -> None:
+    """One row per period of each fitted set, metros sorted; floats in shortest round-trip repr."""
     rows = []
     for ps in sorted(period_sets, key=lambda ps: ps.metro):
         if not ps.fitted():
             raise StateError(f"{ps.metro}: cannot emit unfitted periods")
-        for p in ps.periods:
-            rows.append(
-                PeriodRow(ps.metro, p.index, p.start, p.end, p.fit.slope, p.fit.intercept, p.fit.r_squared)
-            )
-    return rows
-
-
-def write_periods_csv(rows: Iterable[PeriodRow], out: IO[str]) -> None:
-    out.write(",".join(PERIODS_HEADER) + "\n")
-    for r in rows:
-        out.write(
-            f"{r.metro},{r.period_index},{r.start.isoformat()},{r.end.isoformat()},"
-            f"{r.slope!r},{r.intercept!r},{r.r2!r}\n"
+        rows.extend(
+            (ps.metro, p.index, p.start, p.end, p.fit.slope, p.fit.intercept, p.fit.r_squared)
+            for p in ps.periods
         )
+    write_table(out, PERIODS_HEADER, rows)
 
 
-def load_periods_csv(source: IO) -> list[PeriodRow]:
-    rows = []
+def load_periods_csv(source: IO) -> dict[str, PeriodSet]:
+    """Periods CSV -> {metro: PeriodSet}, metros sorted; boundaries only, fits left unset.
+
+    Every row, slope, intercept and r2 included, is parsed before any set is built,
+    so a malformed row is reported ahead of an incomplete metro.  Each metro's
+    rows may come in any order; they are sorted by period index.
+    """
+    by_metro: dict[str, list[tuple[int, date, date]]] = {}
     for line, (metro, index, start, end, *fit) in read_table(
         source, PERIODS_HEADER, "periods CSV", say_got=False
     ):
         try:
-            days = map(date.fromisoformat, (start, end))
-            rows.append(PeriodRow(metro, int(index), *days, *map(float, fit)))
+            row = (int(index), *map(date.fromisoformat, (start, end)), *map(float, fit))
         except ValueError:
             raise ParseError(f"periods CSV line {line}: malformed row") from None
-    return rows
-
-
-def period_sets_from_rows(rows: Iterable[PeriodRow]) -> dict[str, PeriodSet]:
-    """Group loaded rows into PeriodSets (boundaries only; fits left unset)."""
-    by_metro: dict[str, list[PeriodRow]] = {}
-    for r in rows:
-        by_metro.setdefault(r.metro, []).append(r)
-    out = {}
-    for metro, metro_rows in sorted(by_metro.items()):
-        metro_rows.sort(key=lambda r: r.period_index)
-        out[metro] = PeriodSet(
-            metro=metro,
-            periods=tuple(Period(r.period_index, r.start, r.end) for r in metro_rows),
-        )
-    return out
+        by_metro.setdefault(metro, []).append(row[:3])  # the fit columns are checked, not kept
+    return {
+        metro: PeriodSet(metro, tuple(Period(*r) for r in sorted(rows, key=lambda r: r[0])))
+        for metro, rows in sorted(by_metro.items())
+    }

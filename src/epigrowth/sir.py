@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, StateError, ValidationError
 from .segment import PeriodSet
-from .timeseries import read_table
+from .timeseries import read_table, write_table
 
 VARIANTS = ("original", "delayed", "reinfect", "tourism")
 DEFAULT_TAU1 = 5
@@ -282,9 +282,7 @@ def simulate(
 
 
 def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:
-    out.write(",".join(TRAJECTORY_HEADER) + "\n")
-    for j, st in enumerate(traj.states):
-        out.write(f"{j},{st.s!r},{st.i!r},{st.r!r}\n")
+    write_table(out, TRAJECTORY_HEADER, ((j, st.s, st.i, st.r) for j, st in enumerate(traj.states)))
 
 
 def load_inflow(source: IO) -> InflowSeries:
@@ -302,6 +300,4 @@ def load_inflow(source: IO) -> InflowSeries:
 
 
 def write_inflow_csv(inflow: InflowSeries, out: IO[str]) -> None:
-    out.write(",".join(INFLOW_HEADER) + "\n")
-    for day, val in enumerate(inflow.o):
-        out.write(f"{day},{val!r}\n")
+    write_table(out, INFLOW_HEADER, enumerate(inflow.o))

@@ -150,6 +150,23 @@ def read_table(
         raise ParseError(f"{label} {reader.line_num}: {exc}") from None
 
 
+def write_table(out: IO[str], header: tuple[str, ...], rows: Iterable[Iterable]) -> None:
+    """Write ``header`` then ``rows`` as CSV; every CSV artifact is written here.
+
+    A field is quoted only when it holds a comma, a double quote or a line
+    break, so any name round-trips through ``read_table``; ``None`` is
+    written as ``NA`` and every other value as ``str``: a float as its
+    shortest round-trip repr, a date in ISO form.  Lines end in ``\n``, and
+    as csv then quotes no carriage return, a row holding one is quoted whole.
+    """
+    writer = csv.writer(out, lineterminator="\n")
+    quote_all = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(header)
+    for row in rows:
+        cells = ["NA" if v is None else str(v) for v in row]
+        (quote_all if any("\r" in c for c in cells) else writer).writerow(cells)
+
+
 def load_cases(source: IO) -> tuple[list[CaseSeries], list[str]]:
     """Parse a cases CSV into one CaseSeries per region plus gap warnings.
 
@@ -208,11 +225,9 @@ def load_cases(source: IO) -> tuple[list[CaseSeries], list[str]]:
 
 def write_cases_csv(series: Iterable[CaseSeries], out: IO[str]) -> None:
     """Inverse of load_cases for whole-number series, rows sorted by (region, date)."""
-    out.write(",".join(CASES_HEADER) + "\n")
-    for s in sorted(series, key=lambda s: s.region):
-        for i, c in enumerate(s.counts):
-            day = s.start_date + timedelta(days=i)
-            out.write(f"{day.isoformat()},{s.region},{int(round(c))}\n")
+    rows = ((s.start_date + timedelta(days=i), s.region, int(round(c)))
+            for s in sorted(series, key=lambda s: s.region) for i, c in enumerate(s.counts))
+    write_table(out, CASES_HEADER, rows)
 
 
 def load_metro_map(source: IO) -> MetroMap:
@@ -227,9 +242,7 @@ def load_metro_map(source: IO) -> MetroMap:
 
 
 def write_metro_map_csv(metro_map: MetroMap, out: IO[str]) -> None:
-    out.write(",".join(METRO_MAP_HEADER) + "\n")
-    for county in sorted(metro_map.entries):
-        out.write(f"{county},{metro_map.entries[county]}\n")
+    write_table(out, METRO_MAP_HEADER, sorted(metro_map.entries.items()))
 
 
 def aggregate_to_metros(series: Iterable[CaseSeries], metro_map: MetroMap) -> list[CaseSeries]:

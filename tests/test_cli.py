@@ -159,6 +159,28 @@ def test_simulate_from_fit_report(pipeline_dir, tmp_path, capsys):
     assert any(cell != "NA" for cell in data_cells)
 
 
+def test_metro_name_with_a_comma_survives_the_pipeline(tmp_path):
+    name = "Dallas-Fort Worth, TX"
+    fx, out = tmp_path / "fx", str(tmp_path / "out")
+    assert main(["gen-fixtures", "--seed", "2", "--metros", "3", "--out", str(fx)]) == 0
+    for path in fx.glob("*.csv"):
+        rows = [[cell.replace("metro-01", name) for cell in row] for row in _read_rows(path)]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    cases = ["--cases", str(fx / "cases.csv"), "--metro-map", str(fx / "metro_map.csv")]
+    periods = ["--periods", os.path.join(out, "periods.csv")]
+    assert main(["segment", *cases, "--out", out]) == 0
+    assert main(["fit", *cases, *periods, *FIT_FLAGS, "--out", out]) == 0
+    assert main(["correlate", *cases, *periods, "--demographics", str(fx / "demographics.csv"),
+                 "--weather", str(fx / "weather.csv"), "--out", out]) == 0
+    assert main(["simulate", "--model", "reinfect", "--fit-report", f"{out}/fit_report.json",
+                 "--metro", name, *cases, "--out", out]) == 0
+    for table in ("periods.csv", "protocol.csv", "table2.csv", "table4.csv"):
+        assert name in {row[0] for row in _read_rows(os.path.join(out, table))[1:]}, table
+    plot = _read_rows(os.path.join(out, "plotdata.csv"))
+    assert any(row[2] != "NA" for row in plot[1:])  # the metro's case data was found
+
+
 def test_simulate_with_constant_rates(tmp_path, capsys):
     out = str(tmp_path)
     rc = main(
@@ -578,6 +600,8 @@ LOADER_ERRORS = [
      "periods CSV line 2: malformed row"),
     ("periods", PERIODS_HDR + "metro-01,1,2020-03-01,2020-03-20,0.1,1.0,0.9\n", 2,
      "expected 5 periods, got 1"),
+    ("periods", PERIODS_HDR + "metro-01,1,2020-03-01,2020-03-20,0.1,1.0,0.9\n"
+     "metro-02,1,2020-03-01,2020-03-20,0.1,x,0.9\n", 2, "periods CSV line 3: malformed row"),
     ("periods", PERIODS_HDR + GOOD_PERIODS.replace("2020-04-11", "2020-04-12"), 2,
      "period 3 starts 2020-04-12, expected the day after 2020-04-10"),
     ("inflow", "day\n", 2, "inflow CSV must start with header 'day,o'"),

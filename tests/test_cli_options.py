@@ -32,6 +32,8 @@ def _error_lines(capsys) -> list[str]:
 
 
 SIMULATE = ["simulate", "--model", "original", "--beta", "1e-6", "--gamma", "0.1", "--i0", "5"]
+AFTER = "must fall strictly after"
+ORDER = "(anchors ascending, inside the window)"
 
 
 @pytest.mark.parametrize(
@@ -55,6 +57,24 @@ SIMULATE = ["simulate", "--model", "original", "--beta", "1e-6", "--gamma", "0.1
         (["gen-fixtures", "--anchors", "2020-04-01,2020-04-20,2020-05-10,2020-06-01,2020-06-10"],
          None, "--anchors: expected 4 dates, got 5"),
         (["gen-fixtures"], "anchors=\n", "--anchors: expected 4 dates, got 0"),
+        (["gen-fixtures", "--anchors", "2020-04-20,2020-04-01,2020-05-10,2020-06-01"], None,
+         f"--anchors: anchor 2020-04-01 {AFTER} 2020-04-20 {ORDER}"),
+        (["gen-fixtures"], "anchors=2020-04-01,2020-04-20,2020-05-10,2020-08-01\n",
+         "--anchors: anchor 2020-08-01 falls outside window ending 2020-06-30"),
+        (["gen-fixtures", "--window", "2020-03-01:2020-04-15"], None,
+         "--anchors: anchor 2020-06-01 falls outside window ending 2020-04-15"),
+        (["segment", "--anchors", "2020-04-01,2020-04-20,2020-05-10,2020-08-01"], None,
+         "--anchors: anchor 2020-08-01 falls outside window ending 2020-06-30"),
+        (["segment"], "anchors=2020-02-20,2020-04-20,2020-05-10,2020-06-01\n",
+         f"--anchors: anchor 2020-02-20 {AFTER} 2020-03-01 {ORDER}"),
+        (["segment", "--window", "2020-03-01:2020-04-15"], None,
+         "--anchors: anchor 2020-06-01 falls outside window ending 2020-04-15"),
+        ([*SIMULATE, "--anchors", "2020-04-01,2020-04-20,2020-05-10,2020-08-01"], None,
+         "--anchors: anchor 2020-08-01 falls outside window ending 2020-06-30"),
+        (SIMULATE, "anchors=2020-04-01,2020-04-20,2020-04-20,2020-06-01\n",
+         f"--anchors: anchor 2020-04-20 {AFTER} 2020-04-20 {ORDER}"),
+        (SIMULATE, "window=2020-04-01:2020-06-30\n",
+         f"--anchors: anchor 2020-04-01 {AFTER} 2020-04-01 {ORDER}"),
         (["gen-fixtures", "--metros", "0"], None, "--metros must be >= 1, got 0"),
         (["gen-fixtures"], "metros=-3\n", "--metros must be >= 1, got -3"),
         (["fit", "--grid-points", "0"], None, "--grid-points must be >= 1, got 0"),

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from datetime import date, timedelta
 
@@ -18,7 +19,6 @@ from epigrowth.correlate import (
     demographic_study,
     load_demographics,
     load_weather,
-    report_to_dict,
     weather_study,
     weighted_avg_growth,
     write_demographics_csv,
@@ -26,6 +26,7 @@ from epigrowth.correlate import (
     write_weather_csv,
     write_weather_report_csv,
 )
+from epigrowth.cli import main
 from epigrowth.errors import ParseError, ValidationError
 from epigrowth.fit import GrowthRates
 from epigrowth.segment import Period, PeriodSet
@@ -391,14 +392,18 @@ def test_weather_report_rows_per_metro():
         write_group_report_csv(report, io.StringIO())
 
 
-def test_report_to_dict_uses_nulls_for_na():
-    report = CorrelationReport(
-        "demographic",
-        (ReportCell(("g", "s"), None, None, 1, NA_SAMPLES),),
-        (GroupResult("g", None, 1, NA_SAMPLES),),
-    )
-    d = report_to_dict(report)
+def test_correlate_report_json_uses_nulls_for_na(tmp_path):
+    out = str(tmp_path)
+    files = ["--cases", f"{out}/cases.csv", "--metro-map", f"{out}/metro_map.csv"]
+    assert main(["gen-fixtures", "--seed", "0", "--metros", "3", "--out", out]) == 0
+    assert main(["segment", *files, "--out", out]) == 0
+    # three metros are too few to fit any demographic group
+    assert main(["correlate", *files, "--periods", f"{out}/periods.csv",
+                 "--demographics", f"{out}/demographics.csv", "--out", out]) == 0
+    with open(f"{out}/correlate_report.json") as fh:
+        d = json.load(fh)["studies"]["demographic"]
     assert d["study"] == "demographic"
+    assert set(d["cells"][0]) == {"key", "p_value", "r_squared", "n", "na_reason"}
     assert d["cells"][0]["p_value"] is None
     assert d["cells"][0]["na_reason"] == NA_SAMPLES
     assert d["groups"][0]["r_squared"] is None

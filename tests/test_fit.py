@@ -1,3 +1,4 @@
+import csv
 import math
 from datetime import date, timedelta
 
@@ -31,7 +32,7 @@ from epigrowth.fixtures import (
 )
 from epigrowth.cli import main
 from epigrowth.regress import fit_simple
-from epigrowth.segment import Period, PeriodSet, load_periods_csv, period_sets_from_rows
+from epigrowth.segment import Period, PeriodSet, load_periods_csv
 from epigrowth.sir import (
     VARIANTS,
     InflowSeries,
@@ -565,10 +566,11 @@ def test_periods_csv_slopes_are_the_data_growth_rates_bitwise(tmp_path, seed):
     assert main(["segment", *cases, "--out", out]) == 0
     with open(f"{out}/cases.csv") as fc, open(f"{out}/metro_map.csv") as fm:
         series_by = {s.region: s for s in aggregate_to_metros(load_cases(fc)[0], load_metro_map(fm))}
-    with open(f"{out}/periods.csv") as fh:
-        rows = load_periods_csv(fh)
-    period_sets = period_sets_from_rows(rows)
+    with open(f"{out}/periods.csv", newline="") as fh:
+        period_sets = load_periods_csv(fh)
+    with open(f"{out}/periods.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(period_sets) == 4
     for metro, ps in period_sets.items():
-        written = [r.slope for r in rows if r.metro == metro]
+        written = [float(r["slope"]) for r in rows if r["metro"] == metro]
         assert _slope_bits(data_growth_rates(series_by[metro], ps).k) == _slope_bits(written)

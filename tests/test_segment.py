@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import itertools
@@ -24,9 +25,7 @@ from epigrowth.segment import (
     initial_periods,
     load_periods_csv,
     optimize_boundaries,
-    period_sets_from_rows,
     protocol_followed_date,
-    rows_from_period_sets,
     write_periods_csv,
 )
 from epigrowth.timeseries import CaseSeries, DateInterval, to_log_series
@@ -333,15 +332,20 @@ def test_periods_csv_roundtrip():
         series, initial_periods(WINDOW, anchors_at(WINDOW, (14, 28, 42, 56))), search_radius=2
     )
     buf = io.StringIO()
-    rows = rows_from_period_sets([ps])
-    write_periods_csv(rows, buf)
-    buf.seek(0)
-    loaded = load_periods_csv(buf)
+    write_periods_csv([ps], buf)
+    text = buf.getvalue()
     # row-level round trip is lossless, repr floats included
-    assert loaded == rows
-    assert [r.slope for r in loaded] == [p.fit.slope for p in ps.periods]
-    restored = period_sets_from_rows(loaded)
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert [
+        (r[0], int(r[1]), *map(date.fromisoformat, r[2:4]), *map(float, r[4:])) for r in rows
+    ] == [
+        (ps.metro, p.index, p.start, p.end, p.fit.slope, p.fit.intercept, p.fit.r_squared)
+        for p in ps.periods
+    ]
+    restored = load_periods_csv(io.StringIO(text))
     assert set(restored) == {"m"}
+    header, *lines = text.splitlines(keepends=True)
+    assert load_periods_csv(io.StringIO(header + "".join(reversed(lines)))) == restored
     got = restored["m"]
     assert got.lengths() == ps.lengths()
     assert [p.start for p in got.periods] == [p.start for p in ps.periods]
@@ -355,8 +359,9 @@ def test_periods_csv_rejects_missing_periods():
     ps = optimize_boundaries(
         series, initial_periods(WINDOW, anchors_at(WINDOW, (14, 28, 42, 56))), search_radius=2
     )
-    rows = rows_from_period_sets([ps])[:-1]  # drop one period
-    write_periods_csv(rows, buf)
-    buf.seek(0)
+    write_periods_csv([ps], buf)
+    text = buf.getvalue()
+    truncated = text[: text.rindex("\n", 0, -1) + 1]  # drop one period
+    assert truncated.count("\n") == text.count("\n") - 1
     with pytest.raises(ValidationError):
-        period_sets_from_rows(load_periods_csv(buf))
+        load_periods_csv(io.StringIO(truncated))
