@@ -59,7 +59,6 @@ from .segment import (
 from .sir import (
     InflowSeries,
     PiecewiseParams,
-    SirParams,
     SirState,
     Trajectory,
     simulate,
@@ -100,7 +99,6 @@ __all__ = [
     "ReportCell",
     "SearchConfig",
     "SimpleFit",
-    "SirParams",
     "SirState",
     "StateError",
     "Trajectory",

@@ -374,8 +374,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 continue
             params, init, rep = res.params, res.init, res.report
             entry[model] = {
-                "beta": [p.beta for p in params.per_period],
-                "gamma": [p.gamma for p in params.per_period],
+                "beta": list(params.beta),
+                "gamma": list(params.gamma),
                 "tau1": params.tau1,
                 "tau2": params.tau2,
                 "mu": params.mu,
@@ -383,7 +383,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 "init": {"s": init.s, "i": init.i, "r": init.r},
                 "k_data": list(res.data_rates.k),
                 "k_sim": list(res.sim_rates.k),
-                "per_period_abs_diff": [p.abs_diff for p in rep.per_period],
+                "per_period_abs_diff": list(rep.abs_diff),
                 "weighted_error": rep.weighted_error,
                 "as_percent": rep.as_percent,
                 "clamp_events": res.trajectory.clamp_events,
@@ -448,7 +448,7 @@ def _simulate_inputs(args: argparse.Namespace):
             except ValueError:
                 raise ParseError(f"{path}: field {'.'.join(map(str, at))} needs ISO dates") from None
         where += (model,)
-        params = PiecewiseParams.from_rates(
+        params = PiecewiseParams(
             items(fitted, where, "beta", _NUMBER),
             items(fitted, where, "gamma", _NUMBER),
             tau1=_report_field(path, fitted, where, "tau1", int),
@@ -464,7 +464,7 @@ def _simulate_inputs(args: argparse.Namespace):
     periods = initial_periods(args.window, _anchors(args))
     i0 = _require(args.i0, "--i0")
     s0 = DEFAULT_S0_SCALE * i0 if args.s0 is None else args.s0
-    params = PiecewiseParams.from_rates(
+    params = PiecewiseParams(
         [beta] * 5, [gamma] * 5, tau1=args.tau1, tau2=args.tau2, mu=args.mu, epsilon=args.epsilon
     )
     return model, params, SirState(s0, i0, args.r0), periods
@@ -492,8 +492,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with open(os.path.join(out, "trajectory.csv"), "w", newline="") as fh:
         write_trajectory_csv(traj, fh)
     plot_rows = []
-    for day_idx, state in enumerate(traj.states):
-        log_sim = math.log(state.i) if state.i > 0 else None
+    for day_idx, i in enumerate(traj.i):
+        log_sim = math.log(i) if i > 0 else None
         log_data = None
         if data_series is not None:
             count = data_series.filled_count(window.start + timedelta(days=day_idx))
@@ -502,18 +502,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with open(os.path.join(out, "plotdata.csv"), "w", newline="") as fh:
         write_table(fh, PLOTDATA_HEADER, plot_rows)
 
-    totals = [state.total for state in traj.states]
+    totals = [s + i + r for s, i, r in zip(traj.s, traj.i, traj.r)]
     drift = 0.0
     if totals[0] > 0:
         added = 0.0
         for t, total in enumerate(totals):
             drift = max(drift, abs(total - totals[0] - added) / totals[0])
-            if model == "tourism" and t < len(traj.states) - 1:
+            if model == "tourism" and t < len(traj) - 1:
                 added += params.epsilon * inflow.o[t]
     print(f"max relative conservation drift: {drift!r}")
     if traj.clamp_events:
         print(f"clamp events: {traj.clamp_events}")
-    print(f"simulate: wrote {len(traj.states)} day(s) to {out}")
+    print(f"simulate: wrote {len(traj)} day(s) to {out}")
     return 0
 
 

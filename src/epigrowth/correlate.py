@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -130,9 +130,6 @@ class WeatherTable:
 
     def lookup(self, metro: str, day: date) -> WeatherRow | None:
         return self._by_key.get((metro, day))
-
-    def metros(self) -> list[str]:
-        return sorted({row.metro for row in self.rows})
 
 
 def weighted_avg_growth(

@@ -32,7 +32,6 @@ from .sir import (
     VARIANTS,
     InflowSeries,
     PiecewiseParams,
-    SirParams,
     SirState,
     Trajectory,
     _commit,
@@ -42,7 +41,6 @@ from .sir import (
 from .timeseries import CaseSeries
 
 DEFAULT_S0_SCALE = 1e5
-GROWTH_SOURCES = ("data", "simulation")
 
 
 @dataclass(frozen=True)
@@ -51,13 +49,10 @@ class GrowthRates:
 
     k: tuple[float | None, ...]
     n: tuple[int, ...]
-    source: str
 
     def __post_init__(self) -> None:
         if len(self.k) != 5 or len(self.n) != 5:
             raise ValidationError("growth rates carry exactly 5 periods")
-        if self.source not in GROWTH_SOURCES:
-            raise ValidationError(f"source must be one of {GROWTH_SOURCES}, got {self.source!r}")
         for v in self.k:
             if v is not None and not math.isfinite(v):
                 raise ValidationError(f"growth rate must be finite or None, got {v!r}")
@@ -67,28 +62,27 @@ class GrowthRates:
 
 
 @dataclass(frozen=True)
-class PeriodDiscrepancy:
-    abs_diff: float
-    length: int
-
-
-@dataclass(frozen=True)
 class DiscrepancyReport:
-    """Length-weighted mean absolute slope gap; ``as_percent`` is 100x the rate."""
+    """Per-period |k_sim - k_data| and the period lengths that weight them."""
 
-    per_period: tuple[PeriodDiscrepancy, ...]
-    weighted_error: float
-    as_percent: float
+    abs_diff: tuple[float, ...]
+    lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        total = sum(p.abs_diff * p.length for p in self.per_period)
-        length = sum(p.length for p in self.per_period)
-        if length <= 0:
+        if sum(self.lengths) <= 0:
             raise ValidationError("period lengths must sum to a positive number")
-        if abs(self.weighted_error - total / length) > 1e-12:
-            raise ValidationError("weighted_error does not match its per-period terms")
-        if abs(self.as_percent - 100.0 * self.weighted_error) > 1e-10:
-            raise ValidationError("as_percent must be 100 * weighted_error")
+
+    @property
+    def weighted_error(self) -> float:
+        """Length-weighted mean absolute slope gap, summed period by period."""
+        total = 0.0
+        for diff, length in zip(self.abs_diff, self.lengths):
+            total += diff * length
+        return total / sum(self.lengths)
+
+    @property
+    def as_percent(self) -> float:
+        return 100.0 * self.weighted_error
 
 
 @dataclass(frozen=True)
@@ -169,28 +163,26 @@ def _cuts(periods: PeriodSet) -> list[int]:
     return [0, *itertools.accumulate(p.length for p in periods.periods)]
 
 
-def _growth_rates(
-    series: CaseSeries, periods: PeriodSet, source: str
-) -> tuple[GrowthRates, _WindowFits | None]:
+def _growth_rates(series: CaseSeries, periods: PeriodSet) -> tuple[GrowthRates, _WindowFits | None]:
     """Each period's slope (None below 2 positive days) and positive-day count, and the fits.
 
     A window without a positive day has no fits, every rate None and every count 0."""
     try:
         fits = _WindowFits(series, periods.window)
     except InsufficientDataError:
-        return GrowthRates((None,) * NUM_PERIODS, (0,) * NUM_PERIODS, source), None
+        return GrowthRates((None,) * NUM_PERIODS, (0,) * NUM_PERIODS), None
     ks, ns = [], []
     cuts = _cuts(periods)
     for lo, hi in zip(cuts, cuts[1:]):
         fit = fits.segment_fit(lo, hi)
         ks.append(None if fit is None else fit[0])
         ns.append(fits.before[hi] - fits.before[lo])
-    return GrowthRates(tuple(ks), tuple(ns), source), fits
+    return GrowthRates(tuple(ks), tuple(ns)), fits
 
 
 def data_growth_rates(series: CaseSeries, periods: PeriodSet) -> GrowthRates:
     """Fitted slope of log counts per period; None (with n recorded) when unfittable."""
-    return _growth_rates(series, periods, "data")[0]
+    return _growth_rates(series, periods)[0]
 
 
 def sim_growth_rates(traj: Trajectory, periods: PeriodSet) -> GrowthRates:
@@ -200,26 +192,18 @@ def sim_growth_rates(traj: Trajectory, periods: PeriodSet) -> GrowthRates:
         raise ValidationError(
             f"trajectory holds {len(traj)} days but the period window spans {window.days}"
         )
-    infected = tuple(state.i for state in traj.states[:window.days])
-    return _growth_rates(CaseSeries("simulated I", window.start, infected), periods, "simulation")[0]
+    return _growth_rates(CaseSeries("simulated I", window.start, traj.i[:window.days]), periods)[0]
 
 
 def discrepancy(sim: GrowthRates, data: GrowthRates, periods: PeriodSet) -> DiscrepancyReport:
-    """Length-weighted mean |k_sim - k_data| across the five periods."""
-    per = []
-    total = 0.0
-    length = 0
-    for idx, p in enumerate(periods.periods):
-        ks, kd = sim.k[idx], data.k[idx]
+    """|k_sim - k_data| for each of the five periods, weighted by period length."""
+    diffs = []
+    for idx, (ks, kd) in enumerate(zip(sim.k, data.k), start=1):
         if ks is None or kd is None:
             side = "simulated" if ks is None else "data"
-            raise ValidationError(f"period {idx + 1} has no {side} growth rate to compare")
-        diff = abs(ks - kd)
-        per.append(PeriodDiscrepancy(diff, p.length))
-        total += diff * p.length
-        length += p.length
-    weighted = total / length
-    return DiscrepancyReport(tuple(per), weighted, 100.0 * weighted)
+            raise ValidationError(f"period {idx} has no {side} growth rate to compare")
+        diffs.append(abs(ks - kd))
+    return DiscrepancyReport(tuple(diffs), periods.lengths())
 
 
 def _grid_eval(
@@ -233,7 +217,7 @@ def _grid_eval(
     x_fit: np.ndarray,
     check_boundary: bool,
     target_k: float,
-    shared: SirParams,
+    shared: PiecewiseParams,
     o_vals: Sequence[float] | None,
 ) -> np.ndarray:
     """|fitted slope - target_k| for every (beta, gamma) candidate, beta-major order.
@@ -259,9 +243,8 @@ def _grid_eval(
     if len(rows) < 2:
         return np.full(n_cand, np.inf)
     block, _, finite = _euler_days(
-        model, days, np.repeat(bvals, len(gvals)), np.tile(gvals, len(bvals)),
-        seg_hi + (1 if check_boundary else 0),
-        shared.tau1, shared.tau2, shared.mu, shared.epsilon, o_vals,
+        model, days, shared, np.repeat(bvals, len(gvals)), np.tile(gvals, len(bvals)),
+        seg_hi + (1 if check_boundary else 0), o_vals,
     )
     # Fit rows without a gap are a view: the block is this call's own scratch.
     y = block[rows[0]:rows[-1] + 1] if rows[-1] - rows[0] == len(rows) - 1 else block[rows]
@@ -300,10 +283,10 @@ def tune(
     if model not in VARIANTS:
         raise ConfigError(f"unknown model variant {model!r}; choose from {', '.join(VARIANTS)}")
     cfg = cfg if cfg is not None else SearchConfig()
-    shared = SirParams(0.0, 0.0, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
     if init is None:
         init = default_init(series, periods)
-    data, fits = _growth_rates(series, periods, "data")
+    data, fits = _growth_rates(series, periods)
     for idx, k in enumerate(data.k):
         if k is None:
             raise InsufficientDataError(
@@ -319,7 +302,8 @@ def tune(
     cuts = _cuts(periods)
 
     days: tuple[list[float], list[float], list[float]] = ([init.s], [init.i], [init.r])
-    per_period: list[SirParams] = []
+    betas: list[float] = []
+    gammas: list[float] = []
     clamp_events = 0
     for per_idx in range(5):
         seg_lo, seg_hi = cuts[per_idx], cuts[per_idx + 1]
@@ -332,7 +316,7 @@ def tune(
         incumbent: tuple[float, float, float] | None = None  # (objective, beta, gamma)
         for _level in range(cfg.refinement_levels + 1):
             if shared_beta and per_idx > 0:
-                bvals = np.array([per_period[0].beta])
+                bvals = np.array([betas[0]])
             else:
                 bvals = np.linspace(b_lo, b_hi, cfg.beta_points)
             gvals = np.linspace(g_lo, g_hi, cfg.gamma_points)
@@ -358,13 +342,14 @@ def tune(
         # Commit through the next period's first day: simulate() charges the
         # step leaving day t to the period containing t, so that state belongs
         # to this period's parameters.  The last period stops at the window end.
-        p = replace(shared, beta=incumbent[1], gamma=incumbent[2])
-        clamp_events += _commit(model, days, p, min(seg_hi + 1, cuts[5]), o_vals, per_idx + 1)
-        per_period.append(p)
+        _, beta, gamma = incumbent
+        clamp_events += _commit(
+            model, days, shared, beta, gamma, min(seg_hi + 1, cuts[5]), o_vals, per_idx + 1
+        )
+        betas.append(beta)
+        gammas.append(gamma)
 
-    states = tuple(SirState(s, i, r) for s, i, r in zip(*days))
-    traj = Trajectory(states, clamp_events=clamp_events)
+    traj = Trajectory(*days, clamp_events=clamp_events)
     sim = sim_growth_rates(traj, periods)
-    return TuneResult(
-        PiecewiseParams(tuple(per_period)), init, traj, data, sim, discrepancy(sim, data, periods)
-    )
+    params = replace(shared, beta=tuple(betas), gamma=tuple(gammas))
+    return TuneResult(params, init, traj, data, sim, discrepancy(sim, data, periods))

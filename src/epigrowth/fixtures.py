@@ -90,9 +90,9 @@ class FixtureBundle:
                 name: {
                     "i0": truth.i0,
                     "s0": truth.s0,
-                    "beta": [p.beta for p in truth.params.per_period],
-                    "gamma": [p.gamma for p in truth.params.per_period],
-                    "beta_s0": [p.beta * truth.s0 for p in truth.params.per_period],
+                    "beta": list(truth.params.beta),
+                    "gamma": list(truth.params.gamma),
+                    "beta_s0": [beta * truth.s0 for beta in truth.params.beta],
                     "counties": list(truth.counties),
                 }
                 for name, truth in sorted(self.truths.items())
@@ -215,14 +215,14 @@ def make_bundle(
         for (b_lo, b_hi), (g_lo, g_hi) in zip(_BETA_IDX_RANGES, _GAMMA_IDX_RANGES):
             betas.append(float(bgrid[int(rng.integers(b_lo, b_hi + 1))]))
             gammas.append(float(ggrid[int(rng.integers(g_lo, g_hi + 1))]))
-        params = PiecewiseParams.from_rates(
+        params = PiecewiseParams(
             betas, gammas, tau1=FIXTURE_TAU1, tau2=FIXTURE_TAU2, mu=FIXTURE_MU, epsilon=0.0
         )
         traj = simulate("reinfect", params, SirState(s0, i0, 0.0), periods)
         if round_counts:
-            counts = tuple(float(round(st.i)) for st in traj.states)
+            counts = tuple(float(round(i)) for i in traj.i)
         else:
-            counts = tuple(st.i for st in traj.states)
+            counts = traj.i
         county_a, county_b = f"{metro}-east", f"{metro}-west"
         split_a, split_b = _split_county_counts(counts)
         cases.append(CaseSeries(county_a, window.start, split_a))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -39,26 +39,6 @@ def _check_nonneg(name: str, value: float) -> float:
 
 
 @dataclass(frozen=True)
-class SirParams:
-    """Rate parameters for one period; delays are whole days."""
-
-    beta: float
-    gamma: float
-    tau1: int = 0
-    tau2: int = 0
-    mu: float = 0.0
-    epsilon: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("beta", "gamma", "mu", "epsilon"):
-            object.__setattr__(self, name, _check_nonneg(name, getattr(self, name)))
-        for name in ("tau1", "tau2"):
-            tau = getattr(self, name)
-            if not isinstance(tau, int) or isinstance(tau, bool) or tau < 0:
-                raise ValidationError(f"{name} must be a non-negative integer, got {tau!r}")
-
-
-@dataclass(frozen=True)
 class SirState:
     s: float
     i: float
@@ -68,78 +48,51 @@ class SirState:
         for name in ("s", "i", "r"):
             object.__setattr__(self, name, _check_nonneg(name, getattr(self, name)))
 
-    @property
-    def total(self) -> float:
-        return self.s + self.i + self.r
-
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Daily states; day j is day j of the period window."""
+    """Daily S, I and R columns; day j is day j of the period window."""
 
-    states: tuple[SirState, ...]
+    s: tuple[float, ...]
+    i: tuple[float, ...]
+    r: tuple[float, ...]
     clamp_events: int = 0
 
     def __post_init__(self) -> None:
-        if not self.states:
+        if not self.s:
             raise ValidationError("trajectory must hold at least one state")
-        object.__setattr__(self, "states", tuple(self.states))
+        for name in ("s", "i", "r"):
+            column = tuple(_check_nonneg(name, v) for v in getattr(self, name))
+            if len(column) != len(self.s):
+                raise ValidationError("trajectory columns must hold the same number of days")
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.s)
 
 
 @dataclass(frozen=True)
 class PiecewiseParams:
-    """Per-period beta/gamma with shared delays, reinfection, and inflow rates."""
+    """Per-period beta and gamma; the delays, reinfection and inflow rates are shared."""
 
-    per_period: tuple[SirParams, ...]
+    beta: tuple[float, ...]
+    gamma: tuple[float, ...]
+    tau1: int = 0
+    tau2: int = 0
+    mu: float = 0.0
+    epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        pp = tuple(self.per_period)
-        if len(pp) != 5:
-            raise ValidationError(f"need 5 per-period parameter sets, got {len(pp)}")
-        first = pp[0]
-        for p in pp[1:]:
-            if (p.tau1, p.tau2, p.mu, p.epsilon) != (first.tau1, first.tau2, first.mu, first.epsilon):
-                raise ValidationError("tau1, tau2, mu, and epsilon must be identical across periods")
-        object.__setattr__(self, "per_period", pp)
-
-    @classmethod
-    def from_rates(
-        cls,
-        betas: Sequence[float],
-        gammas: Sequence[float],
-        *,
-        tau1: int = 0,
-        tau2: int = 0,
-        mu: float = 0.0,
-        epsilon: float = 0.0,
-    ) -> "PiecewiseParams":
-        if len(betas) != 5 or len(gammas) != 5:
+        if len(self.beta) != 5 or len(self.gamma) != 5:
             raise ValidationError("need 5 betas and 5 gammas")
-        return cls(
-            tuple(
-                SirParams(b, g, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
-                for b, g in zip(betas, gammas)
-            )
-        )
-
-    @property
-    def tau1(self) -> int:
-        return self.per_period[0].tau1
-
-    @property
-    def tau2(self) -> int:
-        return self.per_period[0].tau2
-
-    @property
-    def mu(self) -> float:
-        return self.per_period[0].mu
-
-    @property
-    def epsilon(self) -> float:
-        return self.per_period[0].epsilon
+        for name in ("beta", "gamma"):
+            object.__setattr__(self, name, tuple(_check_nonneg(name, v) for v in getattr(self, name)))
+        for name in ("mu", "epsilon"):
+            object.__setattr__(self, name, _check_nonneg(name, getattr(self, name)))
+        for name in ("tau1", "tau2"):
+            tau = getattr(self, name)
+            if not isinstance(tau, int) or isinstance(tau, bool) or tau < 0:
+                raise ValidationError(f"{name} must be a non-negative integer, got {tau!r}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +112,7 @@ class InflowSeries:
         return len(self.o)
 
 
-def _euler_days(model, days, beta, gamma, until, tau1, tau2, mu, epsilon, o_vals, record=False):
+def _euler_days(model, days, params: PiecewiseParams, beta, gamma, until, o_vals, record=False):
     """Step a batch of candidates from the last committed day to day ``until - 1``.
 
     This is the one forward-Euler step of every variant.  ``days`` holds the
@@ -173,13 +126,15 @@ def _euler_days(model, days, beta, gamma, until, tau1, tau2, mu, epsilon, o_vals
     negative raw values over all candidates; without, S and R are kept for
     the current day only and ``clamps`` is 0.  ``finite`` marks the
     candidates whose state stayed finite: a non-finite value never leaves the
-    state again, so the last day decides.
+    state again, so the last day decides.  ``params`` supplies the delays and
+    the mu/epsilon rates; its per-period rates are not read.
     """
     s_days, i_days, r_days = days
+    tau1, tau2, epsilon = params.tau1, params.tau2, params.epsilon
     if model == "original":
         tau1 = tau2 = 0
     # With mu = 0 the reentries term is +0.0, and adding it changes no clamped value.
-    mu = mu if model == "reinfect" else 0.0
+    mu = params.mu if model == "reinfect" else 0.0
     first = len(i_days) - 1
     steps = until - len(i_days)
     n = len(beta)
@@ -233,16 +188,16 @@ def _inflow_values(model: str, inflow: InflowSeries | None, horizon: int):
     return inflow.o
 
 
-def _commit(model, days, p: SirParams, until: int, o_vals, period: int) -> int:
-    """Extend the committed float day lists to ``until`` days under ``p``; returns clamps.
+def _commit(model, days, params: PiecewiseParams, beta: float, gamma: float, until: int,
+            o_vals, period: int) -> int:
+    """Extend the committed float day lists to ``until`` days at (beta, gamma); returns clamps.
 
     Runs the step kernel as a one-candidate batch.  A state that stops being
     finite raises StateError naming the model, the first bad day and the period.
     """
     start = len(days[0])
     block, clamps, finite = _euler_days(
-        model, days, np.array([p.beta]), np.array([p.gamma]), until,
-        p.tau1, p.tau2, p.mu, p.epsilon, o_vals, record=True,
+        model, days, params, np.array([beta]), np.array([gamma]), until, o_vals, record=True
     )
     for seq, rows in zip(days, block[:, 1:, 0]):
         seq.extend(rows.tolist())
@@ -274,15 +229,15 @@ def simulate(
     days = ([init.s], [init.i], [init.r])
     clamp_events = 0
     cut = 0
-    for idx, (period, p) in enumerate(zip(periods.periods, params.per_period), start=1):
+    rates = zip(periods.periods, params.beta, params.gamma)
+    for idx, (period, beta, gamma) in enumerate(rates, start=1):
         cut += period.length
-        clamp_events += _commit(model, days, p, min(cut + 1, horizon), o_vals, idx)
-    states = tuple(SirState(s, i, r) for s, i, r in zip(*days))
-    return Trajectory(states, clamp_events=clamp_events)
+        clamp_events += _commit(model, days, params, beta, gamma, min(cut + 1, horizon), o_vals, idx)
+    return Trajectory(*days, clamp_events=clamp_events)
 
 
 def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:
-    write_table(out, TRAJECTORY_HEADER, ((j, st.s, st.i, st.r) for j, st in enumerate(traj.states)))
+    write_table(out, TRAJECTORY_HEADER, zip(range(len(traj)), traj.s, traj.i, traj.r))
 
 
 def load_inflow(source: IO) -> InflowSeries:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import IO, Iterable, Iterator, Mapping
 
@@ -103,9 +103,6 @@ class MetroMap:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", dict(self.entries))
-
-    def metros(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.entries.values())))
 
 
 def read_table(

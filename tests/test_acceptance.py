@@ -72,7 +72,7 @@ def test_criterion_1_conservation():
         for _ in range(n_runs):
             runs += 1
             init = draw_state()
-            params = PiecewiseParams.from_rates(
+            params = PiecewiseParams(
                 [float(rng.uniform(0.0, 0.5)) / init.s] * 5,
                 [float(rng.uniform(0.0, 0.3))] * 5,
                 tau1=int(rng.integers(0, 6)) if variant != "original" else 0,
@@ -84,8 +84,8 @@ def test_criterion_1_conservation():
                 continue
             unclamped += 1
             total0 = init.s + init.i + init.r
-            for st in traj.states:
-                assert abs(st.total - total0) / total0 < 1e-9
+            for s, i, r in zip(traj.s, traj.i, traj.r):
+                assert abs(s + i + r - total0) / total0 < 1e-9
     assert runs == 100
     assert unclamped >= 50  # the sweep must actually exercise the invariant
 
@@ -94,7 +94,7 @@ def test_criterion_1_conservation():
         init = draw_state()
         epsilon = float(rng.uniform(0.0, 1.0))
         o_vals = tuple(float(v) for v in rng.uniform(0.0, 100.0, ps.window.days - 1))
-        params = PiecewiseParams.from_rates(
+        params = PiecewiseParams(
             [float(rng.uniform(0.0, 0.5)) / init.s] * 5,
             [float(rng.uniform(0.0, 0.3))] * 5,
             tau1=int(rng.integers(0, 6)),
@@ -106,8 +106,9 @@ def test_criterion_1_conservation():
             continue
         tourism_checked += 1
         total0 = init.s + init.i + init.r
-        for t in range(len(traj.states) - 1):
-            increment = traj.states[t + 1].total - traj.states[t].total
+        totals = [s + i + r for s, i, r in zip(traj.s, traj.i, traj.r)]
+        for t in range(len(traj) - 1):
+            increment = totals[t + 1] - totals[t]
             assert abs(increment - epsilon * o_vals[t]) / total0 < 1e-9
     assert tourism_checked >= 12
 
@@ -126,9 +127,9 @@ def test_criterion_2_linearized_growth():
     gaps = []
     for target in (-0.1, 0.05, 0.2):
         beta = (target + gamma) / s0
-        params = PiecewiseParams.from_rates([beta] * 5, [gamma] * 5)
+        params = PiecewiseParams([beta] * 5, [gamma] * 5)
         traj = simulate("original", params, SirState(s0, i0, 0.0), ps)
-        pts = [(d, math.log(traj.states[d].i)) for d in range(20)]
+        pts = [(d, math.log(traj.i[d])) for d in range(20)]
         slope = fit_simple(pts).slope
         gaps.append(abs(slope - target))
         assert abs(slope - target) < 0.02
@@ -138,6 +139,11 @@ def test_criterion_2_linearized_growth():
         f"ACCEPTANCE 2 PASS: 20-day log-slope within 0.02/day of beta*S0-gamma "
         f"(worst gap {max(gaps):.5f}); {elapsed:.3f}s"
     )
+
+
+def _days(traj):
+    """A trajectory's S, I and R columns, without its clamp count."""
+    return traj.s, traj.i, traj.r
 
 
 def test_criterion_3_degeneracy_equalities():
@@ -153,21 +159,21 @@ def test_criterion_3_degeneracy_equalities():
         mu = float(rng.uniform(0.0, 0.5))
         inflow = InflowSeries(tuple(float(v) for v in rng.uniform(0.0, 50.0, ps.window.days - 1)))
 
-        no_lag = PiecewiseParams.from_rates([beta] * 5, [gamma] * 5)
+        no_lag = PiecewiseParams([beta] * 5, [gamma] * 5)
         assert (
-            simulate("delayed", no_lag, init, ps).states
-            == simulate("original", no_lag, init, ps).states
+            _days(simulate("delayed", no_lag, init, ps))
+            == _days(simulate("original", no_lag, init, ps))
         )
 
-        lagged = PiecewiseParams.from_rates([beta] * 5, [gamma] * 5, tau1=tau1, tau2=tau2)
-        delayed_states = simulate("delayed", lagged, init, ps).states
-        assert simulate("reinfect", lagged, init, ps).states == delayed_states
-        assert simulate("tourism", lagged, init, ps, inflow).states == delayed_states
+        lagged = PiecewiseParams([beta] * 5, [gamma] * 5, tau1=tau1, tau2=tau2)
+        delayed_states = _days(simulate("delayed", lagged, init, ps))
+        assert _days(simulate("reinfect", lagged, init, ps)) == delayed_states
+        assert _days(simulate("tourism", lagged, init, ps, inflow)) == delayed_states
 
         # and the non-degenerate settings really do change something
-        with_mu = PiecewiseParams.from_rates([beta] * 5, [gamma] * 5, tau1=tau1, tau2=tau2, mu=mu)
+        with_mu = PiecewiseParams([beta] * 5, [gamma] * 5, tau1=tau1, tau2=tau2, mu=mu)
         if mu > 0 and init.r > 0:
-            assert simulate("reinfect", with_mu, init, ps).states != delayed_states
+            assert _days(simulate("reinfect", with_mu, init, ps)) != delayed_states
     print("ACCEPTANCE 3 PASS: all three degeneracy pairs bit-identical on 20 random draws")
 
 
@@ -179,8 +185,8 @@ def test_criterion_4_discrepancy_matches_brute_force():
         kt = tuple(float(v) for v in rng.normal(0.0, 0.2, 5))
         lengths = tuple(int(v) for v in rng.integers(1, 61, 5))
         ps = periods_over(lengths)
-        sim = GrowthRates(ks, lengths, "simulation")
-        data = GrowthRates(kt, lengths, "data")
+        sim = GrowthRates(ks, lengths)
+        data = GrowthRates(kt, lengths)
         rep = discrepancy(sim, data, ps)
         want = math.fsum(abs(a - b) * n for a, b, n in zip(ks, kt, lengths)) / sum(lengths)
         worst = max(worst, abs(rep.weighted_error - want))

@@ -348,6 +348,27 @@ def test_simulate_fit_report_with_bad_field_exits_2(pipeline_dir, tmp_path, caps
     assert f"field {field} " in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m["beta"].pop(), "need 5 betas and 5 gammas"),
+        (lambda m: m["beta"].__setitem__(2, -1e-6), "beta must be finite and >= 0, got -1e-06"),
+        (lambda m: m.__setitem__("tau1", -1), "tau1 must be a non-negative integer, got -1"),
+        (lambda m: m.__setitem__("mu", -0.5), "mu must be finite and >= 0, got -0.5"),
+    ],
+)
+def test_simulate_fit_report_with_bad_value_exits_2(pipeline_dir, tmp_path, capsys, edit, message):
+    with open(os.path.join(pipeline_dir, "fit_report.json")) as fh:
+        report = json.load(fh)
+    edit(report["metros"]["metro-01"]["reinfect"])
+    path = tmp_path / "fit_report.json"
+    path.write_text(json.dumps(report))
+    rc = main(["simulate", "--model", "reinfect", "--fit-report", str(path), "--metro", "metro-01",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert _one_error_line(capsys) == f"error: {message}"
+
+
 @pytest.mark.parametrize("flag, value", [("--tau1", "-1"), ("--tau2", "-3"), ("--mu", "-1")])
 def test_fit_rejects_negative_delay_or_mu_before_tuning(pipeline_dir, tmp_path, capsys, flag, value):
     rc = main(
@@ -430,6 +451,61 @@ def test_fit_output_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatc
         "protocol.csv": "0f3e957f6028fa640b96465d00b2d8f7e693002f2ec57386437b7aa59e894cfc",
         "fit_report.json": "ada919c52dbf07a2c94deaa06e90b2fc5e81d3e00e5f6c625148698ec5708e67",
         "table2.csv": "e8ae92703181914ffe656c536fd3118a44fce9f44b3d7ac2ef10bf7ab56f9509",
+    }
+
+
+def test_simulate_output_bytes_are_pinned(tmp_path, capsys):
+    out = str(tmp_path)
+    inputs = ["--cases", f"{out}/cases.csv", "--metro-map", f"{out}/metro_map.csv"]
+    assert main(["gen-fixtures", "--seed", "0", "--metros", "4", "--out", out]) == 0
+    assert main(["segment", *inputs, "--out", out]) == 0
+    periods = ["--periods", f"{out}/periods.csv"]
+    assert main(["fit", *inputs, *periods, "--mu", "0.2", *FIT_FLAGS, "--out", out]) == 0
+    capsys.readouterr()
+    fitted = ["--fit-report", f"{out}/fit_report.json", "--metro", "metro-01", *inputs]
+    runs = {
+        "delayed": ["--model", "delayed", *fitted],
+        "reinfect": ["--model", "reinfect", *fitted],
+        "tourism": ["--model", "tourism", "--beta", "1e-6", "--gamma", "0.1", "--i0", "10",
+                    "--epsilon", "0.5", "--inflow", f"{out}/inflow.csv"],
+        "clamping": ["--model", "original", "--beta", "1", "--gamma", "0.1", "--i0", "10", "--s0", "1e5"],
+    }
+    got = {}
+    for name, argv in runs.items():
+        run_out = tmp_path / name
+        assert main(["simulate", *argv, "--out", str(run_out)]) == 0
+        got[name] = [
+            capsys.readouterr().out.replace(str(run_out), "OUT"),
+            *(hashlib.sha256((run_out / f).read_bytes()).hexdigest()
+              for f in ("trajectory.csv", "plotdata.csv")),
+        ]
+    assert got == {
+        "delayed": [
+            "max relative conservation drift: 9.885280456542959e-16\n"
+            "simulate: wrote 122 day(s) to OUT\n",
+            "03f4efec941fcea21176a01901f3d789c0667b2a2425339b794b21af9ab33f10",
+            "1afc649a88237eec265e922991b310e3c57b4cc924a927bbd49e37f30696cc71",
+        ],
+        "reinfect": [
+            "max relative conservation drift: 7.060914611816399e-16\n"
+            "simulate: wrote 122 day(s) to OUT\n",
+            "1500415eb214268727544f56961c8fe4f083341092b5440c6aba7310feae2f36",
+            "9f7d82adcb2a4120bc2d2902bd09ae938813acb81e791c6aa316f80de1ee3a76",
+        ],
+        "tourism": [
+            "max relative conservation drift: 0.8307461019841544\n"
+            "clamp events: 15\n"
+            "simulate: wrote 122 day(s) to OUT\n",
+            "daf33ff558465c9b1cd33ab3268499824678d0e03caa30f649c6b336d8839eec",
+            "15fd00a02bf39a1098a7ab20d5a51c6ce99b5f315de1c8b57207622392c9af6c",
+        ],
+        "clamping": [
+            "max relative conservation drift: 8.999100089991005\n"
+            "clamp events: 1\n"
+            "simulate: wrote 122 day(s) to OUT\n",
+            "108408150b5a5fe1f595415fb690cf2f7c820a7b54456878b1dd4bd4338795a2",
+            "9d64518761127209bfbd9d6d32d2ca6980fb2246fea06ee3b027106d377700b8",
+        ],
     }
 
 

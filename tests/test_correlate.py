@@ -65,7 +65,7 @@ def test_weighted_avg_growth_stays_within_slope_range():
 
 def test_weighted_avg_growth_accepts_rates_and_periods_objects():
     lengths = (10, 20, 30, 20, 20)
-    rates = GrowthRates((0.1, 0.1, 0.1, 0.1, 0.1), lengths, "data")
+    rates = GrowthRates((0.1, 0.1, 0.1, 0.1, 0.1), lengths)
     assert weighted_avg_growth(rates, periods_over(lengths)) == pytest.approx(0.1, abs=1e-15)
 
 
@@ -273,7 +273,6 @@ def test_weather_table_rejects_duplicates_and_looks_up():
     table = WeatherTable((row,))
     assert table.lookup("m", day) == row
     assert table.lookup("m", day + timedelta(days=1)) is None
-    assert table.metros() == ["m"]
 
 
 def test_report_cell_validation():

@@ -12,7 +12,6 @@ from epigrowth.fit import (
     DEFAULT_S0_SCALE,
     DiscrepancyReport,
     GrowthRates,
-    PeriodDiscrepancy,
     SearchConfig,
     _grid_eval,
     beta_grid,
@@ -37,7 +36,6 @@ from epigrowth.sir import (
     VARIANTS,
     InflowSeries,
     PiecewiseParams,
-    SirParams,
     SirState,
     Trajectory,
     simulate,
@@ -57,42 +55,37 @@ def periods_over(lengths, start=START) -> PeriodSet:
     return PeriodSet("m", tuple(periods))
 
 
-def rates(ks, ns, source="data"):
-    return GrowthRates(tuple(ks), tuple(ns), source)
+def rates(ks, ns):
+    return GrowthRates(tuple(ks), tuple(ns))
 
 
 def test_growth_rates_require_five_periods():
     with pytest.raises(ValidationError):
-        GrowthRates((0.1,) * 4, (5,) * 4, "data")
-
-
-def test_growth_rates_reject_unknown_source():
-    with pytest.raises(ValidationError):
-        GrowthRates((0.1,) * 5, (5,) * 5, "model")
+        GrowthRates((0.1,) * 4, (5,) * 4)
 
 
 def test_growth_rates_reject_non_finite_slope():
     with pytest.raises(ValidationError):
-        GrowthRates((0.1, float("nan"), 0.1, 0.1, 0.1), (5,) * 5, "data")
+        GrowthRates((0.1, float("nan"), 0.1, 0.1, 0.1), (5,) * 5)
     with pytest.raises(ValidationError):
-        GrowthRates((0.1,) * 5, (5, 5, -1, 5, 5), "data")
+        GrowthRates((0.1,) * 5, (5, 5, -1, 5, 5))
 
 
 def test_discrepancy_equal_lengths_averages_the_gaps():
     ps = periods_over((20,) * 5)
     data = rates((0.0,) * 5, (20,) * 5)
-    sim = rates((0.001, 0.002, 0.003, 0.004, 0.005), (20,) * 5, source="simulation")
+    sim = rates((0.001, 0.002, 0.003, 0.004, 0.005), (20,) * 5)
     rep = discrepancy(sim, data, ps)
     assert rep.weighted_error == pytest.approx(3e-3, abs=1e-15)
     assert rep.as_percent == pytest.approx(0.3, abs=1e-12)
-    assert [p.abs_diff for p in rep.per_period] == [0.001, 0.002, 0.003, 0.004, 0.005]
+    assert rep.abs_diff == (0.001, 0.002, 0.003, 0.004, 0.005)
 
 
 def test_discrepancy_weights_by_period_length():
     lengths = (10, 20, 30, 20, 20)
     ps = periods_over(lengths)
     data = rates((0.0,) * 5, lengths)
-    sim = rates((0.005, 0.0, 0.0, 0.0, 0.0), lengths, source="simulation")
+    sim = rates((0.005, 0.0, 0.0, 0.0, 0.0), lengths)
     rep = discrepancy(sim, data, ps)
     assert rep.weighted_error == pytest.approx(5e-4, abs=1e-15)
     assert rep.as_percent == pytest.approx(0.05, abs=1e-12)
@@ -102,18 +95,18 @@ def test_discrepancy_of_identical_rates_is_zero():
     lengths = (10, 20, 30, 20, 20)
     ps = periods_over(lengths)
     a = rates((0.12, -0.05, 0.1, -0.04, 0.08), lengths)
-    b = rates(a.k, lengths, source="simulation")
+    b = rates(a.k, lengths)
     assert discrepancy(b, a, ps).weighted_error == 0.0
 
 
 def test_discrepancy_rejects_missing_rates():
     ps = periods_over((7,) * 5)
     full = rates((0.1,) * 5, (7,) * 5)
-    holed = rates((0.1, None, 0.1, 0.1, 0.1), (7, 0, 7, 7, 7), source="simulation")
+    holed = rates((0.1, None, 0.1, 0.1, 0.1), (7, 0, 7, 7, 7))
     with pytest.raises(ValidationError, match="period 2"):
         discrepancy(holed, full, ps)
     with pytest.raises(ValidationError):
-        discrepancy(rates(full.k, full.n, source="simulation"), rates(holed.k, holed.n), ps)
+        discrepancy(rates(full.k, full.n), rates(holed.k, holed.n), ps)
 
 
 def test_discrepancy_is_symmetric():
@@ -121,13 +114,13 @@ def test_discrepancy_is_symmetric():
     ps = periods_over((10, 20, 30, 20, 20))
     for _ in range(20):
         a = rates(tuple(rng.normal(0, 0.1, 5)), (5,) * 5)
-        b = rates(tuple(rng.normal(0, 0.1, 5)), (5,) * 5, source="simulation")
+        b = rates(tuple(rng.normal(0, 0.1, 5)), (5,) * 5)
         assert discrepancy(b, a, ps).weighted_error == discrepancy(a, b, ps).weighted_error
 
 
 def test_discrepancy_invariant_under_uniform_length_scaling():
     base = (10, 20, 30, 20, 20)
-    a = rates((0.12, -0.05, 0.1, -0.04, 0.08), base, source="simulation")
+    a = rates((0.12, -0.05, 0.1, -0.04, 0.08), base)
     b = rates((0.1, 0.0, 0.09, -0.01, 0.03), base)
     r1 = discrepancy(a, b, periods_over(base))
     r2 = discrepancy(a, b, periods_over(tuple(2 * n for n in base)))
@@ -136,14 +129,9 @@ def test_discrepancy_invariant_under_uniform_length_scaling():
     assert r3.weighted_error == pytest.approx(r1.weighted_error, rel=1e-12)
 
 
-def test_discrepancy_report_checks_its_own_arithmetic():
-    per = (PeriodDiscrepancy(0.01, 10),) * 5
-    with pytest.raises(ValidationError):
-        DiscrepancyReport(per, 0.02, 2.0)
-    with pytest.raises(ValidationError):
-        DiscrepancyReport(per, 0.01, 2.0)
-    with pytest.raises(ValidationError):
-        DiscrepancyReport((PeriodDiscrepancy(0.01, 0),) * 5, 0.0, 0.0)
+def test_discrepancy_report_rejects_zero_total_length():
+    with pytest.raises(ValidationError, match="period lengths must sum to a positive number"):
+        DiscrepancyReport((0.01,) * 5, (0,) * 5)
 
 
 def test_default_init_seeds_from_first_positive_windowed_count():
@@ -170,7 +158,6 @@ def test_data_growth_rates_recover_piecewise_slopes():
     slopes = (0.12, -0.05, 0.1, -0.04, 0.08)
     counts = piecewise_log_linear_counts(5000.0, slopes, lengths)
     got = data_growth_rates(CaseSeries("m", START, counts), periods_over(lengths))
-    assert got.source == "data"
     assert got.n == lengths
     for k, want in zip(got.k, slopes):
         assert k == pytest.approx(want, abs=1e-9)
@@ -187,10 +174,9 @@ def test_data_growth_rates_flag_unfittable_periods():
 
 def test_sim_growth_rates_count_positive_days():
     ps = periods_over((7,) * 5)
-    params = PiecewiseParams.from_rates([2e-6] * 5, [0.05] * 5)
+    params = PiecewiseParams([2e-6] * 5, [0.05] * 5)
     traj = simulate("original", params, SirState(1e5, 10.0, 0.0), ps)
     got = sim_growth_rates(traj, ps)
-    assert got.source == "simulation"
     assert got.n == (7,) * 5
     assert all(k is not None and k > 0 for k in got.k)
 
@@ -219,10 +205,10 @@ def test_search_config_rejects_bad_ranges():
 
 def _simulated_series(beta=2e-6, gamma=0.05, lengths=(7,) * 5):
     ps = periods_over(lengths)
-    params = PiecewiseParams.from_rates([beta] * 5, [gamma] * 5)
+    params = PiecewiseParams([beta] * 5, [gamma] * 5)
     init = SirState(1e5, 10.0, 0.0)
     traj = simulate("original", params, init, ps)
-    return CaseSeries("m", START, tuple(st.i for st in traj.states)), ps, init
+    return CaseSeries("m", START, traj.i), ps, init
 
 
 def test_tune_rejects_unknown_model():
@@ -256,8 +242,8 @@ def test_tune_single_point_grid_returns_that_point():
         refinement_levels=0,
     )
     res = tune("original", series, ps, cfg, init=init)
-    assert [p.beta for p in res.params.per_period] == [beta] * 5
-    assert [p.gamma for p in res.params.per_period] == [gamma] * 5
+    assert res.params.beta == (beta,) * 5
+    assert res.params.gamma == (gamma,) * 5
     assert res.report.as_percent == 0.0
 
 
@@ -265,7 +251,7 @@ def test_tune_shared_beta_locks_beta_across_periods():
     series, ps, init = _simulated_series()
     cfg = SearchConfig(beta_points=15, gamma_points=15, refinement_levels=1)
     res = tune("original", series, ps, cfg, init=init, shared_beta=True)
-    assert len({p.beta for p in res.params.per_period}) == 1
+    assert len(set(res.params.beta)) == 1
 
 
 def test_tune_refinement_never_hurts():
@@ -293,8 +279,8 @@ def test_tune_recovers_generating_parameters_exactly():
         tau1=FIXTURE_TAU1, tau2=FIXTURE_TAU2, mu=FIXTURE_MU,
     )
     assert res.report.as_percent == 0.0
-    assert [p.beta for p in res.params.per_period] == [p.beta for p in truth.params.per_period]
-    assert [p.gamma for p in res.params.per_period] == [p.gamma for p in truth.params.per_period]
+    assert res.params.beta == truth.params.beta
+    assert res.params.gamma == truth.params.gamma
 
 
 def _replay_tuned_run(model, slopes, seed, tau1=3, tau2=7, mu=0.0, epsilon=0.0, shared_beta=False):
@@ -310,8 +296,7 @@ def _replay_tuned_run(model, slopes, seed, tau1=3, tau2=7, mu=0.0, epsilon=0.0, 
         inflow=inflow, shared_beta=shared_beta,
     )
     traj = simulate(model, res.params, res.init, ps, inflow)
-    assert traj.states == res.trajectory.states
-    assert traj.clamp_events == res.trajectory.clamp_events
+    assert traj == res.trajectory
     assert res.sim_rates == sim_growth_rates(traj, ps)
     assert res.data_rates == data_growth_rates(series, ps)
     assert res.init == default_init(series, ps)
@@ -348,7 +333,7 @@ def test_tune_replay_with_shared_beta_and_clamped_reinfection():
     # mu > 1 moves more than R holds back to S, so R is clamped on some days
     res = _replay_tuned_run("reinfect", (0.12, -0.05, 0.1, -0.04, 0.08), 4, mu=1.5, shared_beta=True)
     assert res.trajectory.clamp_events > 0
-    assert len({p.beta for p in res.params.per_period}) == 1
+    assert len(set(res.params.beta)) == 1
 
 
 def _reference_grid_eval(model, days, bvals, gvals, seg_lo, seg_hi, x_off, fit_days,
@@ -442,7 +427,7 @@ def test_grid_eval_matches_reference_bitwise(
     seg_hi = seg_lo + span
     fit_days = np.array(data.draw(st.lists(st.booleans(), min_size=span, max_size=span)))
     days = tuple(list(col) for col in zip(*committed))
-    shared = SirParams(0.0, 0.0, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
     o_vals = tuple(float(3 + d % 7) for d in range(seg_hi + 1))
     args = (np.array(bvals), np.array(gvals), seg_lo, seg_hi, x_off, fit_days,
             check_boundary, target_k, shared, o_vals)
@@ -458,7 +443,7 @@ def test_grid_eval_logs_the_committed_day_as_the_reference_does():
     assert np.log(i0) != math.log(i0)
     days = ([1e5], [i0], [0.0])
     args = (np.linspace(0.0, 1e-5, 5), np.linspace(0.0, 0.5, 5), 0, 8, 3, np.ones(8, dtype=bool),
-            True, 0.05, SirParams(0.0, 0.0, tau1=2, tau2=4), None)
+            True, 0.05, PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4), None)
     got = _grid_eval("delayed", days, *_fit_rows(*args))
     assert np.isfinite(got).sum() > 1
     assert np.array_equal(got.view(np.int64), _reference_grid_eval("delayed", days, *args).view(np.int64))
@@ -485,11 +470,11 @@ def _reference_sim_rates(traj, periods):
         off = (p.start - window.start).days
         pts = []
         for d in range(p.length):
-            i_val = traj.states[off + d].i
+            i_val = traj.i[off + d]
             if i_val > 0:
                 pts.append((off + d, math.log(i_val)))
         ks.append(fit_simple(pts).slope if len(pts) >= 2 else None)
-        ns.append(sum(1 for d in range(p.length) if traj.states[off + d].i > 0))
+        ns.append(sum(1 for d in range(p.length) if traj.i[off + d] > 0))
     return ks, ns
 
 
@@ -542,10 +527,10 @@ def test_sim_growth_rates_match_the_per_period_reference_bitwise(lengths, data):
         i_vals = _zero_periods(i_vals, 0, lengths, data.draw(st.sets(st.integers(0, 4))))
         dies = data.draw(st.integers(0, n))
         i_vals = [v if k < dies else 0.0 for k, v in enumerate(i_vals)]
-        traj = Trajectory(tuple(SirState(1e6, v, 0.0) for v in i_vals))
+        traj = Trajectory((1e6,) * n, tuple(i_vals), (0.0,) * n)
     else:
         model = data.draw(st.sampled_from(("original", "delayed", "reinfect")))
-        params = PiecewiseParams.from_rates(
+        params = PiecewiseParams(
             data.draw(st.lists(st.floats(0.0, 3e-5), min_size=5, max_size=5)),
             data.draw(st.lists(st.floats(0.0, 3.0), min_size=5, max_size=5)),
             tau1=data.draw(st.integers(0, 6)), tau2=data.draw(st.integers(0, 6)),
