@@ -10,7 +10,6 @@ from .correlate import (
     DemographicTable,
     GroupResult,
     ReportCell,
-    WeatherRow,
     WeatherTable,
     daily_log_growth,
     demographic_study,
@@ -37,7 +36,7 @@ from .fit import (
     sim_growth_rates,
     tune,
 )
-from .fixtures import FixtureBundle, make_bundle, piecewise_log_linear_counts
+from .fixtures import FixtureBundle, make_bundle
 from .regress import (
     MultiFit,
     SimpleFit,
@@ -104,7 +103,6 @@ __all__ = [
     "Trajectory",
     "TuneResult",
     "ValidationError",
-    "WeatherRow",
     "WeatherTable",
     "aggregate_to_metros",
     "bucket_temperature",
@@ -122,7 +120,6 @@ __all__ = [
     "load_metro_map",
     "make_bundle",
     "optimize_boundaries",
-    "piecewise_log_linear_counts",
     "protocol_followed_date",
     "sim_growth_rates",
     "simulate",

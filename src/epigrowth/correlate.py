@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -99,55 +99,19 @@ class DemographicTable:
 
 
 @dataclass(frozen=True)
-class WeatherRow:
-    metro: str
-    day: date
-    kind: str
-    high: float
-    low: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in WEATHER_TYPES:
-            raise ValidationError(f"unknown weather type {self.kind!r}")
-        if not (math.isfinite(self.high) and math.isfinite(self.low)):
-            raise ValidationError("temperatures must be finite")
-        if self.high < self.low:
-            raise ValidationError(f"{self.metro} {self.day}: high below low")
-
-
-@dataclass(frozen=True)
 class WeatherTable:
-    rows: tuple[WeatherRow, ...]
+    """metro -> day -> (type, high, low), as loaded."""
 
-    def __post_init__(self) -> None:
-        by_key: dict[tuple[str, date], WeatherRow] = {}
-        for row in self.rows:
-            key = (row.metro, row.day)
-            if key in by_key:
-                raise ValidationError(f"duplicate weather row for {row.metro} on {row.day}")
-            by_key[key] = row
-        object.__setattr__(self, "_by_key", by_key)
-
-    def lookup(self, metro: str, day: date) -> WeatherRow | None:
-        return self._by_key.get((metro, day))
+    values: Mapping[str, Mapping[date, tuple[str, float, float]]]
 
 
-def weighted_avg_growth(
-    rates: GrowthRates | Sequence[float | None],
-    periods: PeriodSet | Sequence[int],
-) -> float:
+def weighted_avg_growth(rates: GrowthRates, periods: PeriodSet) -> float:
     """Length-weighted mean growth rate across the periods."""
-    ks = tuple(rates.k) if isinstance(rates, GrowthRates) else tuple(rates)
-    lens = tuple(periods.lengths()) if isinstance(periods, PeriodSet) else tuple(int(v) for v in periods)
-    if len(ks) != len(lens):
-        raise ValidationError(f"{len(ks)} rates vs {len(lens)} period lengths")
     total = 0.0
     weight = 0
-    for idx, (k, length) in enumerate(zip(ks, lens)):
+    for idx, (k, length) in enumerate(zip(rates.k, periods.lengths())):
         if k is None:
             raise ValidationError(f"period {idx + 1} has no growth rate")
-        if length <= 0:
-            raise ValidationError(f"period {idx + 1} has non-positive length")
         total += k * length
         weight += length
     return total / weight
@@ -215,18 +179,19 @@ def weather_study(
         series = series_by_metro.get(metro)
         if series is None:
             raise ValidationError(f"no case series for metro {metro}")
+        by_day = weather.values.get(metro, {})
         for period in period_sets[metro].periods:
             key = (metro, f"P{period.index}")
             labeled: list[tuple[str, float]] = []
             for day, change in daily_log_growth(series, period):
-                row = weather.lookup(metro, day)
+                row = by_day.get(day)
                 if row is None:
                     continue
+                kind, high, low = row
                 if mode == "type":
-                    label = row.kind
+                    label = kind
                 else:
-                    value = row.high if mode == "high-temp" else row.low
-                    label = bucket_temperature(value, mode)
+                    label = bucket_temperature(high if mode == "high-temp" else low, mode)
                 labeled.append((label, change))
             n = len(labeled)
             if n < 2:
@@ -290,7 +255,14 @@ def write_demographics_csv(table: DemographicTable, fh: io.TextIOBase) -> None:
 
 
 def load_weather(source) -> WeatherTable:
-    rows = []
+    """Read metro,date,type,high,low rows, one per metro and date.
+
+    Each row names one of WEATHER_TYPES and carries finite temperatures with
+    high >= low.  A repeated metro and date is reported only after every row
+    has parsed.
+    """
+    values: dict[str, dict[date, tuple[str, float, float]]] = {}
+    duplicate = None
     days: dict[str, date] = {}  # each distinct date string is parsed once
     for line, (metro, raw_day, kind, raw_high, raw_low) in read_table(
         source, WEATHER_HEADER, "weather CSV", label="line"
@@ -306,16 +278,27 @@ def load_weather(source) -> WeatherTable:
             low = float(raw_low)
         except ValueError:
             raise ParseError(f"line {line}: bad temperature") from None
-        try:
-            rows.append(WeatherRow(metro, day, kind, high, low))
-        except ValidationError as exc:
-            raise ValidationError(f"line {line}: {exc}") from None
-    return WeatherTable(tuple(rows))
+        if kind not in WEATHER_TYPES:
+            raise ValidationError(f"line {line}: unknown weather type {kind!r}")
+        if not (math.isfinite(high) and math.isfinite(low)):
+            raise ValidationError(f"line {line}: temperatures must be finite")
+        if high < low:
+            raise ValidationError(f"line {line}: {metro} {day}: high below low")
+        by_day = values.setdefault(metro, {})
+        if duplicate is None and day in by_day:
+            duplicate = f"duplicate weather row for {metro} on {day}"
+        by_day[day] = (kind, high, low)
+    if duplicate is not None:
+        raise ValidationError(duplicate)
+    return WeatherTable(values)
 
 
 def write_weather_csv(table: WeatherTable, fh: io.TextIOBase) -> None:
-    rows = sorted(table.rows, key=lambda r: (r.metro, r.day))
-    write_table(fh, WEATHER_HEADER, ((r.metro, r.day, r.kind, r.high, r.low) for r in rows))
+    write_table(fh, WEATHER_HEADER, (
+        (metro, day, *row)
+        for metro, by_day in sorted(table.values.items())
+        for day, row in sorted(by_day.items())
+    ))
 
 
 def write_group_report_csv(report: CorrelationReport, fh: io.TextIOBase) -> None:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .correlate import DemographicTable, WeatherRow, WeatherTable
+from .correlate import DemographicTable, WeatherTable
 from .errors import ConfigError
 from .fit import DEFAULT_S0_SCALE, SearchConfig, beta_grid, gamma_grid
 from .segment import (
@@ -100,34 +100,6 @@ class FixtureBundle:
         }
 
 
-def piecewise_log_linear_counts(
-    i0: float,
-    slopes: Sequence[float],
-    lengths: Sequence[int],
-    rng: np.random.Generator | None = None,
-    noise_sigma: float = 0.0,
-) -> tuple[float, ...]:
-    """Counts following exp-linear segments, optionally with lognormal noise."""
-    if len(slopes) != len(lengths):
-        raise ConfigError(f"{len(slopes)} slopes vs {len(lengths)} lengths")
-    if i0 <= 0:
-        raise ConfigError("i0 must be positive")
-    log_i = math.log(i0)
-    logs = [log_i]
-    for slope, length in zip(slopes, lengths):
-        if length < 1:
-            raise ConfigError("segment lengths must be >= 1")
-        for _ in range(length):
-            log_i += slope
-            logs.append(log_i)
-    logs = logs[: sum(lengths)]  # one count per day of the window
-    if noise_sigma > 0.0:
-        if rng is None:
-            raise ConfigError("noise_sigma > 0 needs an rng")
-        logs = [v + rng.normal(0.0, noise_sigma) for v in logs]
-    return tuple(math.exp(v) for v in logs)
-
-
 def synth_demographics(
     rng: np.random.Generator,
     response: Mapping[str, float],
@@ -160,14 +132,14 @@ def synth_weather(
     metros: Sequence[str],
     window: DateInterval,
 ) -> WeatherTable:
-    rows = []
+    values: dict[str, dict[date, tuple[str, float, float]]] = {}
     for metro in sorted(metros):
+        by_day = values[metro] = {}
         for day in window.dates():
             high = float(rng.uniform(58.0, 95.0))
             low = float(rng.uniform(42.0, min(72.0, high)))
-            kind = str(rng.choice(FIXTURE_WEATHER_KINDS))
-            rows.append(WeatherRow(metro, day, kind, high, low))
-    return WeatherTable(tuple(rows))
+            by_day[day] = (str(rng.choice(FIXTURE_WEATHER_KINDS)), high, low)
+    return WeatherTable(values)
 
 
 def _split_county_counts(counts: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -182,7 +154,6 @@ def make_bundle(
     window: DateInterval = DEFAULT_WINDOW,
     announcement: date = DEFAULT_ANNOUNCEMENT,
     anchors: tuple[date, ...] | None = None,
-    plant_demographics: bool = True,
     round_counts: bool = True,
 ) -> FixtureBundle:
     """Deterministic synthetic bundle of n_metros metros over the window.
@@ -236,9 +207,7 @@ def make_bundle(
         # crude per-metro response stand-in; the real pipeline recomputes it
         per_metro_avg[metro] = sum(daily) / len(daily) if daily else 0.0
 
-    demo = synth_demographics(
-        rng, per_metro_avg, PLANTED_CELL if plant_demographics else None
-    )
+    demo = synth_demographics(rng, per_metro_avg)
     weather = synth_weather(rng, sorted(truths), window)
     inflow = InflowSeries(tuple(float(round(rng.uniform(0.0, 100.0), 2)) for _ in range(window.days)))
     return FixtureBundle(

@@ -96,7 +96,6 @@ class ProtocolCall:
     """Protocol-followed assessment: the qualifying period start, or None."""
 
     date: date | None
-    slopes: tuple[float, ...]
     note: str
 
 
@@ -263,10 +262,9 @@ def protocol_followed_date(periods: PeriodSet, announcement: date = DEFAULT_ANNO
     for i in range(1, NUM_PERIODS):
         p = periods.periods[i]
         if p.start >= announcement and slopes[i] < slopes[i - 1]:
-            return ProtocolCall(p.start, slopes, f"period {p.index} slope fell below period {i}")
+            return ProtocolCall(p.start, f"period {p.index} slope fell below period {i}")
     return ProtocolCall(
         None,
-        slopes,
         f"no period starting on/after {announcement} shows a slope drop; slopes="
         + ",".join(f"{s:.6g}" for s in slopes),
     )

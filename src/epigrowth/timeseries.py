@@ -36,9 +36,6 @@ class DateInterval:
     def days(self) -> int:
         return (self.end - self.start).days + 1
 
-    def __contains__(self, day: date) -> bool:
-        return self.start <= day <= self.end
-
     def dates(self) -> Iterator[date]:
         for i in range(self.days):
             yield self.start + timedelta(days=i)

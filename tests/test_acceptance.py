@@ -17,7 +17,6 @@ from scipy import integrate, stats
 
 from epigrowth.correlate import (
     NA_RANK,
-    WeatherRow,
     WeatherTable,
     demographic_study,
     weather_study,
@@ -30,13 +29,13 @@ from epigrowth.fixtures import (
     FIXTURE_TAU2,
     PLANTED_CELL,
     make_bundle,
-    piecewise_log_linear_counts,
     synth_demographics,
 )
 from epigrowth.regress import fit_multi, fit_simple, student_t_sf
 from epigrowth.segment import Period, PeriodSet, initial_periods, optimize_boundaries
 from epigrowth.sir import InflowSeries, PiecewiseParams, SirState, simulate
 from epigrowth.timeseries import CaseSeries, DateInterval, aggregate_to_metros
+from synth_counts import piecewise_log_linear_counts
 
 START = date(2020, 3, 1)
 
@@ -374,12 +373,7 @@ def test_criterion_8_correlation_studies():
         rng=np.random.default_rng(88), noise_sigma=0.01,
     )
     series = CaseSeries("m", START, counts)
-    flat = WeatherTable(
-        tuple(
-            WeatherRow("m", START + timedelta(days=d), "sunny", 80.0, 60.0)
-            for d in range(sum(lengths))
-        )
-    )
+    flat = WeatherTable({"m": {day: ("sunny", 80.0, 60.0) for day in ps.window.dates()}})
     for mode in ("type", "high-temp", "low-temp"):
         rep = weather_study(flat, {"m": series}, {"m": ps}, mode)
         for cell in rep.cells:

@@ -13,7 +13,6 @@ from epigrowth.correlate import (
     DemographicTable,
     GroupResult,
     ReportCell,
-    WeatherRow,
     WeatherTable,
     daily_log_growth,
     demographic_study,
@@ -45,13 +44,17 @@ def periods_over(lengths, start=START) -> PeriodSet:
     return PeriodSet("m", tuple(periods))
 
 
+def avg_growth(ks, lengths) -> float:
+    return weighted_avg_growth(GrowthRates(tuple(ks), tuple(lengths)), periods_over(lengths))
+
+
 def test_weighted_avg_growth_hand_values():
-    assert weighted_avg_growth((0.1, 0.2), (10, 10)) == pytest.approx(0.15, abs=1e-15)
-    assert weighted_avg_growth((0.1, 0.4), (30, 10)) == pytest.approx(0.175, abs=1e-15)
+    assert avg_growth((0.1, 0.2, 0.1, 0.2, 0.1), (10,) * 5) == pytest.approx(0.14, abs=1e-15)
+    assert avg_growth((0.1, 0.4, 0.1, 0.4, 0.1), (30, 10, 30, 10, 20)) == pytest.approx(0.16, abs=1e-15)
 
 
 def test_weighted_avg_growth_equal_slopes_collapse():
-    assert weighted_avg_growth((0.08,) * 5, (3, 9, 27, 1, 60)) == pytest.approx(0.08, abs=1e-15)
+    assert avg_growth((0.08,) * 5, (3, 9, 27, 1, 60)) == pytest.approx(0.08, abs=1e-15)
 
 
 def test_weighted_avg_growth_stays_within_slope_range():
@@ -59,23 +62,19 @@ def test_weighted_avg_growth_stays_within_slope_range():
     for _ in range(30):
         ks = rng.normal(0, 0.2, 5)
         lens = rng.integers(1, 40, 5)
-        got = weighted_avg_growth(tuple(ks), tuple(lens))
+        got = avg_growth(tuple(map(float, ks)), tuple(map(int, lens)))
         assert min(ks) - 1e-12 <= got <= max(ks) + 1e-12
 
 
 def test_weighted_avg_growth_accepts_rates_and_periods_objects():
-    lengths = (10, 20, 30, 20, 20)
-    rates = GrowthRates((0.1, 0.1, 0.1, 0.1, 0.1), lengths)
-    assert weighted_avg_growth(rates, periods_over(lengths)) == pytest.approx(0.1, abs=1e-15)
+    # the weights are the period lengths, not the rates' sample counts
+    rates = GrowthRates((0.1, 0.1, 0.2, 0.2, 0.2), (1,) * 5)
+    assert weighted_avg_growth(rates, periods_over((10, 20, 30, 20, 20))) == pytest.approx(0.17, abs=1e-15)
 
 
 def test_weighted_avg_growth_rejects_bad_inputs():
-    with pytest.raises(ValidationError):
-        weighted_avg_growth((0.1, None), (5, 5))
-    with pytest.raises(ValidationError):
-        weighted_avg_growth((0.1, 0.2, 0.3), (5, 5))
-    with pytest.raises(ValidationError):
-        weighted_avg_growth((0.1, 0.2), (5, 0))
+    with pytest.raises(ValidationError, match="period 2 has no growth rate"):
+        avg_growth((0.1, None, 0.1, 0.1, 0.1), (5,) * 5)
 
 
 def test_daily_log_growth_hand_values():
@@ -204,12 +203,12 @@ def _weather_fixture():
     for d in range(45, 56):
         counts[d] = 0.0
     series = CaseSeries("m", START, tuple(counts))
-    rows = tuple(
-        WeatherRow("m", START + timedelta(days=d), "sunny", lows[d] + 20.0, lows[d])
+    by_day = {
+        START + timedelta(days=d): ("sunny", lows[d] + 20.0, lows[d])
         for d in range(days)
         if d != 57
-    )
-    return WeatherTable(rows), {"m": series}, {"m": ps}
+    }
+    return WeatherTable({"m": by_day}), {"m": series}, {"m": ps}
 
 
 def test_weather_study_low_temp_regimes():
@@ -253,26 +252,6 @@ def test_weather_study_rejects_bad_inputs():
         weather_study(weather, series_by_metro, period_sets, "humidity")
     with pytest.raises(ValidationError):
         weather_study(weather, {}, period_sets, "type")
-
-
-def test_weather_row_validation():
-    day = date(2020, 3, 1)
-    with pytest.raises(ValidationError):
-        WeatherRow("m", day, "hail", 50.0, 40.0)
-    with pytest.raises(ValidationError):
-        WeatherRow("m", day, "sunny", 40.0, 50.0)
-    with pytest.raises(ValidationError):
-        WeatherRow("m", day, "sunny", float("nan"), 40.0)
-
-
-def test_weather_table_rejects_duplicates_and_looks_up():
-    day = date(2020, 3, 1)
-    row = WeatherRow("m", day, "sunny", 60.0, 40.0)
-    with pytest.raises(ValidationError):
-        WeatherTable((row, WeatherRow("m", day, "rainy", 55.0, 45.0)))
-    table = WeatherTable((row,))
-    assert table.lookup("m", day) == row
-    assert table.lookup("m", day + timedelta(days=1)) is None
 
 
 def test_report_cell_validation():
@@ -324,11 +303,7 @@ def test_load_demographics_rejects_bad_files(body, exc):
 
 
 def test_weather_csv_roundtrip():
-    rows = tuple(
-        WeatherRow("m", date(2020, 3, 1) + timedelta(days=d), "rainy", 55.5, 41.25)
-        for d in range(3)
-    )
-    table = WeatherTable(rows)
+    table = WeatherTable({"m": {START + timedelta(days=d): ("rainy", 55.5, 41.25) for d in range(3)}})
     buf = io.StringIO()
     write_weather_csv(table, buf)
     buf.seek(0)
@@ -337,7 +312,7 @@ def test_weather_csv_roundtrip():
 
 def test_loaders_strip_and_lowercase_the_header():
     weather = load_weather(io.StringIO("Metro, Date,Type,High,Low\nm,2020-03-01,rainy,55,41\n"))
-    assert weather == WeatherTable((WeatherRow("m", date(2020, 3, 1), "rainy", 55.0, 41.0),))
+    assert weather == WeatherTable({"m": {date(2020, 3, 1): ("rainy", 55.0, 41.0)}})
     demo, _ = load_demographics(io.StringIO(" METRO,Group,subcategory ,Value\nm,age,young,40\n"))
     assert demo == DemographicTable({"age": {"m": {"young": 40.0}}})
 
@@ -352,6 +327,10 @@ def test_load_weather_rejects_bad_rows():
         load_weather(io.StringIO(header + "m,2020-03-01,sunny,warm,40\n"))
     with pytest.raises(ValidationError):
         load_weather(io.StringIO(header + "m,2020-03-01,sunny,40,60\n"))
+    with pytest.raises(ValidationError, match="line 2: temperatures must be finite"):
+        load_weather(io.StringIO(header + "m,2020-03-01,sunny,nan,40\n"))
+    with pytest.raises(ValidationError, match="line 2: unknown weather type 'hail'"):
+        load_weather(io.StringIO(header + "m,2020-03-01,hail,60,40\n"))
 
 
 def test_group_report_spells_na():

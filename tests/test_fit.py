@@ -27,7 +27,6 @@ from epigrowth.fixtures import (
     FIXTURE_TAU1,
     FIXTURE_TAU2,
     make_bundle,
-    piecewise_log_linear_counts,
 )
 from epigrowth.cli import main
 from epigrowth.regress import fit_simple
@@ -41,6 +40,7 @@ from epigrowth.sir import (
     simulate,
 )
 from epigrowth.timeseries import CaseSeries, aggregate_to_metros, load_cases, load_metro_map
+from synth_counts import piecewise_log_linear_counts
 
 START = date(2020, 3, 1)
 

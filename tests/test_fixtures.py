@@ -13,13 +13,13 @@ from epigrowth.fixtures import (
     GROUP_SUBCATS,
     PLANTED_CELL,
     make_bundle,
-    piecewise_log_linear_counts,
     synth_demographics,
     synth_weather,
 )
 from epigrowth.sir import SirState, simulate
 from epigrowth.timeseries import DateInterval, aggregate_to_metros
 from datetime import date
+from synth_counts import piecewise_log_linear_counts
 
 
 def test_make_bundle_is_seed_deterministic():
@@ -121,11 +121,12 @@ def test_synth_demographics_can_skip_planting():
 def test_synth_weather_covers_every_metro_day():
     window = DateInterval(date(2020, 3, 1), date(2020, 3, 10))
     table = synth_weather(np.random.default_rng(5), ["m1", "m2"], window)
-    assert len(table.rows) == 2 * window.days
-    for row in table.rows:
-        assert row.kind in FIXTURE_WEATHER_KINDS
-        assert row.high >= row.low
-        assert table.lookup(row.metro, row.day) == row
+    assert sorted(table.values) == ["m1", "m2"]
+    for by_day in table.values.values():
+        assert list(by_day) == list(window.dates())
+        for kind, high, low in by_day.values():
+            assert kind in FIXTURE_WEATHER_KINDS
+            assert high >= low
 
 
 def test_manifest_is_json_ready_and_complete():

@@ -46,3 +46,15 @@ def test_every_import_is_used(path):
 def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import IO, Sequence\n\ndef f(x: 'IO') -> None:\n    os.sep\n")
     assert set(_imported(tree)) - _referenced(tree) == {"Sequence"}
+
+
+def test_all_lists_exactly_what_init_imports():
+    path = PACKAGE / "__init__.py"
+    tree = ast.parse(path.read_text(), str(path))
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    )
+    assert exported == sorted(set(exported))
+    assert set(exported) == set(_imported(tree))

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from epigrowth import segment
 from epigrowth.cli import main
 from epigrowth.errors import ConfigError, InsufficientDataError, StateError, ValidationError
-from epigrowth.fixtures import piecewise_log_linear_counts
 from epigrowth.regress import SimpleFit, _line_fit
 from epigrowth.segment import (
     DEFAULT_ANCHOR_OFFSETS,
@@ -29,6 +28,7 @@ from epigrowth.segment import (
     write_periods_csv,
 )
 from epigrowth.timeseries import CaseSeries, DateInterval, to_log_series
+from synth_counts import piecewise_log_linear_counts
 
 
 def test_default_anchors_follow_announcement_offsets():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from epigrowth.correlate import (
     WEATHER_TYPES,
     DemographicTable,
-    WeatherRow,
     WeatherTable,
     load_demographics,
     load_weather,
@@ -165,7 +164,9 @@ def test_demographics_round_trip(values):
     )
 )
 def test_weather_round_trip(rows):
-    table = WeatherTable(tuple(WeatherRow(m, d, k, max(a, b), min(a, b)) for m, d, k, a, b in rows))
-    loaded = _round_trip(write_weather_csv, load_weather, table)
-    assert sorted(loaded.rows, key=repr) == sorted(table.rows, key=repr)
+    values = {}
+    for m, d, k, a, b in sorted(rows):  # the writer's order, so the reprs line up
+        values.setdefault(m, {})[d] = (k, max(a, b), min(a, b))
+    loaded = _round_trip(write_weather_csv, load_weather, WeatherTable(values))
+    assert repr(loaded.values) == repr(values)
 
