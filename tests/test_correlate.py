@@ -333,6 +333,31 @@ def test_load_weather_rejects_bad_rows():
         load_weather(io.StringIO(header + "m,2020-03-01,hail,60,40\n"))
 
 
+def test_weather_row_validation():
+    # each row is checked where it stands; the error names its line
+    good = "metro,date,type,high,low\nm,2020-03-01,sunny,50,50\n"
+    assert load_weather(io.StringIO(good)).values["m"][date(2020, 3, 1)] == ("sunny", 50.0, 50.0)
+    with pytest.raises(ValidationError, match="line 3: unknown weather type 'hail'"):
+        load_weather(io.StringIO(good + "m,2020-03-02,hail,50,40\n"))
+    with pytest.raises(ValidationError, match="line 3: m 2020-03-02: high below low"):
+        load_weather(io.StringIO(good + "m,2020-03-02,sunny,40,50\n"))
+    with pytest.raises(ValidationError, match="line 3: temperatures must be finite"):
+        load_weather(io.StringIO(good + "m,2020-03-02,sunny,60,-inf\n"))
+
+
+def test_weather_table_rejects_duplicates_and_looks_up():
+    header = "metro,date,type,high,low\n"
+    row = "m,2020-03-01,sunny,60,40\n"
+    with pytest.raises(ValidationError, match="duplicate weather row for m on 2020-03-01"):
+        load_weather(io.StringIO(header + row + "m,2020-03-01,rainy,55,45\n"))
+    # a bad row later in the file is reported before the duplicate
+    with pytest.raises(ParseError, match="line 4: bad temperature"):
+        load_weather(io.StringIO(header + row + row + "n,2020-03-01,sunny,warm,40\n"))
+    by_day = load_weather(io.StringIO(header + row + "n,2020-03-01,rainy,55,45\n")).values["m"]
+    assert by_day.get(date(2020, 3, 1)) == ("sunny", 60.0, 40.0)
+    assert by_day.get(date(2020, 3, 2)) is None
+
+
 def test_group_report_spells_na():
     report = CorrelationReport(
         "demographic",
