@@ -8,10 +8,12 @@ boundaries: for each period it evaluates a (beta, gamma) grid, keeps the
 candidate whose fitted log-I slope is closest to the data slope (ties to the
 smaller beta, then smaller gamma), shrinks the grid ten-fold around the
 incumbent for each refinement level, then commits the winner and moves on.
-Grid candidates run through the step kernel of ``sir`` as one batch; the
-winner is committed through the same kernel as a one-candidate batch, exactly
+``tune_batch`` runs many such searches together, one model at a time: per
+period and refinement level one call of the ``sir`` step kernel evaluates
+every job's grid, and one more commits every job's winner, one column each,
 as ``sir.simulate`` runs it, so a re-simulation with the tuned parameters
-reproduces the committed trajectory bit for bit.
+reproduces the committed trajectory bit for bit.  Each job scores and ends
+exactly as it would alone; ``tune`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, ValidationError
+from .errors import ConfigError, InsufficientDataError, PipelineError, StateError, ValidationError
 from .regress import _ols_slope
 from .segment import NUM_PERIODS, PeriodSet, _WindowFits
 from .sir import (
@@ -41,6 +43,8 @@ from .sir import (
 from .timeseries import CaseSeries
 
 DEFAULT_S0_SCALE = 1e5
+# Grid columns per kernel call across a batch's jobs, set by measurement.
+_BATCH_COLUMNS = 16_384
 
 
 @dataclass(frozen=True)
@@ -206,58 +210,179 @@ def discrepancy(sim: GrowthRates, data: GrowthRates, periods: PeriodSet) -> Disc
     return DiscrepancyReport(tuple(diffs), periods.lengths())
 
 
-def _grid_eval(
-    model: str,
-    days: tuple[list[float], list[float], list[float]],
-    bvals: np.ndarray,
-    gvals: np.ndarray,
-    seg_lo: int,
-    seg_hi: int,
-    rows: np.ndarray,
-    x_fit: np.ndarray,
-    check_boundary: bool,
-    target_k: float,
-    shared: PiecewiseParams,
-    o_vals: Sequence[float] | None,
-) -> np.ndarray:
-    """|fitted slope - target_k| for every (beta, gamma) candidate, beta-major order.
+def _grid_eval(model: str, days: Sequence[tuple], bvals: np.ndarray, gvals: np.ndarray,
+               spans: Sequence[tuple], shared: PiecewiseParams, o_vals: Sequence) -> np.ndarray:
+    """|fitted slope - target_k| for each job's (beta, gamma) candidates: (jobs, candidates).
 
-    ``days`` holds the committed run through day ``seg_lo``.  The step kernel
-    extends it through the period for all candidates at once, taking the
-    delays and the mu/epsilon rates from ``shared``.  Slopes are fitted over
-    the fit days, the positive data days behind the data slope: ``rows`` are
-    their rows of the kernel's block (row d is day seg_lo + d), and ``x_fit``
-    their days on the data's axis.  So the two slopes are comparable, and a
-    candidate whose trajectory reproduces the observed counts scores within
-    float rounding of the data slope; a nearby grid point cannot displace it.
-    The batch sums day by day, which the data fit does only below 8 points,
-    so the two agree to rounding, not bit for bit.
+    Every argument but ``model`` and ``shared`` holds one entry per job;
+    ``bvals`` and ``gvals`` are (jobs, points), and a job's candidates run
+    beta-major.  ``days`` holds each job's committed run through its period's
+    first day, seg_lo; one kernel call extends every job through its period.
+    A span is (seg_hi, rows, x_fit, check_boundary, target_k).  Slopes are
+    fitted over the fit days, the positive data days behind the data slope:
+    ``rows`` are their block rows (row d is day seg_lo + d) and ``x_fit``
+    their days on the data's axis, so a candidate that reproduces the
+    observed counts scores within float rounding of the data slope.  The
+    batch sums day by day, which the data fit does only below 8 points, so
+    the two agree to rounding, not bit for bit.  Other days are logged as 1.0
+    and add exactly 0.0, so a job scores as it would alone.
 
     Candidates whose infected count dies on a fit day, or whose state stops
-    being finite, are marked infeasible (np.inf); with check_boundary the day
-    after the segment, which this period's committed parameters also produce,
-    must stay positive too, or the next period would start from an
-    unrecoverable zero.
+    being finite, are infeasible (np.inf); with check_boundary the day after
+    the segment must stay positive too, or the next period would start from
+    an unrecoverable zero.  A job with fewer than two fit days has no slope.
     """
-    n_cand = len(bvals) * len(gvals)
-    if len(rows) < 2:
-        return np.full(n_cand, np.inf)
+    n_jobs, n_b, n_g = len(days), bvals.shape[1], gvals.shape[1]
+    seg_hi, rows, x_fit, check_boundary, target_k = zip(*spans)
+    lasts = [hi - len(job[0]) + check for job, hi, check in zip(days, seg_hi, check_boundary)]
     block, _, finite = _euler_days(
-        model, days, shared, np.repeat(bvals, len(gvals)), np.tile(gvals, len(bvals)),
-        seg_hi + (1 if check_boundary else 0), o_vals,
+        model, days, shared, np.repeat(bvals, n_g, axis=1), np.tile(gvals, (1, n_b)), lasts, o_vals
     )
-    # Fit rows without a gap are a view: the block is this call's own scratch.
-    y = block[rows[0]:rows[-1] + 1] if rows[-1] - rows[0] == len(rows) - 1 else block[rows]
-    alive = finite & (y > 0).all(axis=0)
-    if check_boundary:
-        alive &= block[-1] > 0
+    alive = finite & ((block[lasts, np.arange(n_jobs)] > 0) | ~np.array(check_boundary)[:, None])
+    fit = np.zeros(block.shape[:2] + (1,), dtype=bool)
+    xc = np.zeros(fit.shape)
+    n, sxx = np.ones((n_jobs, 1)), np.ones((n_jobs, 1))
+    for j, (r, x) in enumerate(zip(rows, x_fit)):
+        if len(r) < 2:
+            alive[j] = False
+            continue
+        fit[r, j] = True
+        n[j] = len(r)
+        xc[r, j, 0] = dx = x - x.sum() / len(r)
+        sxx[j] = float((dx**2).sum())
+    np.copyto(block, 1.0, where=~fit)
+    alive &= (block > 0).all(axis=0)
     # Dead candidates are masked below; 1.0 keeps np.log off its slow path for 0 and inf.
-    np.copyto(y, 1.0, where=~alive)
-    np.log(y, out=y)
-    if rows[0] == 0 and days[1][-1] > 0:
-        y[0] = math.log(days[1][-1])  # the committed day: one float, logged as the data are
-    slope = _ols_slope(x_fit, y)[0]
-    return np.where(alive, np.abs(slope - target_k), np.inf)
+    np.copyto(block, 1.0, where=~alive)
+    np.log(block, out=block)
+    for j, (r, job) in enumerate(zip(rows, days)):
+        if len(r) and r[0] == 0 and job[1][-1] > 0:
+            block[0, j] = math.log(job[1][-1])  # the committed day: one float, logged as the data are
+    if n_g * n_b == 1:  # NumPy sums one column pairwise, not day by day: fit each job alone
+        slope = np.array([_ols_slope(x, block[r, j])[0] if len(r) > 1 else [0.0]
+                          for j, (r, x) in enumerate(zip(rows, x_fit))])
+    else:  # _ols_slope's arithmetic, in place, with every job's x - x mean, n and sxx
+        ym = block.sum(axis=0) / n
+        block -= ym
+        block *= xc
+        slope = block.sum(axis=0) / sxx
+    return np.where(alive, np.abs(slope - np.array(target_k)[:, None]), np.inf)
+
+
+class TuneJob:
+    """One tune() call: its checked inputs, then its committed run and chosen rates.
+
+    Built from tune()'s arguments, it raises as tune() does.  ``rates``,
+    ``_growth_rates(series, periods)``, may come from a job on the same series
+    and periods.  While tune_batch searches a period, ``span``, ``window`` and
+    ``best`` hold its fit days, refinement window and (objective, beta, gamma).
+    """
+
+    def __init__(self, model: str, series: CaseSeries, periods: PeriodSet, cfg: SearchConfig | None = None,
+                 *, tau1: int = DEFAULT_TAU1, tau2: int = DEFAULT_TAU2, mu: float = 0.0,
+                 epsilon: float = 0.0, inflow: InflowSeries | None = None, init: SirState | None = None,
+                 shared_beta: bool = False, rates: tuple | None = None):
+        if model not in VARIANTS:
+            raise ConfigError(f"unknown model variant {model!r}; choose from {', '.join(VARIANTS)}")
+        self.cfg = cfg if cfg is not None else SearchConfig()
+        self.shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
+        self.init = init if init is not None else default_init(series, periods)
+        self.rates = rates if rates is not None else _growth_rates(series, periods)
+        self.data, self.fits = self.rates
+        for idx, k in enumerate(self.data.k):
+            if k is None:
+                raise InsufficientDataError(
+                    f"{series.region}: period {idx + 1} has no fittable growth rate"
+                )
+        self.o_vals = _inflow_values(model, inflow, periods.window.days)
+        self.b_range = _beta_range(self.cfg, self.init.s)
+        self.model, self.region, self.periods, self.shared_beta = model, series.region, periods, shared_beta
+        self.cuts = _cuts(periods)
+        self.days = ([self.init.s], [self.init.i], [self.init.r])
+        self.betas: list[float] = []
+        self.gammas: list[float] = []
+        self.clamps = 0
+        self.error: PipelineError | None = None
+
+    def result(self) -> TuneResult | PipelineError:
+        if self.error is not None:
+            return self.error
+        traj = Trajectory(*self.days, clamp_events=self.clamps)
+        sim = sim_growth_rates(traj, self.periods)
+        params = replace(self.shared, beta=tuple(self.betas), gamma=tuple(self.gammas))
+        return TuneResult(params, self.init, traj, self.data, sim, discrepancy(sim, self.data, self.periods))
+
+
+def tune_batch(jobs: Sequence[TuneJob]) -> list[TuneResult | PipelineError]:
+    """Each job's TuneResult, or the PipelineError it failed with, as it would be alone.
+
+    Jobs that share a model, the shared rates, the grid and ``shared_beta``
+    run together, at most _BATCH_COLUMNS grid columns at a time: one kernel
+    call per period and refinement level, then one that commits every winner.
+    """
+    groups: dict[tuple, list[TuneJob]] = {}
+    for job in jobs:
+        groups.setdefault((job.model, job.shared, job.cfg, job.shared_beta), []).append(job)
+    for group in groups.values():
+        size = max(1, _BATCH_COLUMNS // (group[0].cfg.beta_points * group[0].cfg.gamma_points))
+        for first in range(0, len(group), size):
+            _tune_together(group[first:first + size])
+    return [job.result() for job in jobs]
+
+
+def _tune_together(batch: list[TuneJob]) -> None:
+    """tune()'s sequential per-period search with refinement and state carry-over, for a batch."""
+    model, shared, cfg, shared_beta = batch[0].model, batch[0].shared, batch[0].cfg, batch[0].shared_beta
+    for per_idx in range(NUM_PERIODS):
+        live = [job for job in batch if job.error is None]
+        for job in live:
+            seg_lo, seg_hi = job.cuts[per_idx], job.cuts[per_idx + 1]
+            fit_lo, fit_hi = job.fits.before[seg_lo], job.fits.before[seg_hi]
+            rows, x_fit = job.fits.days[fit_lo:fit_hi] - seg_lo, job.fits.x[fit_lo:fit_hi]
+            job.span = (seg_hi, rows, x_fit, seg_hi < job.cuts[5], job.data.k[per_idx])
+            job.window = [*job.b_range, cfg.gamma_min, cfg.gamma_max]
+            job.best = None
+        for _level in range(cfg.refinement_levels + 1):
+            if not live:
+                return
+            bvals = np.array([
+                [job.betas[0]] if shared_beta and per_idx else np.linspace(*job.window[:2], cfg.beta_points)
+                for job in live
+            ])
+            gvals = np.array([np.linspace(*job.window[2:], cfg.gamma_points) for job in live])
+            obj = _grid_eval(model, [job.days for job in live], bvals, gvals, [job.span for job in live],
+                             shared, [job.o_vals for job in live])
+            for job, row, j, bs, gs in zip(live, obj, obj.argmin(axis=1), bvals, gvals):
+                if math.isfinite(row[j]) and (job.best is None or row[j] < job.best[0]):
+                    job.best = (float(row[j]), float(bs[j // len(gs)]), float(gs[j % len(gs)]))
+                if job.best is None:  # nothing feasible on the full grid, refinement cannot help
+                    job.error = ConfigError(
+                        f"{job.region}: no feasible (beta, gamma) grid point for period {per_idx + 1}"
+                    )
+                    continue
+                b_lo, b_hi, g_lo, g_hi = job.window
+                half_b, half_g = (b_hi - b_lo) / 20.0, (g_hi - g_lo) / 20.0
+                _, beta, gamma = job.best
+                job.window = [max(job.b_range[0], beta - half_b), min(job.b_range[1], beta + half_b),
+                              max(cfg.gamma_min, gamma - half_g), min(cfg.gamma_max, gamma + half_g)]
+            live = [job for job in live if job.error is None]
+        if not live:
+            return
+        # Commit through the next period's first day: simulate() charges the
+        # step leaving day t to the period containing t, so that state belongs
+        # to this period's parameters.  The last period stops at the window end.
+        committed = _commit(
+            model, [job.days for job in live], shared, [job.best[1] for job in live],
+            [job.best[2] for job in live], [min(job.span[0] + 1, job.cuts[5]) for job in live],
+            [job.o_vals for job in live], per_idx + 1,
+        )
+        for job, clamps in zip(live, committed):
+            if isinstance(clamps, StateError):
+                job.error = clamps
+                continue
+            job.clamps += clamps
+            job.betas.append(job.best[1])
+            job.gammas.append(job.best[2])
 
 
 def tune(
@@ -278,78 +403,10 @@ def tune(
 
     With ``shared_beta`` the first period fixes beta for all later periods and
     only gamma is searched afterwards.  ``init`` defaults to
-    ``default_init(series, periods)``.
+    ``default_init(series, periods)``.  This is ``tune_batch`` on one job.
     """
-    if model not in VARIANTS:
-        raise ConfigError(f"unknown model variant {model!r}; choose from {', '.join(VARIANTS)}")
-    cfg = cfg if cfg is not None else SearchConfig()
-    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
-    if init is None:
-        init = default_init(series, periods)
-    data, fits = _growth_rates(series, periods)
-    for idx, k in enumerate(data.k):
-        if k is None:
-            raise InsufficientDataError(
-                f"{series.region}: period {idx + 1} has no fittable growth rate"
-            )
-
-    window = periods.window
-    o_vals = _inflow_values(model, inflow, window.days)
-
-    b_lo0, b_hi0 = _beta_range(cfg, init.s)
-    g_lo0, g_hi0 = cfg.gamma_min, cfg.gamma_max
-
-    cuts = _cuts(periods)
-
-    days: tuple[list[float], list[float], list[float]] = ([init.s], [init.i], [init.r])
-    betas: list[float] = []
-    gammas: list[float] = []
-    clamp_events = 0
-    for per_idx in range(5):
-        seg_lo, seg_hi = cuts[per_idx], cuts[per_idx + 1]
-        target = data.k[per_idx]
-        fit_lo, fit_hi = fits.before[seg_lo], fits.before[seg_hi]
-        rows, x_fit = fits.days[fit_lo:fit_hi] - seg_lo, fits.x[fit_lo:fit_hi]
-        check_boundary = seg_hi < cuts[5]
-        b_lo, b_hi = b_lo0, b_hi0
-        g_lo, g_hi = g_lo0, g_hi0
-        incumbent: tuple[float, float, float] | None = None  # (objective, beta, gamma)
-        for _level in range(cfg.refinement_levels + 1):
-            if shared_beta and per_idx > 0:
-                bvals = np.array([betas[0]])
-            else:
-                bvals = np.linspace(b_lo, b_hi, cfg.beta_points)
-            gvals = np.linspace(g_lo, g_hi, cfg.gamma_points)
-            obj = _grid_eval(
-                model, days, bvals, gvals, seg_lo, seg_hi, rows, x_fit,
-                check_boundary, target, shared, o_vals,
-            )
-            j = int(np.argmin(obj))
-            if math.isfinite(obj[j]) and (incumbent is None or obj[j] < incumbent[0]):
-                incumbent = (float(obj[j]), float(bvals[j // len(gvals)]), float(gvals[j % len(gvals)]))
-            if incumbent is None:
-                break  # nothing feasible on the full grid, refinement cannot help
-            half_b = (b_hi - b_lo) / 20.0
-            half_g = (g_hi - g_lo) / 20.0
-            b_lo = max(b_lo0, incumbent[1] - half_b)
-            b_hi = min(b_hi0, incumbent[1] + half_b)
-            g_lo = max(g_lo0, incumbent[2] - half_g)
-            g_hi = min(g_hi0, incumbent[2] + half_g)
-        if incumbent is None:
-            raise ConfigError(
-                f"{series.region}: no feasible (beta, gamma) grid point for period {per_idx + 1}"
-            )
-        # Commit through the next period's first day: simulate() charges the
-        # step leaving day t to the period containing t, so that state belongs
-        # to this period's parameters.  The last period stops at the window end.
-        _, beta, gamma = incumbent
-        clamp_events += _commit(
-            model, days, shared, beta, gamma, min(seg_hi + 1, cuts[5]), o_vals, per_idx + 1
-        )
-        betas.append(beta)
-        gammas.append(gamma)
-
-    traj = Trajectory(*days, clamp_events=clamp_events)
-    sim = sim_growth_rates(traj, periods)
-    params = replace(shared, beta=tuple(betas), gamma=tuple(gammas))
-    return TuneResult(params, init, traj, data, sim, discrepancy(sim, data, periods))
+    (result,) = tune_batch([TuneJob(model, series, periods, cfg, tau1=tau1, tau2=tau2, mu=mu,
+                                    epsilon=epsilon, inflow=inflow, init=init, shared_beta=shared_beta)])
+    if isinstance(result, PipelineError):
+        raise result
+    return result

@@ -3,12 +3,13 @@
 All variants advance through one array-valued forward-Euler kernel at a fixed
 step of one day; a variant only changes which values feed it.  That keeps the
 degenerate cases (tau=0, mu=0, epsilon=0) bit-for-bit equal to the simpler
-models.  The tuner runs the kernel on a whole (beta, gamma) grid at once;
-``simulate`` runs it on a one-candidate batch, and float64 arithmetic is the
-same elementwise at every batch size.  Negative values are clamped to zero and
-counted; a clamp can create population, since the flow that overdrew a
-compartment still reaches the next one in full.  A state that stops being
-finite raises StateError.
+models.  The kernel steps a batch of jobs, each from its own committed day:
+the tuner runs the (beta, gamma) grids of many jobs in one call and commits
+their winners in another, ``simulate`` runs one job with one candidate, and
+float64 arithmetic is the same elementwise at every batch size.  Negative
+values are clamped to zero and counted; a clamp can create population, since
+the flow that overdrew a compartment still reaches the next one in full.  A
+state that stops being finite raises StateError.
 """
 
 from __future__ import annotations
@@ -62,10 +63,14 @@ class Trajectory:
         if not self.s:
             raise ValidationError("trajectory must hold at least one state")
         for name in ("s", "i", "r"):
-            column = tuple(_check_nonneg(name, v) for v in getattr(self, name))
+            values = getattr(self, name)
+            column = np.asarray(values, dtype=float)
+            bad = np.flatnonzero(~(np.isfinite(column) & (column >= 0.0)))
+            if bad.size:
+                _check_nonneg(name, values[bad[0]])  # raises, naming the first bad value
             if len(column) != len(self.s):
                 raise ValidationError("trajectory columns must hold the same number of days")
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, tuple(column.tolist()))
 
     def __len__(self) -> int:
         return len(self.s)
@@ -112,69 +117,76 @@ class InflowSeries:
         return len(self.o)
 
 
-def _euler_days(model, days, params: PiecewiseParams, beta, gamma, until, o_vals, record=False):
-    """Step a batch of candidates from the last committed day to day ``until - 1``.
+def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals, record=False):
+    """Step a batch of jobs, job j from its last committed day for ``steps[j]`` days.
 
-    This is the one forward-Euler step of every variant.  ``days`` holds the
-    committed (s, i, r) float lists, m days long; ``beta`` and ``gamma`` are
-    arrays with one entry per candidate.  Delayed reads before day 0 return
-    day 0 (constant pre-history); ``original`` reads today.  Negative values
-    are clamped to zero.  Returns (block, clamps, finite).  ``block`` is
-    (days, candidates): row k holds the I of day m - 1 + k for every
-    candidate, so row 0 is the last committed day.  With ``record`` it is
-    (3, days, candidates), holding S, I and R, and ``clamps`` counts the
-    negative raw values over all candidates; without, S and R are kept for
-    the current day only and ``clamps`` is 0.  ``finite`` marks the
-    candidates whose state stayed finite: a non-finite value never leaves the
-    state again, so the last day decides.  ``params`` supplies the delays and
-    the mu/epsilon rates; its per-period rates are not read.
+    This is the one forward-Euler step of every variant.  ``days`` holds each
+    job's committed (s, i, r) float lists, m_j days long; ``beta`` and
+    ``gamma`` are (jobs, candidates) arrays; ``o_vals`` holds each job's
+    inflow (tourism only).  Delayed reads before day 0 return day 0 (constant
+    pre-history); ``original`` reads today.  Negative values are clamped to
+    zero.  Returns (block, clamps, finite).  ``block`` is (days, jobs,
+    candidates), row k holding the I of each job's day m_j - 1 + k, so that
+    one lag index serves the batch; rows past a job's steps mean nothing.
+    With ``record`` it is (3, days, jobs, candidates), holding S, I and R, and
+    ``clamps`` counts each job's negative raw values; without, S and R are
+    kept for the current day only.  ``finite`` marks the candidates whose
+    state was finite on their job's last day: a non-finite value never leaves
+    the state again.  ``params`` supplies the delays and the mu/epsilon rates.
     """
-    s_days, i_days, r_days = days
     tau1, tau2, epsilon = params.tau1, params.tau2, params.epsilon
     if model == "original":
         tau1 = tau2 = 0
     # With mu = 0 the reentries term is +0.0, and adding it changes no clamped value.
     mu = params.mu if model == "reinfect" else 0.0
-    first = len(i_days) - 1
-    steps = until - len(i_days)
-    n = len(beta)
+    top, reach = max(steps), max(tau1, tau2)
+    # I history right-aligned on each job's last day: row reach - d is day m_j - 1 - d, or day 0.
+    hist = np.array([[i[0]] * (reach + 1 - len(i)) + i[-reach - 1:] for _, i, _ in days]).T[:, :, None]
+    start = np.array([[seq[-1] for seq in job] for job in days]).T[:, :, None]
+    shape = beta.shape
     if record:
-        block = np.empty((3, steps + 1, n))
-        block[:, 0] = np.array([s_days[first], i_days[first], r_days[first]])[:, None]
+        block = np.empty((3, top + 1, *shape))
+        block[:, 0] = start
         s_block, i_block, r_block = block
         s, r = s_block[0], r_block[0]
-        raw = np.empty((3, steps, n))
+        raw = np.empty((3, top, *shape))
     else:
-        block = i_block = np.empty((steps + 1, n))
-        i_block[0] = i_days[first]
-        s, r = np.full(n, s_days[first]), np.full(n, r_days[first])
-    new_infections, removals, reentries = np.empty(n), np.empty(n), np.empty(n)
+        block = i_block = np.empty((top + 1, *shape))
+        i_block[0] = start[1]
+        s, r = (np.broadcast_to(v, shape).copy() for v in start[::2])
+    ends = {n: [j for j, m in enumerate(steps) if m == n] for n in set(steps)}
+    finite = np.empty(shape, dtype=bool)
+    new_infections, removals, reentries = np.empty(shape), np.empty(shape), np.empty(shape)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite is checked below
-        for k in range(steps):
-            t = first + k
-            lag1, lag2 = max(t - tau1, 0), max(t - tau2, 0)
-            np.multiply(beta, i_block[lag1 - first] if lag1 >= first else i_days[lag1], out=new_infections)
-            new_infections *= s
-            np.multiply(gamma, i_block[lag2 - first] if lag2 >= first else i_days[lag2], out=removals)
-            if mu:
-                np.multiply(mu, r, out=reentries)
-            s_new, i_new, r_new = raw[:, k] if record else (s, i_block[k + 1], r)
-            np.subtract(s, new_infections, out=s_new)
-            np.add(i_block[k], new_infections, out=i_new)
-            i_new -= removals
-            np.add(r, removals, out=r_new)
-            if mu:
-                s_new += reentries
-                r_new -= reentries
-            if model == "tourism":
-                s_new += epsilon * o_vals[t]
-            if record:
-                s, r = s_block[k + 1], r_block[k + 1]
-            np.maximum(s_new, 0.0, out=s)
-            np.maximum(i_new, 0.0, out=i_block[k + 1])
-            np.maximum(r_new, 0.0, out=r)
-    clamps = int(np.count_nonzero(raw < 0.0)) if record else 0
-    return block, clamps, np.isfinite(s) & np.isfinite(i_block[-1]) & np.isfinite(r)
+        for k in range(top + 1):
+            if k:
+                lag1, lag2 = k - 1 - tau1, k - 1 - tau2
+                np.multiply(beta, i_block[lag1] if lag1 >= 0 else hist[reach + lag1], out=new_infections)
+                new_infections *= s
+                np.multiply(gamma, i_block[lag2] if lag2 >= 0 else hist[reach + lag2], out=removals)
+                if mu:
+                    np.multiply(mu, r, out=reentries)
+                s_new, i_new, r_new = raw[:, k - 1] if record else (s, i_block[k], r)
+                np.subtract(s, new_infections, out=s_new)
+                np.add(i_block[k - 1], new_infections, out=i_new)
+                i_new -= removals
+                np.add(r, removals, out=r_new)
+                if mu:
+                    s_new += reentries
+                    r_new -= reentries
+                if model == "tourism":  # a job past its own steps reads its last inflow day
+                    o_day = [[o[min(len(i) + k - 2, len(o) - 1)]] for (_, i, _), o in zip(days, o_vals)]
+                    s_new += epsilon * np.array(o_day)
+                if record:
+                    s, r = s_block[k], r_block[k]
+                np.maximum(s_new, 0.0, out=s)
+                np.maximum(i_new, 0.0, out=i_block[k])
+                np.maximum(r_new, 0.0, out=r)
+            if k in ends:
+                done = ends[k]
+                finite[done] = np.isfinite(s[done]) & np.isfinite(i_block[k, done]) & np.isfinite(r[done])
+    clamps = [int(np.count_nonzero(raw[:, :n, j] < 0.0)) for j, n in enumerate(steps)] if record else []
+    return block, clamps, finite
 
 
 def _inflow_values(model: str, inflow: InflowSeries | None, horizon: int):
@@ -188,25 +200,27 @@ def _inflow_values(model: str, inflow: InflowSeries | None, horizon: int):
     return inflow.o
 
 
-def _commit(model, days, params: PiecewiseParams, beta: float, gamma: float, until: int,
-            o_vals, period: int) -> int:
-    """Extend the committed float day lists to ``until`` days at (beta, gamma); returns clamps.
+def _commit(model, days, params: PiecewiseParams, beta, gamma, until, o_vals, period) -> list:
+    """Extend each job's committed day lists to ``until[j]`` days at its (beta, gamma).
 
-    Runs the step kernel as a one-candidate batch.  A state that stops being
-    finite raises StateError naming the model, the first bad day and the period.
+    Runs the step kernel with one column per job.  Returns each job's clamp
+    count, or the StateError naming the model, the first bad day and the
+    period for a job whose state stopped being finite.
     """
-    start = len(days[0])
+    starts = [len(job[0]) for job in days]
+    steps = [end - start for start, end in zip(starts, until)]
     block, clamps, finite = _euler_days(
-        model, days, params, np.array([beta]), np.array([gamma]), until, o_vals, record=True
+        model, days, params, np.array(beta)[:, None], np.array(gamma)[:, None], steps, o_vals, record=True
     )
-    for seq, rows in zip(days, block[:, 1:, 0]):
-        seq.extend(rows.tolist())
-    if not finite.all():
-        day = start + int(np.flatnonzero(~np.isfinite(block[:, 1:, 0]).all(axis=0))[0])
-        raise StateError(
-            f"{model}: state is no longer finite on day {day} (period {period}); "
-            "the rates are too large for this population"
-        )
+    for j, (job, start, n) in enumerate(zip(days, starts, steps)):
+        for seq, col in zip(job, block[:, 1:n + 1, j, 0]):
+            seq.extend(col.tolist())
+        if not finite[j, 0]:
+            day = start + int(np.flatnonzero(~np.isfinite(block[:, 1:n + 1, j, 0]).all(axis=0))[0])
+            clamps[j] = StateError(
+                f"{model}: state is no longer finite on day {day} (period {period}); "
+                "the rates are too large for this population"
+            )
     return clamps
 
 
@@ -232,7 +246,10 @@ def simulate(
     rates = zip(periods.periods, params.beta, params.gamma)
     for idx, (period, beta, gamma) in enumerate(rates, start=1):
         cut += period.length
-        clamp_events += _commit(model, days, params, beta, gamma, min(cut + 1, horizon), o_vals, idx)
+        (clamps,) = _commit(model, [days], params, [beta], [gamma], [min(cut + 1, horizon)], [o_vals], idx)
+        if isinstance(clamps, StateError):
+            raise clamps
+        clamp_events += clamps
     return Trajectory(*days, clamp_events=clamp_events)
 
 

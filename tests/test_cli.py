@@ -433,7 +433,8 @@ def _use_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-@pytest.mark.parametrize("cores", [1, 2])
+# Three cores split the four metros into uneven chunks.
+@pytest.mark.parametrize("cores", [1, 2, 3])
 def test_fit_output_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, cores):
     _use_cores(monkeypatch, cores)
     out = str(tmp_path)
@@ -517,7 +518,7 @@ def _plant(monkeypatch, name, region, model, exc):
     real = getattr(cli, name)
 
     def planted(*args, **kwargs):
-        call_model, series = (args[0], args[1]) if name == "tune" else (model, args[0])
+        call_model, series = (args[0], args[1]) if name == "TuneJob" else (model, args[0])
         if series.region == region and call_model == model:
             raise exc
         return real(*args, **kwargs)
@@ -537,8 +538,8 @@ def test_worker_failures_read_as_in_process_ones(pipeline_dir, tmp_path, monkeyp
         "--cases", os.path.join(pipeline_dir, "cases.csv"),
         "--metro-map", os.path.join(pipeline_dir, "metro_map.csv"),
     ]
-    _plant(monkeypatch, "tune", "metro-02", "delayed", ValidationError("planted failure"))
-    _plant(monkeypatch, "tune", "metro-03", "reinfect", ValidationError("planted too"))
+    _plant(monkeypatch, "TuneJob", "metro-02", "delayed", ValidationError("planted failure"))
+    _plant(monkeypatch, "TuneJob", "metro-03", "reinfect", ValidationError("planted too"))
     _plant(monkeypatch, "optimize_boundaries", "metro-02", None,
            InsufficientDataError("planted shortage"))
     runs = []
@@ -569,7 +570,7 @@ def test_worker_failures_read_as_in_process_ones(pipeline_dir, tmp_path, monkeyp
 def test_unexpected_worker_exception_propagates_out_of_main(pipeline_dir, tmp_path, monkeypatch,
                                                             cores):
     _use_cores(monkeypatch, cores)
-    _plant(monkeypatch, "tune", "metro-02", "reinfect", RuntimeError("planted crash"))
+    _plant(monkeypatch, "TuneJob", "metro-02", "reinfect", RuntimeError("planted crash"))
     argv = [
         "fit",
         "--cases", os.path.join(pipeline_dir, "cases.csv"),

@@ -1,5 +1,6 @@
 import csv
 import math
+import pickle
 from datetime import date, timedelta
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epigrowth.errors import ConfigError, InsufficientDataError, ValidationError
+from epigrowth.errors import ConfigError, InsufficientDataError, PipelineError, ValidationError
 from epigrowth.fit import (
     DEFAULT_S0_SCALE,
     DiscrepancyReport,
     GrowthRates,
     SearchConfig,
+    TuneJob,
     _grid_eval,
     beta_grid,
     data_growth_rates,
@@ -21,6 +23,7 @@ from epigrowth.fit import (
     gamma_grid,
     sim_growth_rates,
     tune,
+    tune_batch,
 )
 from epigrowth.fixtures import (
     FIXTURE_MU,
@@ -28,7 +31,7 @@ from epigrowth.fixtures import (
     FIXTURE_TAU2,
     make_bundle,
 )
-from epigrowth.cli import main
+from epigrowth.cli import FIT_MODELS, _fit_chunk, main
 from epigrowth.regress import fit_simple
 from epigrowth.segment import Period, PeriodSet, load_periods_csv
 from epigrowth.sir import (
@@ -37,6 +40,7 @@ from epigrowth.sir import (
     PiecewiseParams,
     SirState,
     Trajectory,
+    _commit,
     simulate,
 )
 from epigrowth.timeseries import CaseSeries, aggregate_to_metros, load_cases, load_metro_map
@@ -390,11 +394,12 @@ def _reference_grid_eval(model, days, bvals, gvals, seg_lo, seg_hi, x_off, fit_d
         return np.where(alive, np.abs(slope - target_k), np.inf)
 
 
-def _fit_rows(bvals, gvals, seg_lo, seg_hi, x_off, fit_days, *rest):
-    """The reference's arguments as _grid_eval takes them: fit days as block rows and x values."""
+def _fit_rows(bvals, gvals, seg_lo, seg_hi, x_off, fit_days, check_boundary, target_k, shared, o_vals):
+    """The reference's arguments as _grid_eval takes them for a batch of one job: fit days as
+    block rows and x values."""
     rows = np.flatnonzero(fit_days)
     x_fit = np.arange(x_off + seg_lo, x_off + seg_hi, dtype=float)[fit_days]
-    return (bvals, gvals, seg_lo, seg_hi, rows, x_fit, *rest)
+    return bvals[None], gvals[None], [(seg_hi, rows, x_fit, check_boundary, target_k)], shared, [o_vals]
 
 
 _rate = st.floats(0.0, 3e-5)
@@ -431,7 +436,7 @@ def test_grid_eval_matches_reference_bitwise(
     o_vals = tuple(float(3 + d % 7) for d in range(seg_hi + 1))
     args = (np.array(bvals), np.array(gvals), seg_lo, seg_hi, x_off, fit_days,
             check_boundary, target_k, shared, o_vals)
-    got = _grid_eval(model, days, *_fit_rows(*args))
+    (got,) = _grid_eval(model, [days], *_fit_rows(*args))
     want = _reference_grid_eval(model, days, *args)
     assert got.shape == (len(bvals) * len(gvals),)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -444,9 +449,133 @@ def test_grid_eval_logs_the_committed_day_as_the_reference_does():
     days = ([1e5], [i0], [0.0])
     args = (np.linspace(0.0, 1e-5, 5), np.linspace(0.0, 0.5, 5), 0, 8, 3, np.ones(8, dtype=bool),
             True, 0.05, PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4), None)
-    got = _grid_eval("delayed", days, *_fit_rows(*args))
+    (got,) = _grid_eval("delayed", [days], *_fit_rows(*args))
     assert np.isfinite(got).sum() > 1
     assert np.array_equal(got.view(np.int64), _reference_grid_eval("delayed", days, *args).view(np.int64))
+
+
+def _outcome(res):
+    """A tune outcome to compare bit for bit: a result pickled, floats by their bits; an error
+    as its type and text."""
+    return (type(res), str(res)) if isinstance(res, PipelineError) else pickle.dumps(res)
+
+
+def _tune_alone(*args, **kwargs):
+    try:
+        return tune(*args, **kwargs)
+    except PipelineError as exc:
+        return exc
+
+
+def _noisy_metro(lengths, seed):
+    rng = np.random.default_rng(seed)
+    slopes = (0.12, -0.05, 0.1, -0.04, 0.08)
+    counts = piecewise_log_linear_counts(500.0, slopes, lengths, rng=rng, noise_sigma=0.05)
+    return CaseSeries(f"m{seed}", START, counts), periods_over(lengths)
+
+
+BATCH_LENGTHS = ((10, 12, 14, 12, 10), (8, 15, 9, 13, 11), (14, 9, 12, 10, 13))
+
+
+# One grid point per job takes _grid_eval's pairwise-sum path.
+@pytest.mark.parametrize("shared_beta, points", [(False, 9), (True, 9), (False, 1)])
+def test_a_batch_tunes_each_job_as_tune_alone_does_bitwise(shared_beta, points):
+    cfg = SearchConfig(beta_points=points, gamma_points=points, refinement_levels=1)
+    calls = []
+    for seed, lengths in enumerate(BATCH_LENGTHS):
+        series, ps = _noisy_metro(lengths, seed)
+        for model, mu in (("delayed", 0.0), ("reinfect", 0.2), ("reinfect", 0.0)):
+            calls.append(((model, series, ps, cfg), {"tau1": 3, "tau2": 7, "mu": mu}))
+    # On this grid every candidate's I dies within days once S has run down, so the jobs
+    # seeded with a high I/S ratio find nothing feasible in period 1 or 2; the others finish.
+    series, ps = _noisy_metro((3, 9, 9, 9, 9), 7)
+    strict = SearchConfig(beta_points=points, gamma_points=points, refinement_levels=1, gamma_min=1.01,
+                          gamma_max=2.0)
+    for init in (SirState(1e3, 10.0, 0.0), SirState(1e3, 100.0, 0.0), SirState(100.0, 100.0, 0.0),
+                 SirState(1e4, 1.0, 0.0)):
+        calls.append((("delayed", series, ps, strict), {"tau1": 1, "tau2": 1, "init": init}))
+    got = tune_batch([TuneJob(*args, **kwargs, shared_beta=shared_beta) for args, kwargs in calls])
+    want = [_tune_alone(*args, **kwargs, shared_beta=shared_beta) for args, kwargs in calls]
+    assert [_outcome(res) for res in got] == [_outcome(res) for res in want]
+    failed = [str(res)[-8:] for res in want[-4:] if isinstance(res, ConfigError)]
+    assert failed == (["period 2", "period 1"] if points > 1 else ["period 1"] * 4)
+
+
+def test_fit_chunk_gives_each_metro_and_model_what_tune_alone_gives():
+    cfg = SearchConfig(beta_points=9, gamma_points=9, refinement_levels=1)
+    chunk = [_noisy_metro(lengths, seed) for seed, lengths in enumerate(BATCH_LENGTHS)]
+    series, ps = chunk[1]
+    counts = list(series.counts)
+    counts[23:32] = [0.0] * 9  # period 3 has no positive day: no fittable growth rate
+    chunk.insert(1, (CaseSeries("unfittable", START, tuple(counts)), ps))
+    got = _fit_chunk(chunk, cfg=cfg, tau1=3, tau2=7, mu=0.2, shared_beta=False)
+    want = [
+        _tune_alone(model, series, ps, cfg, tau1=3, tau2=7, mu=0.2 if model == "reinfect" else 0.0)
+        for series, ps in chunk
+        for model in FIT_MODELS
+    ]
+    assert [_outcome(res) for res in got] == [_outcome(res) for res in want]
+    assert [type(res) for res in got[2:4]] == [InsufficientDataError] * 2
+
+
+def test_a_batched_commit_extends_each_job_as_it_would_alone():
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4, mu=0.3)
+    jobs = [
+        (([1e5, 9e4], [10.0, 20.0], [0.0, 5.0]), 2e-6, 0.1, 9),
+        (([1e300], [1e300], [0.0]), 1.0, 0.0, 6),  # overflows on its first step: a StateError
+        (([5e4, 4e4, 3e4], [100.0, 90.0, 80.0], [0.0, 1.0, 2.0]), 1e-5, 1.5, 5),  # R is clamped
+    ]
+    alone = []
+    for days, beta, gamma, until in jobs:
+        days = tuple(list(seq) for seq in days)
+        (res,) = _commit("reinfect", [days], shared, [beta], [gamma], [until], [None], 3)
+        alone.append((days, res))
+    batch = [tuple(list(seq) for seq in days) for days, *_ in jobs]
+    got = _commit("reinfect", batch, shared, *[list(col) for col in zip(*jobs)][1:], [None] * 3, 3)
+    assert [(pickle.dumps(days), _outcome(res)) for days, res in zip(batch, got)] == [
+        (pickle.dumps(days), _outcome(res)) for days, res in alone
+    ]
+    assert str(got[1]).startswith("reinfect: state is no longer finite on day 1 (period 3)")
+    assert got[2] > 0
+
+
+def test_a_job_is_feasible_by_its_own_last_day_not_the_batch_longest():
+    # Candidate (0.01, 0.5) of the first job stays finite through its last day, row 8,
+    # and overflows on row 9, which the batch reaches for the second job.
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, mu=1.0)
+    odd = np.arange(1, 20, 2)
+    jobs = [
+        (([1.0], [1e60], [0.0]), [0.01, 0.0], [0.5, 0.1], (9, np.arange(9), np.arange(9.0), False, 0.1)),
+        (([1e5], [10.0], [0.0]), [1e-6, 2e-6], [0.1, 0.2], (20, odd, odd.astype(float), True, 0.05)),
+    ]
+    days, bvals, gvals, spans = zip(*jobs)
+    got = _grid_eval("reinfect", days, np.array(bvals), np.array(gvals), spans, shared, [None, None])
+    for j, (job_days, job_b, job_g, span) in enumerate(jobs):
+        (alone,) = _grid_eval("reinfect", [job_days], np.array([job_b]), np.array([job_g]), [span], shared,
+                              [None])
+        assert np.array_equal(got[j].view(np.int64), alone.view(np.int64))
+    assert np.isfinite(got[0, 0])
+
+
+def test_a_one_point_grid_is_summed_pairwise_as_the_reference_does():
+    # NumPy sums a single column pairwise once it holds 8 values, and a batch column day by
+    # day; over these 15 fit days and the boundary day the two round these jobs differently.
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4)
+    jobs = [(628.8445119386203, 2.6916414029087264e-06, 0.23270570707355803),
+            (333.70255383950513, 2.9618305300137767e-06, 0.09561325154565502)]
+    wants, calls = [], []
+    for i0, beta, gamma in jobs:
+        days = ([1e5], [i0], [0.0])
+        fit_days = np.ones(15, dtype=bool)
+        args = (np.array([beta]), np.array([gamma]), 0, 15, 3, fit_days, True, 0.05, shared, None)
+        wants.append(_reference_grid_eval("delayed", days, *args))
+        calls.append((days, *_fit_rows(*args)))
+    for (days, *rest), want in zip(calls, wants):
+        (alone,) = _grid_eval("delayed", [days], *rest)
+        assert np.array_equal(alone.view(np.int64), want.view(np.int64))
+    days, bvals, gvals, spans = zip(*((c[0], c[1][0], c[2][0], c[3][0]) for c in calls))
+    got = _grid_eval("delayed", days, np.array(bvals), np.array(gvals), spans, shared, [None, None])
+    assert np.array_equal(got.view(np.int64), np.array(wants).view(np.int64))
 
 
 def _reference_data_rates(series, periods):
