@@ -239,39 +239,46 @@ def _cores() -> int:
 
 
 def _map_in_order(fn, items: list) -> list:
-    """``[fn(item) for item in items]``, spread over one forked worker per core.
+    """``fn(items)``, with ``items`` cut into one contiguous chunk per forked worker, one per core.
 
-    Results are pickled back and returned in input order, so what the caller
-    writes does not depend on the worker count.  Workers are forked rather
-    than spawned, so they start with the parent's modules already imported
-    instead of importing NumPy again; the CLI starts no threads of its own
-    that a fork could catch mid-update.  With one core, one item or no
-    ``fork``, ``fn`` runs in this process.  The pool modules are imported
-    here so that importing the CLI stays as cheap as before.
+    ``fn`` maps a list of items to a list with one result per item, so a
+    worker can batch the work of its whole chunk.  Results are pickled back
+    and returned in input order, so what the caller writes does not depend on
+    the worker count.  Workers are forked rather than spawned, so they start
+    with the parent's modules already imported instead of importing NumPy
+    again; the CLI starts no threads of its own that a fork could catch
+    mid-update.  With one core, one item or no ``fork``, ``fn`` runs in this
+    process.  The pool modules are imported here so that importing the CLI
+    stays as cheap as before.
     """
     import multiprocessing
 
     workers = min(len(items), _cores())
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return list(map(fn, items))
+        return fn(items)
     from concurrent.futures import ProcessPoolExecutor
 
+    cuts = [len(items) * k // workers for k in range(workers + 1)]
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(fn, items))
+        chunks = pool.map(fn, [items[a:b] for a, b in zip(cuts, cuts[1:])])
+        return [res for chunk in chunks for res in chunk]
 
 
-def _segment_job(series, *, window, anchors, radius, min_period):
-    """One metro's periods, or the InsufficientDataError that skips it."""
-    try:
-        return optimize_boundaries(
-            series,
-            initial_periods(window, anchors, series.region),
-            search_radius=radius,
-            min_period_length=min_period,
-        )
-    except InsufficientDataError as exc:
-        return exc
+def _segment_chunk(chunk, *, window, anchors, radius, min_period):
+    """Each metro's periods, or the InsufficientDataError that skips it."""
+    results = []
+    for series in chunk:
+        try:
+            results.append(optimize_boundaries(
+                series,
+                initial_periods(window, anchors, series.region),
+                search_radius=radius,
+                min_period_length=min_period,
+            ))
+        except InsufficientDataError as exc:
+            results.append(exc)
+    return results
 
 
 def _fit_chunk(chunk, *, mu, **kwargs):
@@ -314,7 +321,7 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    job = functools.partial(_segment_job, window=args.window, anchors=_anchors(args),
+    job = functools.partial(_segment_chunk, window=args.window, anchors=_anchors(args),
                             radius=args.radius, min_period=args.min_period)
     metros = _load_case_metros(args)
     period_sets = []
@@ -361,14 +368,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     report: dict = {"config": {key: getattr(args, key) for key in settings}, "metros": {}}
     table_rows: list[tuple[str, float | None, float | None]] = []
     todo = [(series_by[m], period_sets[m]) for m in sorted(period_sets) if m in series_by]
-    # one contiguous chunk per worker, so that each worker batches all of its metros
-    cores = _cores()
-    cuts = [len(todo) * k // cores for k in range(cores + 1)]
     job = functools.partial(
         _fit_chunk, cfg=cfg, tau1=args.tau1, tau2=args.tau2, mu=args.mu, shared_beta=args.shared_beta
     )
-    chunks = _map_in_order(job, [todo[a:b] for a, b in zip(cuts, cuts[1:]) if b > a])
-    results = (res for chunk in chunks for res in chunk)
+    results = iter(_map_in_order(job, todo))
     for metro in sorted(period_sets):
         ps = period_sets[metro]
         entry: dict = {
@@ -390,18 +393,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 entry[model] = {"error": str(res)}
                 pcts[model] = None
                 continue
-            params, init, rep = res.params, res.init, res.report
+            rep = res.report
             entry[model] = {
-                "beta": list(params.beta),
-                "gamma": list(params.gamma),
-                "tau1": params.tau1,
-                "tau2": params.tau2,
-                "mu": params.mu,
-                "epsilon": params.epsilon,
-                "init": {"s": init.s, "i": init.i, "r": init.r},
-                "k_data": list(res.data_rates.k),
-                "k_sim": list(res.sim_rates.k),
-                "per_period_abs_diff": list(rep.abs_diff),
+                **dataclasses.asdict(res.params),
+                "init": dataclasses.asdict(res.init),
+                "k_data": res.data_rates.k,
+                "k_sim": res.sim_rates.k,
+                "per_period_abs_diff": rep.abs_diff,
                 "weighted_error": rep.weighted_error,
                 "as_percent": rep.as_percent,
                 "clamp_events": res.trajectory.clamp_events,

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fit import GrowthRates
+from .fit import GrowthRates, weighted_mean
 from .regress import bucket_temperature, encode_dummies, fit_multi
 from .segment import Period, PeriodSet
 from .timeseries import CaseSeries, read_table, write_table
@@ -107,14 +107,10 @@ class WeatherTable:
 
 def weighted_avg_growth(rates: GrowthRates, periods: PeriodSet) -> float:
     """Length-weighted mean growth rate across the periods."""
-    total = 0.0
-    weight = 0
-    for idx, (k, length) in enumerate(zip(rates.k, periods.lengths())):
+    for idx, k in enumerate(rates.k, start=1):
         if k is None:
-            raise ValidationError(f"period {idx + 1} has no growth rate")
-        total += k * length
-        weight += length
-    return total / weight
+            raise ValidationError(f"period {idx} has no growth rate")
+    return weighted_mean(rates.k, periods.lengths())
 
 
 def daily_log_growth(series: CaseSeries, period: Period) -> list[tuple[date, float]]:

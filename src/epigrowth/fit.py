@@ -11,14 +11,14 @@ incumbent for each refinement level, then commits the winner and moves on.
 ``tune_batch`` runs many such searches together, one model at a time: per
 period and refinement level one call of the ``sir`` step kernel evaluates
 every job's grid, and one more commits every job's winner, one column each,
-as ``sir.simulate`` runs it, so a re-simulation with the tuned parameters
-reproduces the committed trajectory bit for bit.  Each job scores and ends
-exactly as it would alone; ``tune`` is a batch of one.
+through ``sir._commit`` as ``sir.simulate`` does, to the same end day, so a
+re-simulation with the tuned parameters reproduces the committed trajectory
+bit for bit.  Each job scores and ends exactly as it would alone; ``tune`` is
+a batch of one.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -45,6 +45,14 @@ from .timeseries import CaseSeries
 DEFAULT_S0_SCALE = 1e5
 # Grid columns per kernel call across a batch's jobs, set by measurement.
 _BATCH_COLUMNS = 16_384
+
+
+def weighted_mean(values: Sequence[float], lengths: Sequence[int]) -> float:
+    """Length-weighted mean: summed left to right, then divided by the integer total length."""
+    total = 0.0
+    for value, length in zip(values, lengths):
+        total += value * length
+    return total / sum(lengths)
 
 
 @dataclass(frozen=True)
@@ -78,11 +86,8 @@ class DiscrepancyReport:
 
     @property
     def weighted_error(self) -> float:
-        """Length-weighted mean absolute slope gap, summed period by period."""
-        total = 0.0
-        for diff, length in zip(self.abs_diff, self.lengths):
-            total += diff * length
-        return total / sum(self.lengths)
+        """Length-weighted mean absolute slope gap."""
+        return weighted_mean(self.abs_diff, self.lengths)
 
     @property
     def as_percent(self) -> float:
@@ -151,20 +156,15 @@ def gamma_grid(cfg: SearchConfig) -> np.ndarray:
     return np.linspace(cfg.gamma_min, cfg.gamma_max, cfg.gamma_points)
 
 
-def default_init(series: CaseSeries, periods: PeriodSet, s0_scale: float = DEFAULT_S0_SCALE) -> SirState:
-    """Seed state: I0 = first positive windowed count, S0 = s0_scale * I0, R0 = 0."""
+def default_init(series: CaseSeries, periods: PeriodSet) -> SirState:
+    """Seed state: I0 = first positive windowed count, S0 = DEFAULT_S0_SCALE * I0, R0 = 0."""
     window = periods.window
     for c in series.within(window)[1]:
         if c > 0:
-            return SirState(s0_scale * c, c, 0.0)
+            return SirState(DEFAULT_S0_SCALE * c, c, 0.0)
     raise InsufficientDataError(
         f"{series.region}: no positive counts inside {window.start}..{window.end} to seed a run"
     )
-
-
-def _cuts(periods: PeriodSet) -> list[int]:
-    """Window-relative first day of each period, then the window length."""
-    return [0, *itertools.accumulate(p.length for p in periods.periods)]
 
 
 def _growth_rates(series: CaseSeries, periods: PeriodSet) -> tuple[GrowthRates, _WindowFits | None]:
@@ -176,7 +176,7 @@ def _growth_rates(series: CaseSeries, periods: PeriodSet) -> tuple[GrowthRates, 
     except InsufficientDataError:
         return GrowthRates((None,) * NUM_PERIODS, (0,) * NUM_PERIODS), None
     ks, ns = [], []
-    cuts = _cuts(periods)
+    cuts = periods.cuts()
     for lo, hi in zip(cuts, cuts[1:]):
         fit = fits.segment_fit(lo, hi)
         ks.append(None if fit is None else fit[0])
@@ -297,7 +297,7 @@ class TuneJob:
         self.o_vals = _inflow_values(model, inflow, periods.window.days)
         self.b_range = _beta_range(self.cfg, self.init.s)
         self.model, self.region, self.periods, self.shared_beta = model, series.region, periods, shared_beta
-        self.cuts = _cuts(periods)
+        self.cuts = periods.cuts()
         self.days = ([self.init.s], [self.init.i], [self.init.r])
         self.betas: list[float] = []
         self.gammas: list[float] = []
@@ -368,13 +368,10 @@ def _tune_together(batch: list[TuneJob]) -> None:
             live = [job for job in live if job.error is None]
         if not live:
             return
-        # Commit through the next period's first day: simulate() charges the
-        # step leaving day t to the period containing t, so that state belongs
-        # to this period's parameters.  The last period stops at the window end.
         committed = _commit(
             model, [job.days for job in live], shared, [job.best[1] for job in live],
-            [job.best[2] for job in live], [min(job.span[0] + 1, job.cuts[5]) for job in live],
-            [job.o_vals for job in live], per_idx + 1,
+            [job.best[2] for job in live], [job.cuts for job in live], [job.o_vals for job in live],
+            per_idx + 1,
         )
         for job, clamps in zip(live, committed):
             if isinstance(clamps, StateError):

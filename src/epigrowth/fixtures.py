@@ -39,6 +39,7 @@ GROUP_SUBCATS = {
     "education": ("college", "no-college", "post-grad"),
 }
 PLANTED_CELL = ("education", "post-grad")
+PLANTED_NOISE = 0.05  # sd of the noise on the planted cell's percentages
 FIXTURE_WEATHER_KINDS = ("sunny", "rainy", "cloudy", "foggy")
 
 # Per-period index windows into the 101-point default grids, chosen so
@@ -104,7 +105,6 @@ def synth_demographics(
     rng: np.random.Generator,
     response: Mapping[str, float],
     planted: tuple[str, str] | None = PLANTED_CELL,
-    noise: float = 0.05,
 ) -> DemographicTable:
     """Uniform percentages per metro/group/subcategory; one cell optionally
     rescaled from the response so its regression recovers a strong fit."""
@@ -120,7 +120,7 @@ def synth_demographics(
             for subcat in GROUP_SUBCATS[group]:
                 if planted == (group, subcat) and spread > 0:
                     scaled = 10.0 + 30.0 * (response[metro] - lo) / spread
-                    value = scaled + rng.normal(0.0, noise)
+                    value = scaled + rng.normal(0.0, PLANTED_NOISE)
                 else:
                     value = rng.uniform(5.0, 45.0)
                 per_metro[subcat] = float(min(100.0, max(0.0, value)))

@@ -9,6 +9,7 @@ per metro, however many sweeps try it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -87,6 +88,10 @@ class PeriodSet:
     def lengths(self) -> tuple[int, ...]:
         return tuple(p.length for p in self.periods)
 
+    def cuts(self) -> list[int]:
+        """Window-relative first day of each period, then the window length."""
+        return [0, *itertools.accumulate(self.lengths())]
+
     def fitted(self) -> bool:
         return all(p.fit is not None for p in self.periods)
 
@@ -99,14 +104,9 @@ class ProtocolCall:
     note: str
 
 
-def default_anchors(
-    announcement: date = DEFAULT_ANNOUNCEMENT,
-    offsets: Sequence[int] = DEFAULT_ANCHOR_OFFSETS,
-) -> tuple[date, ...]:
-    """Boundary dates derived from the protocol announcement plus day offsets."""
-    if len(offsets) != NUM_PERIODS - 1:
-        raise ConfigError(f"need {NUM_PERIODS - 1} anchor offsets, got {len(offsets)}")
-    return tuple(announcement + timedelta(days=int(o)) for o in offsets)
+def default_anchors(announcement: date = DEFAULT_ANNOUNCEMENT) -> tuple[date, ...]:
+    """Boundary dates: the protocol announcement plus DEFAULT_ANCHOR_OFFSETS days."""
+    return tuple(announcement + timedelta(days=o) for o in DEFAULT_ANCHOR_OFFSETS)
 
 
 def initial_periods(window: DateInterval, anchors: Sequence[date], metro: str = "") -> PeriodSet:
@@ -206,7 +206,7 @@ def optimize_boundaries(
             f"of at least {min_period_length} days"
         )
     fits = _WindowFits(series, window)
-    init = [(p.start - window.start).days for p in initial.periods[1:]]
+    init = initial.cuts()[1:-1]
     lo_box = [b - search_radius for b in init]
     hi_box = [b + search_radius for b in init]
 

@@ -6,10 +6,11 @@ degenerate cases (tau=0, mu=0, epsilon=0) bit-for-bit equal to the simpler
 models.  The kernel steps a batch of jobs, each from its own committed day:
 the tuner runs the (beta, gamma) grids of many jobs in one call and commits
 their winners in another, ``simulate`` runs one job with one candidate, and
-float64 arithmetic is the same elementwise at every batch size.  Negative
-values are clamped to zero and counted; a clamp can create population, since
-the flow that overdrew a compartment still reaches the next one in full.  A
-state that stops being finite raises StateError.
+float64 arithmetic is the same elementwise at every batch size.  Both commit
+through ``_commit``, the one place that says on which day a period's run
+ends.  Negative values are clamped to zero and counted; a clamp can create
+population, since the flow that overdrew a compartment still reaches the next
+one in full.  A state that stops being finite raises StateError.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, StateError, ValidationError
 from .segment import PeriodSet
-from .timeseries import read_table, write_table
+from .timeseries import _nonneg_column, read_table, write_table
 
 VARIANTS = ("original", "delayed", "reinfect", "tourism")
 DEFAULT_TAU1 = 5
@@ -63,14 +64,10 @@ class Trajectory:
         if not self.s:
             raise ValidationError("trajectory must hold at least one state")
         for name in ("s", "i", "r"):
-            values = getattr(self, name)
-            column = np.asarray(values, dtype=float)
-            bad = np.flatnonzero(~(np.isfinite(column) & (column >= 0.0)))
-            if bad.size:
-                _check_nonneg(name, values[bad[0]])  # raises, naming the first bad value
+            column = _nonneg_column(getattr(self, name), name, show_raw=True)
             if len(column) != len(self.s):
                 raise ValidationError("trajectory columns must hold the same number of days")
-            object.__setattr__(self, name, tuple(column.tolist()))
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.s)
@@ -107,11 +104,7 @@ class InflowSeries:
     o: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.o)
-        for v in vals:
-            if not math.isfinite(v) or v < 0:
-                raise ValidationError(f"inflow values must be finite and >= 0, got {v}")
-        object.__setattr__(self, "o", vals)
+        object.__setattr__(self, "o", _nonneg_column(self.o, "inflow values"))
 
     def __len__(self) -> int:
         return len(self.o)
@@ -200,15 +193,19 @@ def _inflow_values(model: str, inflow: InflowSeries | None, horizon: int):
     return inflow.o
 
 
-def _commit(model, days, params: PiecewiseParams, beta, gamma, until, o_vals, period) -> list:
-    """Extend each job's committed day lists to ``until[j]`` days at its (beta, gamma).
+def _commit(model, days, params: PiecewiseParams, beta, gamma, cuts, o_vals, period) -> list:
+    """Extend each job's committed day lists through period ``period`` at its (beta, gamma).
 
-    Runs the step kernel with one column per job.  Returns each job's clamp
-    count, or the StateError naming the model, the first bad day and the
-    period for a job whose state stopped being finite.
+    ``cuts`` holds each job's ``PeriodSet.cuts()``.  A period is committed
+    through the next period's first day: the step leaving day t is charged to
+    the period containing t, so that state belongs to this period's
+    parameters.  The last period stops at the window end.  Runs the step
+    kernel with one column per job.  Returns each job's clamp count, or the
+    StateError naming the model, the first bad day and the period for a job
+    whose state stopped being finite.
     """
     starts = [len(job[0]) for job in days]
-    steps = [end - start for start, end in zip(starts, until)]
+    steps = [min(c[period] + 1, c[-1]) - start for start, c in zip(starts, cuts)]
     block, clamps, finite = _euler_days(
         model, days, params, np.array(beta)[:, None], np.array(gamma)[:, None], steps, o_vals, record=True
     )
@@ -238,15 +235,12 @@ def simulate(
     """
     if model not in VARIANTS:
         raise ConfigError(f"unknown model variant {model!r}; choose from {', '.join(VARIANTS)}")
-    horizon = periods.window.days
-    o_vals = _inflow_values(model, inflow, horizon)
+    o_vals = _inflow_values(model, inflow, periods.window.days)
     days = ([init.s], [init.i], [init.r])
     clamp_events = 0
-    cut = 0
-    rates = zip(periods.periods, params.beta, params.gamma)
-    for idx, (period, beta, gamma) in enumerate(rates, start=1):
-        cut += period.length
-        (clamps,) = _commit(model, [days], params, [beta], [gamma], [min(cut + 1, horizon)], [o_vals], idx)
+    cuts = periods.cuts()
+    for idx, (beta, gamma) in enumerate(zip(params.beta, params.gamma), start=1):
+        (clamps,) = _commit(model, [days], params, [beta], [gamma], [cuts], [o_vals], idx)
         if isinstance(clamps, StateError):
             raise clamps
         clamp_events += clamps

@@ -41,6 +41,21 @@ class DateInterval:
             yield self.start + timedelta(days=i)
 
 
+def _nonneg_column(values, name: str, *, show_raw: bool = False) -> tuple[float, ...]:
+    """``values`` as floats, each checked finite and >= 0 in one NumPy pass.
+
+    The first bad value raises "``name`` must be finite and >= 0, got ...",
+    naming the float it converts to, or with ``show_raw`` the repr of the
+    value as given.
+    """
+    column = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(column) & (column >= 0.0)))
+    if bad.size:
+        shown = repr(values[bad[0]]) if show_raw else float(column[bad[0]])
+        raise ValidationError(f"{name} must be finite and >= 0, got {shown}")
+    return tuple(column.tolist())
+
+
 @dataclass(frozen=True)
 class CaseSeries:
     """Daily infected counts for one region, one entry per consecutive day.
@@ -56,12 +71,9 @@ class CaseSeries:
     def __post_init__(self) -> None:
         if not self.region:
             raise ValidationError("series region name must be non-empty")
-        counts = tuple(float(c) for c in self.counts)
+        counts = _nonneg_column(self.counts, f"{self.region}: counts")
         if not counts:
             raise ValidationError(f"{self.region}: series must hold at least one day")
-        for c in counts:
-            if not math.isfinite(c) or c < 0:
-                raise ValidationError(f"{self.region}: counts must be finite and >= 0, got {c}")
         object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
@@ -70,10 +82,6 @@ class CaseSeries:
     @property
     def end_date(self) -> date:
         return self.start_date + timedelta(days=len(self.counts) - 1)
-
-    @property
-    def interval(self) -> DateInterval:
-        return DateInterval(self.start_date, self.end_date)
 
     def within(self, window: DateInterval) -> tuple[int, tuple[float, ...]]:
         """(index of the first day, counts) of the days the series shares with ``window``."""

@@ -510,6 +510,33 @@ def test_simulate_output_bytes_are_pinned(tmp_path, capsys):
     }
 
 
+def test_fixture_and_correlate_output_bytes_are_pinned(tmp_path):
+    out = str(tmp_path)
+    assert main(["gen-fixtures", "--seed", "0", "--metros", "4", "--out", out]) == 0
+    inputs = ["--cases", f"{out}/cases.csv", "--metro-map", f"{out}/metro_map.csv"]
+    assert main(["segment", *inputs, "--out", out]) == 0
+    assert main(["correlate", *inputs, "--periods", f"{out}/periods.csv",
+                 "--demographics", f"{out}/demographics.csv", "--weather", f"{out}/weather.csv",
+                 "--out", out]) == 0
+    names = ("cases.csv", "metro_map.csv", "demographics.csv", "weather.csv", "inflow.csv",
+             "fixture_params.json", "table3.csv", "table4.csv", "table5.csv", "table6.csv",
+             "correlate_report.json")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
+    assert digests == {
+        "cases.csv": "2c64b4eaeaa26256f900c03615d719325d2497072c324c1ad9cf900c8a244d9e",
+        "metro_map.csv": "e1aede1cc1d8f99795c4694d210e61616fc2cad2fe428c013fe088e3c887b176",
+        "demographics.csv": "b4175d283e2b9976772a53c741584d2f76c9b694bbd5b2360558b23be1d4e0ce",
+        "weather.csv": "4e30f7782ab7c3eb87724d8f3a6946eebc5858a73354e9aad6762d8c88cc145c",
+        "inflow.csv": "1f5ef86c666b407d1fb76d539b1eda0ad3e2e8a7b680b45f7b3c4cc4b910c68f",
+        "fixture_params.json": "3760844a306da8f445521ddc40d02762ba952db015e4db6bebe8411511ab1392",
+        "table3.csv": "d5355f361cbb34fbea2dbde526e79962cd7478d3395c6905055e3c168524e292",
+        "table4.csv": "0797b3391fcceb27fa73dbec652e636000fe6c3997e31bc418fe781c5896727e",
+        "table5.csv": "6f04f2430384a6d2aef7773e0b168052d401109fe157a637c79501d5656f25dd",
+        "table6.csv": "91f3d6839a2039817f57e6d8f733e8ae8b8a96cca8410cb892f88e1d2becd9e4",
+        "correlate_report.json": "4ec7c46ffbddc184dcd33729a78f44c32d58dabd71b74b8855780434d11f7fbb",
+    }
+
+
 def _plant(monkeypatch, name, region, model, exc):
     """Make cli.<name> raise exc for one metro (and, for tune, one model).
 

@@ -520,15 +520,17 @@ def test_fit_chunk_gives_each_metro_and_model_what_tune_alone_gives():
 
 def test_a_batched_commit_extends_each_job_as_it_would_alone():
     shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4, mu=0.3)
+    # Period 3 is committed through period 4's first day, to 9, 6 and 5 days.  The second
+    # job overflows on its first step, a StateError; the third job's R is clamped.
     jobs = [
-        (([1e5, 9e4], [10.0, 20.0], [0.0, 5.0]), 2e-6, 0.1, 9),
-        (([1e300], [1e300], [0.0]), 1.0, 0.0, 6),  # overflows on its first step: a StateError
-        (([5e4, 4e4, 3e4], [100.0, 90.0, 80.0], [0.0, 1.0, 2.0]), 1e-5, 1.5, 5),  # R is clamped
+        (([1e5, 9e4], [10.0, 20.0], [0.0, 5.0]), 2e-6, 0.1, (0, 1, 2, 8, 10, 12)),
+        (([1e300], [1e300], [0.0]), 1.0, 0.0, (0, 1, 2, 5, 7, 9)),
+        (([5e4, 4e4, 3e4], [100.0, 90.0, 80.0], [0.0, 1.0, 2.0]), 1e-5, 1.5, (0, 1, 2, 4, 6, 8)),
     ]
     alone = []
-    for days, beta, gamma, until in jobs:
+    for days, beta, gamma, cuts in jobs:
         days = tuple(list(seq) for seq in days)
-        (res,) = _commit("reinfect", [days], shared, [beta], [gamma], [until], [None], 3)
+        (res,) = _commit("reinfect", [days], shared, [beta], [gamma], [cuts], [None], 3)
         alone.append((days, res))
     batch = [tuple(list(seq) for seq in days) for days, *_ in jobs]
     got = _commit("reinfect", batch, shared, *[list(col) for col in zip(*jobs)][1:], [None] * 3, 3)
@@ -537,6 +539,7 @@ def test_a_batched_commit_extends_each_job_as_it_would_alone():
     ]
     assert str(got[1]).startswith("reinfect: state is no longer finite on day 1 (period 3)")
     assert got[2] > 0
+    assert [len(days[0]) for days in batch] == [9, 6, 5]
 
 
 def test_a_job_is_feasible_by_its_own_last_day_not_the_batch_longest():

@@ -29,6 +29,7 @@ from epigrowth.segment import (
 )
 from epigrowth.timeseries import CaseSeries, DateInterval, to_log_series
 from synth_counts import piecewise_log_linear_counts
+from test_cli import _use_cores
 
 
 def test_default_anchors_follow_announcement_offsets():
@@ -261,7 +262,10 @@ def test_optimizer_fits_each_stretch_once(monkeypatch):
     assert len(set(fitted)) == len(fitted)
 
 
-def test_segment_output_bytes_are_pinned(tmp_path):
+# Three cores split the four metros into uneven chunks.
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_segment_output_bytes_are_pinned(tmp_path, monkeypatch, cores):
+    _use_cores(monkeypatch, cores)
     out = str(tmp_path)
     assert main(["gen-fixtures", "--seed", "0", "--metros", "4", "--out", out]) == 0
     cases, metro_map = tmp_path / "cases.csv", tmp_path / "metro_map.csv"

@@ -2,6 +2,7 @@ import io
 import math
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from epigrowth.sir import (
     write_inflow_csv,
     write_trajectory_csv,
 )
+from epigrowth.timeseries import CaseSeries
 
 
 def periods_over(start: date, lengths) -> PeriodSet:
@@ -97,6 +99,24 @@ def test_trajectory_rejects_empty_states():
 def test_trajectory_rejects_a_ragged_negative_or_non_finite_run(s, i, r):
     with pytest.raises(ValidationError):
         Trajectory(s, i, r)
+
+
+# Counts and inflow name the first bad value as the float it converts to,
+# a trajectory column as the value it was given.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CaseSeries("m", date(2020, 3, 1), (1, -2, math.nan)),
+         "m: counts must be finite and >= 0, got -2.0"),
+        (lambda: InflowSeries((1, math.inf, -1)), "inflow values must be finite and >= 0, got inf"),
+        (lambda: Trajectory((1.0, 2.0), (1.0, np.float64(-0.5)), (math.nan, 0.0)),
+         f"i must be finite and >= 0, got {np.float64(-0.5)!r}"),
+    ],
+)
+def test_a_bad_column_value_is_named_in_the_error(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_step_reinfect_moves_recovered_back():

@@ -154,7 +154,7 @@ def test_log_series_skips_nonpositive_days():
 def test_log_series_empty_window_raises():
     s = CaseSeries("m", MAR1, (0, 0, 0))
     with pytest.raises(InsufficientDataError):
-        to_log_series(s, s.interval)
+        to_log_series(s, DateInterval(s.start_date, s.end_date))
 
 
 def _reference_aggregate(series, metro_map):
