@@ -265,22 +265,6 @@ def _map_in_order(fn, items: list) -> list:
         return [res for chunk in chunks for res in chunk]
 
 
-def _segment_chunk(chunk, *, window, anchors, radius, min_period):
-    """Each metro's periods, or the InsufficientDataError that skips it."""
-    results = []
-    for series in chunk:
-        try:
-            results.append(optimize_boundaries(
-                series,
-                initial_periods(window, anchors, series.region),
-                search_radius=radius,
-                min_period_length=min_period,
-            ))
-        except InsufficientDataError as exc:
-            results.append(exc)
-    return results
-
-
 def _fit_chunk(chunk, *, mu, **kwargs):
     """``tune``'s result, or the PipelineError it raised, for each model of each (series, periods).
 
@@ -321,23 +305,18 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    job = functools.partial(_segment_chunk, window=args.window, anchors=_anchors(args),
-                            radius=args.radius, min_period=args.min_period)
-    metros = _load_case_metros(args)
+    anchors = _anchors(args)
     period_sets = []
     protocol_rows: list[tuple[str, date | None, date | None, str]] = []
     skipped = 0
-    for series, ps in zip(metros, _map_in_order(job, metros)):
-        first_case = next(
-            (
-                series.start_date + timedelta(days=idx)
-                for idx, c in enumerate(series.counts)
-                if c > 0
-            ),
-            None,
-        )
-        if isinstance(ps, InsufficientDataError):
-            print(f"warning: {series.region}: {ps}; skipped", file=sys.stderr)
+    for series in _load_case_metros(args):
+        first_case = next((series.start_date + timedelta(days=idx)
+                           for idx, c in enumerate(series.counts) if c > 0), None)
+        try:
+            ps = optimize_boundaries(series, initial_periods(args.window, anchors, series.region),
+                                     search_radius=args.radius, min_period_length=args.min_period)
+        except InsufficientDataError as exc:
+            print(f"warning: {series.region}: {exc}; skipped", file=sys.stderr)
             protocol_rows.append((series.region, first_case, None, "no fittable periods"))
             skipped += 1
             continue

@@ -330,6 +330,19 @@ def tune_batch(jobs: Sequence[TuneJob]) -> list[TuneResult | PipelineError]:
     return [job.result() for job in jobs]
 
 
+def _linspace_rows(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
+    """Row i is ``np.linspace(lo[i], hi[i], points)``, bit for bit.
+
+    One ``np.linspace(lo, hi, points, axis=1)`` call is not: once any row has a zero
+    step it computes every row as (k / div) * delta, where separate calls keep k * step.
+    """
+    k, div, delta = np.arange(points, dtype=float), max(points - 1, 1), (hi - lo)[:, None]
+    rows = np.where(delta / div == 0, k / div * delta, k * (delta / div)) + lo[:, None]
+    if points > 1:
+        rows[:, -1] = hi
+    return rows
+
+
 def _tune_together(batch: list[TuneJob]) -> None:
     """tune()'s sequential per-period search with refinement and state carry-over, for a batch."""
     model, shared, cfg, shared_beta = batch[0].model, batch[0].shared, batch[0].cfg, batch[0].shared_beta
@@ -345,11 +358,10 @@ def _tune_together(batch: list[TuneJob]) -> None:
         for _level in range(cfg.refinement_levels + 1):
             if not live:
                 return
-            bvals = np.array([
-                [job.betas[0]] if shared_beta and per_idx else np.linspace(*job.window[:2], cfg.beta_points)
-                for job in live
-            ])
-            gvals = np.array([np.linspace(*job.window[2:], cfg.gamma_points) for job in live])
+            wins = np.array([job.window for job in live], dtype=float).T
+            bvals = (np.array([[job.betas[0]] for job in live]) if shared_beta and per_idx
+                     else _linspace_rows(wins[0], wins[1], cfg.beta_points))
+            gvals = _linspace_rows(wins[2], wins[3], cfg.gamma_points)
             obj = _grid_eval(model, [job.days for job in live], bvals, gvals, [job.span for job in live],
                              shared, [job.o_vals for job in live])
             for job, row, j, bs, gs in zip(live, obj, obj.argmin(axis=1), bvals, gvals):

@@ -84,7 +84,7 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     intercept = ym - slope * xm
     ss_res = float(((y - (intercept + slope * x)) ** 2).sum())
     ss_tot = float(((y - ym) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    r2 = 1.0 if (y == y[0]).all() else 1.0 - ss_res / ss_tot
     return slope, float(intercept), min(max(r2, 0.0), 1.0)
 
 
@@ -92,7 +92,7 @@ def fit_simple(points) -> SimpleFit:
     """Ordinary least squares y = slope*x + intercept.
 
     Accepts any sequence of (x, y) pairs.  R-squared is defined
-    as 1 when the residual sum of squares is zero (constant-y convention).
+    as 1 when y is constant.
     """
     pts = list(points)
     if any(len(p) != 2 for p in pts):

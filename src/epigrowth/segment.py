@@ -1,10 +1,9 @@
 """Splitting a case series into five contiguous periods of near-constant log growth.
 
-Boundaries start at anchor dates and are refined by coordinate ascent on the
-length-weighted mean R-squared of the per-period log-linear fits.  The search
-box is fixed at +-search_radius days around each initial anchor.  Sweeps
-repeat until one moves no boundary, and each candidate period is fitted once
-per metro, however many sweeps try it.
+Boundaries start at anchor dates and are placed by an exact dynamic programme
+(Bai & Perron 2003) on the length-weighted mean R-squared of the per-period
+log-linear fits.  Each boundary's search box is fixed at +-search_radius days
+around its anchor, clipped to the window.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ DEFAULT_ANNOUNCEMENT = date(2020, 3, 29)
 DEFAULT_ANCHOR_OFFSETS = (3, 22, 42, 64)
 DEFAULT_SEARCH_RADIUS = 14
 DEFAULT_MIN_PERIOD = 7
+_TIE_TOL = 1e-9  # on the summed R2 * days, below which boundary choices tie
 
 PERIODS_HEADER = ("metro", "period_index", "start", "end", "slope", "intercept", "r2")
 
@@ -134,7 +134,7 @@ def initial_periods(window: DateInterval, anchors: Sequence[date], metro: str = 
 class _WindowFits:
     """Per-stretch OLS of log count on day over the positive-count days of one window.
 
-    The one fit behind every per-period growth rate; each stretch is fitted once.
+    The one fit behind every per-period growth rate.
     """
 
     def __init__(self, series: CaseSeries, window: DateInterval):
@@ -143,23 +143,13 @@ class _WindowFits:
         self.days = self.x.astype(int) - (window.start - series.start_date).days
         self.before = np.searchsorted(self.days, np.arange(window.days + 1)).tolist()
         self.window_days = window.days
-        self._fits: dict[tuple[int, int], tuple[float, float, float, int] | None] = {}
 
     def segment_fit(self, lo: int, hi: int) -> tuple[float, float, float, int] | None:
-        """(slope, intercept, r2, n) over window-relative days [lo, hi), or None if unfittable.
-
-        Each (lo, hi) is fitted on first use and read back from then on.
-        """
-        try:
-            return self._fits[lo, hi]
-        except KeyError:
-            pass
+        """(slope, intercept, r2, n) over window-relative days [lo, hi), or None if unfittable."""
         a, b = self.before[lo], self.before[hi]
         n = b - a
         # distinct days, so two points always spread x
-        fit = None if n < 2 else (*_line_fit(self.x[a:b], self.y[a:b]), n)
-        self._fits[lo, hi] = fit
-        return fit
+        return None if n < 2 else (*_line_fit(self.x[a:b], self.y[a:b]), n)
 
     def objective(self, bounds: Sequence[int]) -> float:
         """Length-weighted mean R2 for boundaries ``bounds`` (window-relative start days)."""
@@ -173,6 +163,32 @@ class _WindowFits:
             total += fit[2] * (hi - lo)
         return total / self.window_days
 
+    def scores(self, starts: np.ndarray, ends: np.ndarray, min_days: int) -> np.ndarray:
+        """R2 * days of every stretch [starts[i], ends[j]), or -inf where it is unfittable.
+
+        A stretch is unfittable when it is shorter than ``min_days`` or holds
+        fewer than 2 points.  Each row sums its stretches from their shared
+        first point, with x and y taken relative to that point, so the sums
+        stay as small as the stretch and R2 matches the two-pass ``_line_fit``
+        to rounding.  A stretch whose y never leaves its first value scores
+        R2 = 1, as ``_line_fit`` does.
+        """
+        before = np.asarray(self.before)
+        n = before[ends] - before[starts][:, None]
+        days = ends - starts[:, None]
+        ok = (n >= 2) & (days >= min_days)
+        width = max(n.max(), 1)
+        first = np.minimum(before[starts], len(self.x) - 1)
+        take = np.minimum(first[:, None] + np.arange(width), len(self.x) - 1)
+        dx, dy = self.x[take] - self.x[first, None], self.y[take] - self.y[first, None]
+        sums = np.cumsum([dx, dy, dx * dx, dy * dy, dx * dy], axis=2).reshape(5, -1)
+        sx, sy, sxx, syy, sxy = sums[:, np.arange(len(starts))[:, None] * width + np.maximum(n - 1, 0)]
+        m = np.where(ok, n, 1)
+        var = (sxx - sx * sx / m) * (syy - sy * sy / m)
+        cov = sxy - sx * sy / m
+        r2 = np.divide(cov * cov, var, out=np.ones_like(var), where=ok & (var > 0))
+        return np.where(ok, np.minimum(r2, 1.0) * days, -np.inf)
+
 
 def optimize_boundaries(
     series: CaseSeries,
@@ -180,20 +196,18 @@ def optimize_boundaries(
     search_radius: int = DEFAULT_SEARCH_RADIUS,
     min_period_length: int = DEFAULT_MIN_PERIOD,
 ) -> PeriodSet:
-    """Coordinate-ascent refinement of the four period boundaries.
+    """The four period boundaries that maximise the objective, by dynamic programming.
 
-    Each boundary moves within +-search_radius days of its initial position,
-    respecting the window and ``min_period_length``; sweeps repeat until no
-    boundary moves.  Objective ties go to the earliest date.  Every candidate
-    period is fitted once per call, however many sweeps try it.
-
-    The sweeps end.  Boundaries stay inside their boxes.  When both periods
-    next to a boundary are at least ``min_period_length`` long, its current
-    position is among those tried, so moving it raises the objective, or
-    keeps it equal and moves the boundary earlier.  Any other move lengthens
-    a period the anchors left too short and shortens none below the minimum.
-    So (-short periods, objective, -sum(boundaries)) rises strictly with each
-    move, and no configuration of the finite box repeats.
+    Boundary j may sit on any day within +-search_radius of its initial
+    position that leaves the first and last periods a day.  Period k must be
+    at least min(``min_period_length``, its initial length) days long, so the
+    initial periods always qualify, and must hold 2 positive counts.  Over
+    all such placements the summed R2 * days of the five periods is
+    maximised exactly: suffix optima are computed backwards, then a forward
+    walk takes the earliest boundary whose running total plus suffix optimum
+    is within _TIE_TOL (1e-9) of the optimum.  So near-ties, such as R2 = 1
+    stretches that rounding tells apart, go to the lexicographically earliest
+    boundaries.  The five chosen periods are refitted with ``_line_fit``.
     """
     if search_radius < 0:
         raise ConfigError(f"search radius must be >= 0, got {search_radius}")
@@ -206,36 +220,28 @@ def optimize_boundaries(
             f"of at least {min_period_length} days"
         )
     fits = _WindowFits(series, window)
-    init = initial.cuts()[1:-1]
-    lo_box = [b - search_radius for b in init]
-    hi_box = [b + search_radius for b in init]
-
-    bounds = list(init)
-    if not math.isfinite(fits.objective(bounds)):
+    cuts = initial.cuts()
+    if any(fits.before[hi] - fits.before[lo] < 2 for lo, hi in zip(cuts, cuts[1:])):
         raise InsufficientDataError(
             f"{series.region}: initial periods leave a segment with fewer than 2 positive counts"
         )
-    moved = True
-    while moved:
-        moved = False
-        for j in range(NUM_PERIODS - 1):
-            left = bounds[j - 1] if j > 0 else 0
-            right = bounds[j + 1] if j < NUM_PERIODS - 2 else fits.window_days
-            lo = max(lo_box[j], left + min_period_length)
-            hi = min(hi_box[j], right - min_period_length)
-            best_b = bounds[j]
-            best_obj = -math.inf
-            for b in range(lo, hi + 1):
-                trial = bounds.copy()
-                trial[j] = b
-                obj = fits.objective(trial)
-                if obj > best_obj:
-                    best_obj, best_b = obj, b
-            if math.isfinite(best_obj) and best_b != bounds[j]:
-                bounds[j] = best_b
-                moved = True
+    # candidate first days of each period, the boxes clipped to the window first
+    starts = [np.array([0])]
+    starts += [np.arange(max(b - search_radius, 1), min(b + search_radius, window.days - 1) + 1)
+               for b in cuts[1:-1]]
+    starts.append(np.array([window.days]))
+    scores = [fits.scores(starts[k], starts[k + 1], min(min_period_length, length))
+              for k, length in enumerate(initial.lengths())]
+    suffix = [np.zeros(1)]  # built up to suffix[k][i]: best total of periods k.. from starts[k][i]
+    for score in reversed(scores):
+        suffix.insert(0, (score + suffix[0]).max(axis=1))
+    best, total, i = suffix[0][0], 0.0, 0
+    for k in range(NUM_PERIODS - 1):
+        nxt = int(np.argmax(total + scores[k][i] + suffix[k + 1] >= best - _TIE_TOL))
+        total += scores[k][i, nxt]
+        i = nxt
+        cuts[k + 1] = int(starts[k + 1][i])
 
-    cuts = [0, *bounds, fits.window_days]
     periods = []
     for i in range(NUM_PERIODS):
         start = window.start + timedelta(days=cuts[i])

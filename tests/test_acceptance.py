@@ -285,7 +285,7 @@ def test_criterion_6_segmentation_recovery():
             hits += 1
     assert hits >= 45
 
-    # coordinate ascent must equal exhaustive search on a small box
+    # the DP optimum must equal exhaustive search on a small box
     import itertools
 
     from epigrowth.segment import _WindowFits
@@ -317,7 +317,7 @@ def test_criterion_6_segmentation_recovery():
     assert elapsed < 30.0
     print(
         f"ACCEPTANCE 6 PASS: breakpoints within 1 day in {hits}/50 noisy trials; "
-        f"ascent matches exhaustive objective to 1e-9; {elapsed:.2f}s"
+        f"DP matches exhaustive objective to 1e-9; {elapsed:.2f}s"
     )
 
 

@@ -448,10 +448,10 @@ def test_fit_output_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatc
         for name in ("periods.csv", "protocol.csv", "fit_report.json", "table2.csv")
     }
     assert digests == {
-        "periods.csv": "0fad2e4dbbe4f4f5f821c306fd19aab532ee0756edeb4dc97174e6603217e65c",
-        "protocol.csv": "0f3e957f6028fa640b96465d00b2d8f7e693002f2ec57386437b7aa59e894cfc",
-        "fit_report.json": "ada919c52dbf07a2c94deaa06e90b2fc5e81d3e00e5f6c625148698ec5708e67",
-        "table2.csv": "e8ae92703181914ffe656c536fd3118a44fce9f44b3d7ac2ef10bf7ab56f9509",
+        "periods.csv": "07085dbaa7a8693c218b1dc0985e6134d8b818eff7450aeb280e427f79097045",
+        "protocol.csv": "678699a8422660d55dd311c7f8c73002a3cd0addf7fba493d66059f6b713c90b",
+        "fit_report.json": "2e544984ee69ecafa7ae955a9fea6011a29ac9e8ea1b5ede9bb129eb917e9e77",
+        "table2.csv": "1b68700ada713ad996f3fa3640fca02a90f95fe7e1534774f029b0fb0078b7bf",
     }
 
 
@@ -529,11 +529,11 @@ def test_fixture_and_correlate_output_bytes_are_pinned(tmp_path):
         "weather.csv": "4e30f7782ab7c3eb87724d8f3a6946eebc5858a73354e9aad6762d8c88cc145c",
         "inflow.csv": "1f5ef86c666b407d1fb76d539b1eda0ad3e2e8a7b680b45f7b3c4cc4b910c68f",
         "fixture_params.json": "3760844a306da8f445521ddc40d02762ba952db015e4db6bebe8411511ab1392",
-        "table3.csv": "d5355f361cbb34fbea2dbde526e79962cd7478d3395c6905055e3c168524e292",
-        "table4.csv": "0797b3391fcceb27fa73dbec652e636000fe6c3997e31bc418fe781c5896727e",
-        "table5.csv": "6f04f2430384a6d2aef7773e0b168052d401109fe157a637c79501d5656f25dd",
-        "table6.csv": "91f3d6839a2039817f57e6d8f733e8ae8b8a96cca8410cb892f88e1d2becd9e4",
-        "correlate_report.json": "4ec7c46ffbddc184dcd33729a78f44c32d58dabd71b74b8855780434d11f7fbb",
+        "table3.csv": "631dfde5e6eeb19cb207d894d4be9bc0052409c73466a57573d7c0a6500255fa",
+        "table4.csv": "c05a44813b17c647dedc530c2338d92c1db0e1fd47ab1a339db07808ee7b1863",
+        "table5.csv": "7aa7ca0aa14c7db3b2aaabc666ce92bceef178369f194a85cd068c978e9e4891",
+        "table6.csv": "0300f1f73cf372b7e428a62e32110a330e2fdbd9b773730b187b27879eb8307b",
+        "correlate_report.json": "6a89fed4eeeee18b02f203468486fe7cdd17ec4ec5377e6ad52c80cd3fa32714",
     }
 
 

@@ -200,7 +200,7 @@ def test_mutated_config_exits_cleanly(bundle_dir, tmp_path, monkeypatch, capsys,
 @given(mutation=st.sampled_from(MUTATIONS), data=st.data())
 def test_mutated_input_file_exits_cleanly_in_forked_workers(bundle_dir, tmp_path, monkeypatch,
                                                             capsys, kind, mutation, data):
-    """The input-file fuzz on two cores, where segment (cases) and fit (periods) fork workers."""
+    """The input-file fuzz on two cores: segment (cases) runs in process, fit (periods) forks workers."""
     _use_cores(monkeypatch, 2)
     files = {k: os.path.join(bundle_dir, f"{k}.csv") for k in ("cases", "metro_map", "periods")}
     with open(files[kind], encoding="utf-8") as fh:

@@ -16,6 +16,7 @@ from epigrowth.fit import (
     SearchConfig,
     TuneJob,
     _grid_eval,
+    _linspace_rows,
     beta_grid,
     data_growth_rates,
     default_init,
@@ -691,3 +692,15 @@ def test_periods_csv_slopes_are_the_data_growth_rates_bitwise(tmp_path, seed):
     for metro, ps in period_sets.items():
         written = [float(r["slope"]) for r in rows if r["metro"] == metro]
         assert _slope_bits(data_growth_rates(series_by[metro], ps).k) == _slope_bits(written)
+
+
+@pytest.mark.parametrize("points", [1, 2, 21, 101])
+def test_linspace_rows_equal_one_linspace_per_row_bitwise(points):
+    rng = np.random.default_rng(points)
+    lo = rng.uniform(0.0, 1.0, 40) * 10.0 ** rng.integers(-9, 1, 40)
+    hi = lo + rng.uniform(0.0, 1.0, 40) * 10.0 ** rng.integers(-14, 1, 40)
+    hi[[3, 17]] = lo[[3, 17]]  # zero-width windows, which switch a batched np.linspace's formula
+    got = _linspace_rows(lo, hi, points)
+    want = np.array([np.linspace(a, b, points) for a, b in zip(lo, hi)])
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

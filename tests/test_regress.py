@@ -31,6 +31,14 @@ def test_fit_simple_flat_data_has_zero_slope():
     assert fit.r_squared == 1.0  # zero total variance counts as a perfect fit
 
 
+@pytest.mark.parametrize("value", [math.log(1234.5), math.log(7.0), 0.1])
+@pytest.mark.parametrize("n", [3, 23, 31])
+def test_fit_simple_constant_y_with_a_rounded_mean_has_r_squared_one(value, n):
+    # the mean of n copies need not equal the copy, which leaves tiny equal residual and total sums
+    fit = fit_simple([(x, value) for x in range(n)])
+    assert fit.r_squared == 1.0
+
+
 def test_fit_simple_needs_two_points_and_x_spread():
     with pytest.raises(InsufficientDataError):
         fit_simple([(1, 1)])

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import math
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -17,6 +18,8 @@ from epigrowth.regress import SimpleFit, _line_fit
 from epigrowth.segment import (
     DEFAULT_ANCHOR_OFFSETS,
     DEFAULT_ANNOUNCEMENT,
+    DEFAULT_MIN_PERIOD,
+    DEFAULT_SEARCH_RADIUS,
     DEFAULT_WINDOW,
     Period,
     PeriodSet,
@@ -26,8 +29,17 @@ from epigrowth.segment import (
     optimize_boundaries,
     protocol_followed_date,
     write_periods_csv,
+    _TIE_TOL,
+    _WindowFits,
 )
-from epigrowth.timeseries import CaseSeries, DateInterval, to_log_series
+from epigrowth.timeseries import (
+    CaseSeries,
+    DateInterval,
+    aggregate_to_metros,
+    load_cases,
+    load_metro_map,
+    to_log_series,
+)
 from synth_counts import piecewise_log_linear_counts
 from test_cli import _use_cores
 
@@ -145,9 +157,9 @@ def test_optimizer_matches_exhaustive_search_on_small_box():
 
 
 def _reference_optimize(series, initial, search_radius, min_period_length):
-    """Uncached reference ascent: every trial refits all five periods; at most 100 sweeps.
+    """The coordinate ascent the DP replaced, uncached: every trial refits all five periods.
 
-    Returns the cut days and the five (slope, intercept, r2, n) fits.
+    At most 100 sweeps.  Returns the cut days and the five (slope, intercept, r2, n) fits.
     """
     window = initial.window
     x, y = to_log_series(series, window)
@@ -199,7 +211,7 @@ def _reference_optimize(series, initial, search_radius, min_period_length):
 
 
 @st.composite
-def _segmentation_inputs(draw):
+def _segmentation_inputs(draw, max_radius=14):
     """A noisy piecewise log-linear series, maybe with zero days, and a search set-up."""
     days = draw(st.integers(25, 80))
     lead = draw(st.integers(0, 5))  # series days before the window
@@ -218,7 +230,7 @@ def _segmentation_inputs(draw):
         .filter(lambda o: min(np.diff(o)) >= 2)
     )
     min_period = draw(st.integers(1, min(10, days // 5)))
-    radius = draw(st.integers(0, 14))
+    radius = draw(st.integers(0, max_radius))
     series = CaseSeries("m", start, tuple(counts.tolist()))
     return series, initial_periods(window, anchors_at(window, offsets)), radius, min_period
 
@@ -227,42 +239,122 @@ def _bits(value: float) -> int:
     return int(np.array(value, dtype=np.float64).view(np.int64))
 
 
+def _total(series, window, cuts) -> float:
+    """Exact (two-pass) summed R2 * days of the periods cut at ``cuts``."""
+    return _WindowFits(series, window).objective(cuts[1:-1]) * window.days
+
+
+def _exhaustive(series, initial, radius, min_period):
+    """(best summed R2 * days, earliest boundaries within the tie tolerance), by brute force."""
+    window, init = initial.window, initial.cuts()
+    fits = _WindowFits(series, window)
+    boxes = [range(max(b - radius, 1), min(b + radius, window.days - 1) + 1) for b in init[1:-1]]
+    found = []
+    for combo in itertools.product(*boxes):  # lexicographic order
+        cuts = (0, *combo, window.days)
+        if all(hi - lo >= min(min_period, length)
+               for lo, hi, length in zip(cuts, cuts[1:], initial.lengths())):
+            found.append((fits.objective(combo) * window.days, combo))
+    best = max(total for total, _ in found)
+    return best, next(combo for total, combo in found if total >= best - _TIE_TOL)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_segmentation_inputs())
-def test_optimizer_matches_uncached_reference_bitwise(case):
+def test_optimizer_is_never_below_the_reference_ascent(case):
     series, initial, radius, min_period = case
     try:
-        cuts, fits = _reference_optimize(series, initial, radius, min_period)
+        cuts, _ = _reference_optimize(series, initial, radius, min_period)
     except InsufficientDataError:
         with pytest.raises(InsufficientDataError):
             optimize_boundaries(series, initial, radius, min_period)
         return
     ps = optimize_boundaries(series, initial, radius, min_period)
-    start = initial.window.start
-    assert [(p.start - start).days for p in ps.periods] == cuts[:-1]
-    for p, (slope, intercept, r2, n) in zip(ps.periods, fits):
-        got = (p.fit.slope, p.fit.intercept, p.fit.r_squared)
-        assert [_bits(v) for v in got] == [_bits(slope), _bits(intercept), _bits(r2)]
-        assert p.fit.n == n
+    window = initial.window
+    assert _total(series, window, ps.cuts()) >= _total(series, window, cuts) - _TIE_TOL
+    # the written fits are _line_fit's on the chosen stretches, bit for bit
+    x, y = to_log_series(series, window)
+    days = x - (window.start - series.start_date).days
+    for p, lo, hi in zip(ps.periods, ps.cuts(), ps.cuts()[1:]):
+        inside = (days >= lo) & (days < hi)
+        want = _line_fit(x[inside], y[inside])
+        assert [_bits(v) for v in (p.fit.slope, p.fit.intercept, p.fit.r_squared)] == [
+            _bits(v) for v in want
+        ]
+        assert p.fit.n == inside.sum()
 
 
-def test_optimizer_fits_each_stretch_once(monkeypatch):
-    # every day has a positive count, so a fitted slice names its (lo, hi) stretch
-    series = _series_with_breaks(7, WINDOW, TRUE_BREAKS, SLOPES, sigma=0.05)
-    fitted = []
-
-    def recording_fit(x, y):
-        fitted.append((x[0], len(x)))
-        return _line_fit(x, y)
-
-    monkeypatch.setattr(segment, "_line_fit", recording_fit)
-    initial = initial_periods(WINDOW, anchors_at(WINDOW, (10, 31, 40, 59)))
-    optimize_boundaries(series, initial, search_radius=14, min_period_length=3)
-    assert fitted
-    assert len(set(fitted)) == len(fitted)
+@settings(max_examples=100, deadline=None)
+@given(_segmentation_inputs(max_radius=2))
+def test_optimizer_is_the_earliest_exhaustive_optimum_on_small_boxes(case):
+    series, initial, radius, min_period = case
+    try:
+        ps = optimize_boundaries(series, initial, radius, min_period)
+    except InsufficientDataError:
+        return  # the initial periods are unfittable
+    best, earliest = _exhaustive(series, initial, radius, min_period)
+    assert _total(series, initial.window, ps.cuts()) >= best - _TIE_TOL
+    assert tuple(ps.cuts()[1:-1]) == earliest
 
 
-# Three cores split the four metros into uneven chunks.
+@pytest.mark.parametrize("seed", [0, 3, 7, 42])
+def test_optimizer_is_never_below_the_ascent_on_fixture_metros(tmp_path, seed):
+    assert main(["gen-fixtures", "--seed", str(seed), "--metros", "6", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "cases.csv", newline="") as cases, open(tmp_path / "metro_map.csv") as mm:
+        metros = aggregate_to_metros(load_cases(cases)[0], load_metro_map(mm))
+    window = DEFAULT_WINDOW
+    for series in metros:
+        initial = initial_periods(window, default_anchors(), series.region)
+        cuts, _ = _reference_optimize(series, initial, DEFAULT_SEARCH_RADIUS, DEFAULT_MIN_PERIOD)
+        ps = optimize_boundaries(series, initial)
+        assert _total(series, window, ps.cuts()) >= _total(series, window, cuts) - _TIE_TOL
+
+
+def test_optimizer_keeps_periods_the_anchors_left_short():
+    # true breaks 10, 12, 40, 56; the anchors leave period 2 four days long, under the minimum
+    breaks = (10, 12, 40, 56)
+    series = _series_with_breaks(5, WINDOW, breaks, SLOPES)
+    initial = initial_periods(WINDOW, anchors_at(WINDOW, (10, 14, 40, 56)))
+    ps = optimize_boundaries(series, initial, search_radius=3, min_period_length=7)
+    # period 2 may stay at its anchored 4 days but not shrink to the true 2
+    assert ps.lengths()[1] == 4
+    assert all(n >= min(7, m) for n, m in zip(ps.lengths(), initial.lengths()))
+    assert tuple(ps.cuts()[1:-1]) == _exhaustive(series, initial, 3, 7)[1]
+    cuts, _ = _reference_optimize(series, initial, 3, 7)
+    assert _total(series, WINDOW, ps.cuts()) >= _total(series, WINDOW, cuts) - _TIE_TOL
+
+
+def test_constant_counts_score_r2_one():
+    # 1234.5 repeated: the mean of its logs rounds, which once made _line_fit's R2 read 0
+    series = CaseSeries("m", WINDOW.start, (1234.5,) * WINDOW.days)
+    fits = _WindowFits(series, WINDOW)
+    starts, ends = np.arange(0, 60), np.arange(2, 71)
+    lengths = ends[None, :] - starts[:, None]
+    scores = fits.scores(starts, ends, 2)
+    assert np.array_equal(scores[lengths >= 2], lengths[lengths >= 2].astype(float))
+    # every placement ties, so the earliest boundaries win
+    initial = initial_periods(WINDOW, anchors_at(WINDOW, TRUE_BREAKS))
+    ps = optimize_boundaries(series, initial, search_radius=3, min_period_length=7)
+    assert ps.cuts() == [0, 11, 25, 39, 53, 70]
+    assert all(p.fit.r_squared == 1.0 for p in ps.periods)
+
+
+def test_segment_with_a_huge_radius_allocates_no_more_than_the_window(tmp_path):
+    out = str(tmp_path)
+    assert main(["gen-fixtures", "--seed", "0", "--metros", "2", "--out", out]) == 0
+    argv = ["segment", "--cases", f"{out}/cases.csv", "--metro-map", f"{out}/metro_map.csv",
+            "--radius", "100000000000", "--out", out]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the score arrays are window x window at most; one float per radius day would be 800 GB
+    assert peak < 64 * DEFAULT_WINDOW.days**2 * 8
+
+
+# segment runs in process, so the core count must not reach its bytes.
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_segment_output_bytes_are_pinned(tmp_path, monkeypatch, cores):
     _use_cores(monkeypatch, cores)
@@ -276,8 +368,8 @@ def test_segment_output_bytes_are_pinned(tmp_path, monkeypatch, cores):
         for name in ("periods.csv", "protocol.csv")
     }
     assert digests == {
-        "periods.csv": "0fad2e4dbbe4f4f5f821c306fd19aab532ee0756edeb4dc97174e6603217e65c",
-        "protocol.csv": "0f3e957f6028fa640b96465d00b2d8f7e693002f2ec57386437b7aa59e894cfc",
+        "periods.csv": "07085dbaa7a8693c218b1dc0985e6134d8b818eff7450aeb280e427f79097045",
+        "protocol.csv": "678699a8422660d55dd311c7f8c73002a3cd0addf7fba493d66059f6b713c90b",
     }
 
 
