@@ -13,6 +13,7 @@ from .correlate import (
     WeatherTable,
     daily_log_growth,
     demographic_study,
+    weather_studies,
     weather_study,
     weighted_avg_growth,
 )
@@ -41,7 +42,6 @@ from .regress import (
     MultiFit,
     SimpleFit,
     bucket_temperature,
-    encode_dummies,
     fit_multi,
     fit_simple,
     student_t_sf,
@@ -112,7 +112,6 @@ __all__ = [
     "default_init",
     "demographic_study",
     "discrepancy",
-    "encode_dummies",
     "fit_multi",
     "fit_simple",
     "initial_periods",
@@ -126,6 +125,7 @@ __all__ = [
     "student_t_sf",
     "to_log_series",
     "tune",
+    "weather_studies",
     "weather_study",
     "weighted_avg_growth",
 ]

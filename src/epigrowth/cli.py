@@ -20,11 +20,10 @@ from datetime import date, timedelta
 from typing import Callable, NamedTuple
 
 from .correlate import (
-    WEATHER_MODES,
     demographic_study,
     load_demographics,
     load_weather,
-    weather_study,
+    weather_studies,
     weighted_avg_growth,
     write_demographics_csv,
     write_group_report_csv,
@@ -545,8 +544,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     if args.weather is not None:
         with open(args.weather, newline="") as fh:
             weather = load_weather(fh)
-        for mode, name in zip(WEATHER_MODES, ("table4.csv", "table5.csv", "table6.csv")):
-            weather_report = weather_study(weather, series_by, usable, mode)
+        reports = weather_studies(weather, series_by, usable)
+        for weather_report, name in zip(reports, ("table4.csv", "table5.csv", "table6.csv")):
             with open(os.path.join(out, name), "w", newline="") as fh:
                 write_weather_report_csv(weather_report, fh)
             studies[weather_report.study] = dataclasses.asdict(weather_report)

@@ -4,7 +4,8 @@ The demographic study regresses one response per metro (its length-weighted
 average growth rate) on each demographic group's subcategory percentages.
 The weather studies regress day-over-day log-count changes on categorical
 weather within each metro/period cell, with weather read on the first day of
-each pair.
+each pair.  One pass over the cells fills all three weather reports, and each
+cell's dummy regression is solved in the closed form of a one-way ANOVA.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .fit import GrowthRates, weighted_mean
-from .regress import bucket_temperature, encode_dummies, fit_multi
+from .regress import _r_squared, bucket_temperature, fit_multi, student_t_sf
 from .segment import Period, PeriodSet
 from .timeseries import CaseSeries, read_table, write_table
 
@@ -156,55 +157,71 @@ def demographic_study(demo: DemographicTable, response: Mapping[str, float]) -> 
     return CorrelationReport("demographic", tuple(cells), tuple(groups))
 
 
-def weather_study(
+def _weather_cell(key: tuple[str, str], labels: list[str], y: list[float]) -> ReportCell:
+    """One cell's OLS of y on an intercept plus the dummies of ``labels``, or its NA reason.
+
+    That design is complete and full rank, so its fit is the group means (one-way
+    ANOVA): dummy j's coefficient is mean_j - mean_ref, with standard error
+    sqrt(s2 * (1/n_j + 1/n_ref)), where ref is the first level in sorted order.
+    The smallest dummy p-value is the t tail of the largest |t|.
+    """
+    n = len(y)
+    groups: dict[str, list[float]] = {}
+    for label, value in zip(labels, y):
+        groups.setdefault(label, []).append(value)
+    if n < 2 or n <= len(groups):  # a single level with 2+ rows passes on to NA_RANK
+        return ReportCell(key, None, None, n, NA_SAMPLES)
+    if len(groups) < 2:
+        return ReportCell(key, None, None, n, NA_RANK)
+    dof = n - len(groups)
+    means = {level: math.fsum(values) / len(values) for level, values in groups.items()}
+    ss_res = math.fsum((value - means[label]) ** 2 for label, value in zip(labels, y))
+    mean = math.fsum(y) / n
+    ss_tot = math.fsum((value - mean) ** 2 for value in y)
+    constant = y.count(y[0]) == n
+    ref, *others = sorted(groups)
+    t = 0.0  # a constant y gives every coefficient t = 0
+    for level in () if constant else others:
+        se = math.sqrt(ss_res / dof * (1.0 / len(groups[level]) + 1.0 / len(groups[ref])))
+        # se == 0 only when each group is constant: an exact fit, as in fit_multi
+        t = max(t, abs(means[level] - means[ref]) / se if se > 0.0 else math.inf)
+    return ReportCell(key, student_t_sf(t, dof), _r_squared(constant, ss_res, ss_tot), n)
+
+
+def weather_studies(
     weather: WeatherTable,
     series_by_metro: Mapping[str, CaseSeries],
     period_sets: Mapping[str, PeriodSet],
-    mode: str,
-) -> CorrelationReport:
-    """Per metro/period OLS of daily log growth on dummy-coded weather labels.
+) -> tuple[CorrelationReport, ...]:
+    """Per metro/period fits of daily log growth on weather, one report per WEATHER_MODES entry.
 
-    ``mode`` picks the label: the reported type, or the bucketed high or low
-    temperature.  The cell p-value is the smallest coefficient p-value among
-    the dummy columns.
+    The labels are the reported type and the bucketed high and low
+    temperatures.  A cell's p-value is the smallest among its dummies.
     """
-    if mode not in WEATHER_MODES:
-        raise ValidationError(f"unknown weather mode {mode!r}; choose from {', '.join(WEATHER_MODES)}")
-    cells: list[ReportCell] = []
+    cells: tuple[list[ReportCell], ...] = tuple([] for _ in WEATHER_MODES)
     for metro in sorted(period_sets):
         series = series_by_metro.get(metro)
         if series is None:
             raise ValidationError(f"no case series for metro {metro}")
         by_day = weather.values.get(metro, {})
         for period in period_sets[metro].periods:
-            key = (metro, f"P{period.index}")
-            labeled: list[tuple[str, float]] = []
-            for day, change in daily_log_growth(series, period):
-                row = by_day.get(day)
-                if row is None:
-                    continue
-                kind, high, low = row
-                if mode == "type":
-                    label = kind
-                else:
-                    label = bucket_temperature(high if mode == "high-temp" else low, mode)
-                labeled.append((label, change))
-            n = len(labeled)
-            if n < 2:
-                cells.append(ReportCell(key, None, None, n, NA_SAMPLES))
-                continue
-            levels = {label for label, _ in labeled}
-            if len(levels) < 2:
-                cells.append(ReportCell(key, None, None, n, NA_RANK))
-                continue
-            if n < len(levels) + 1:
-                cells.append(ReportCell(key, None, None, n, NA_SAMPLES))
-                continue
-            encoding = encode_dummies([label for label, _ in labeled])
-            fit = fit_multi(encoding.columns, np.array([change for _, change in labeled]))
-            p_best = min(p for p in fit.p_values[:-1])
-            cells.append(ReportCell(key, p_best, fit.r_squared, n))
-    return CorrelationReport(f"weather-{mode}", tuple(cells))
+            labeled = [(row, change) for day, change in daily_log_growth(series, period)
+                       if (row := by_day.get(day)) is not None]
+            y = [change for _, change in labeled]
+            kinds = [row[0] for row, _ in labeled]
+            highs = [bucket_temperature(row[1], "high-temp") for row, _ in labeled]
+            lows = [bucket_temperature(row[2], "low-temp") for row, _ in labeled]
+            for mode_cells, labels in zip(cells, (kinds, highs, lows)):
+                mode_cells.append(_weather_cell((metro, f"P{period.index}"), labels, y))
+    return tuple(CorrelationReport(f"weather-{mode}", tuple(c)) for mode, c in zip(WEATHER_MODES, cells))
+
+
+def weather_study(weather: WeatherTable, series_by_metro: Mapping[str, CaseSeries],
+                  period_sets: Mapping[str, PeriodSet], mode: str) -> CorrelationReport:
+    """The ``mode`` report of ``weather_studies``: "type", "high-temp" or "low-temp"."""
+    if mode not in WEATHER_MODES:
+        raise ValidationError(f"unknown weather mode {mode!r}; choose from {', '.join(WEATHER_MODES)}")
+    return weather_studies(weather, series_by_metro, period_sets)[WEATHER_MODES.index(mode)]
 
 
 def load_demographics(source) -> tuple[DemographicTable, list[str]]:

@@ -1,17 +1,15 @@
-"""Least-squares fits with R-squared, t-based p-values, and categorical encoding.
+"""Least-squares fits with R-squared and t-based p-values.
 
 Simple fits use the closed-form slope/intercept formulas.  Multivariate fits
 append an intercept column, solve by minimum-norm least squares, and assess
 coefficient significance with two-sided Student-t p-values computed from the
-regularized incomplete beta function.
+regularized incomplete beta function.  A constant response has R² = 1 and p = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ConvergenceError, InsufficientDataError, ValidationError
@@ -48,13 +46,6 @@ class MultiFit:
     dof: int
 
 
-@dataclass(frozen=True, eq=False)
-class DummyEncoding:
-    levels: tuple[str, ...]
-    reference: str
-    columns: np.ndarray  # shape (n_rows, len(levels) - 1), 0/1 floats
-
-
 def _ols_slope(x: np.ndarray, y: np.ndarray):
     """Closed-form least-squares slope of ``y`` on ``x`` along the leading axis.
 
@@ -77,6 +68,11 @@ def _ols_slope(x: np.ndarray, y: np.ndarray):
     return dev.sum(axis=0) / sxx, ym, xm
 
 
+def _r_squared(constant: bool, ss_res: float, ss_tot: float) -> float:
+    """1 - ss_res/ss_tot in [0, 1]; 1 for a constant y, whose rounded mean leaves noise sums."""
+    return 1.0 if constant or ss_tot == 0.0 else min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
+
+
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """(slope, intercept, r2) of one line; r2 is 1 when y is constant."""
     slope, ym, xm = _ols_slope(x, y)
@@ -84,8 +80,7 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     intercept = ym - slope * xm
     ss_res = float(((y - (intercept + slope * x)) ** 2).sum())
     ss_tot = float(((y - ym) ** 2).sum())
-    r2 = 1.0 if (y == y[0]).all() else 1.0 - ss_res / ss_tot
-    return slope, float(intercept), min(max(r2, 0.0), 1.0)
+    return slope, float(intercept), _r_squared(bool((y == y[0]).all()), ss_res, ss_tot)
 
 
 def fit_simple(points) -> SimpleFit:
@@ -134,6 +129,7 @@ def fit_multi(design, response) -> MultiFit:
     reproduced even for collinear designs.  On a rank-deficient design the
     dependent columns (later duplicates lose) get None std errors/p-values and
     significance for the surviving columns is assessed on the reduced design.
+    A constant response gives every identified coefficient t = 0 (p = 1).
     """
     x0 = np.asarray(design, dtype=float)
     if x0.ndim == 1:
@@ -148,6 +144,7 @@ def fit_multi(design, response) -> MultiFit:
         raise ValidationError(f"response length {y.shape} does not match {n} design rows")
     if not (np.isfinite(x0).all() and np.isfinite(y).all()):
         raise ValidationError("design and response must be finite")
+    constant = bool((y == y[:1]).all())
 
     x = np.hstack([x0, np.ones((n, 1))])
     m = p + 1
@@ -179,13 +176,12 @@ def fit_multi(design, response) -> MultiFit:
         for pos, j in enumerate(kept_idx):
             se = float(ses[pos])
             std_errors[j] = se
-            t = math.inf if se == 0.0 else float(coef_k[pos]) / se
+            t = 0.0 if constant else (math.inf if se == 0.0 else float(coef_k[pos]) / se)
             p_values[j] = student_t_sf(t, dof)
 
     r2: float | None = None
     if full_rank and dof > 0:
-        r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-        r2 = min(max(r2, 0.0), 1.0)
+        r2 = _r_squared(constant, ss_res, ss_tot)
 
     return MultiFit(
         coefficients=tuple(float(c) for c in coef),
@@ -260,21 +256,6 @@ def student_t_sf(t_stat: float, dof: int) -> float:
         raise ValidationError("t statistic must be a number")
     x = dof / (dof + t * t)  # t = +-inf maps to x = 0
     return _betainc_reg(0.5 * dof, 0.5, x)
-
-
-def encode_dummies(labels: Sequence[str]) -> DummyEncoding:
-    """0/1 indicators per non-reference level; levels sorted, first one dropped."""
-    labels = list(labels)
-    if not labels:
-        raise ValidationError("need at least one label to encode")
-    levels = tuple(sorted(set(labels)))
-    index = {lvl: i for i, lvl in enumerate(levels)}
-    columns = np.zeros((len(labels), len(levels) - 1))
-    for row, lbl in enumerate(labels):
-        j = index[lbl]
-        if j > 0:
-            columns[row, j - 1] = 1.0
-    return DummyEncoding(levels=levels, reference=levels[0], columns=columns)
 
 
 def bucket_temperature(value: float, scheme: str) -> str:

@@ -530,10 +530,10 @@ def test_fixture_and_correlate_output_bytes_are_pinned(tmp_path):
         "inflow.csv": "1f5ef86c666b407d1fb76d539b1eda0ad3e2e8a7b680b45f7b3c4cc4b910c68f",
         "fixture_params.json": "3760844a306da8f445521ddc40d02762ba952db015e4db6bebe8411511ab1392",
         "table3.csv": "631dfde5e6eeb19cb207d894d4be9bc0052409c73466a57573d7c0a6500255fa",
-        "table4.csv": "c05a44813b17c647dedc530c2338d92c1db0e1fd47ab1a339db07808ee7b1863",
-        "table5.csv": "7aa7ca0aa14c7db3b2aaabc666ce92bceef178369f194a85cd068c978e9e4891",
-        "table6.csv": "0300f1f73cf372b7e428a62e32110a330e2fdbd9b773730b187b27879eb8307b",
-        "correlate_report.json": "6a89fed4eeeee18b02f203468486fe7cdd17ec4ec5377e6ad52c80cd3fa32714",
+        "table4.csv": "2ac7286295bff5d62960cd0ef322d3dccb4d6b889d6b0c834b5661fa954e213b",
+        "table5.csv": "b7d455a1c7cf8ff5be5ae75fb660063a5a00db815200e30d450d909a639d83e0",
+        "table6.csv": "6312d2b64dfb4e1843f6c835bac8182090a324d6b0a308bf521bce9a14f2cf00",
+        "correlate_report.json": "d1db5157e05cc9149f584cfb8b3383fff93ef4d56498ca1cfe8e1a67730c1c7c",
     }
 
 

@@ -5,10 +5,13 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from epigrowth.correlate import (
     NA_RANK,
     NA_SAMPLES,
+    WEATHER_MODES,
     CorrelationReport,
     DemographicTable,
     GroupResult,
@@ -17,7 +20,9 @@ from epigrowth.correlate import (
     daily_log_growth,
     demographic_study,
     load_demographics,
+    _weather_cell,
     load_weather,
+    weather_studies,
     weather_study,
     weighted_avg_growth,
     write_demographics_csv,
@@ -28,6 +33,7 @@ from epigrowth.correlate import (
 from epigrowth.cli import main
 from epigrowth.errors import ParseError, ValidationError
 from epigrowth.fit import GrowthRates
+from epigrowth.regress import fit_multi
 from epigrowth.segment import Period, PeriodSet
 from epigrowth.timeseries import CaseSeries
 
@@ -252,6 +258,64 @@ def test_weather_study_rejects_bad_inputs():
         weather_study(weather, series_by_metro, period_sets, "humidity")
     with pytest.raises(ValidationError):
         weather_study(weather, {}, period_sets, "type")
+
+
+def test_weather_study_is_the_matching_report_of_weather_studies():
+    weather, series_by_metro, period_sets = _weather_fixture()
+    reports = weather_studies(weather, series_by_metro, period_sets)
+    assert [r.study for r in reports] == [f"weather-{mode}" for mode in WEATHER_MODES]
+    for mode, report in zip(WEATHER_MODES, reports):
+        assert weather_study(weather, series_by_metro, period_sets, mode) == report
+
+
+def _dummy_regression_cell(key, labels, y):
+    """A cell as the per-mode path fitted it: 0/1 dummy columns through fit_multi."""
+    n = len(y)
+    levels = sorted(set(labels))
+    if n < 2:
+        return ReportCell(key, None, None, n, NA_SAMPLES)
+    if len(levels) < 2:
+        return ReportCell(key, None, None, n, NA_RANK)
+    if n < len(levels) + 1:
+        return ReportCell(key, None, None, n, NA_SAMPLES)
+    design = np.array([[float(label == level) for level in levels[1:]] for label in labels])
+    fit = fit_multi(design, np.array(y))
+    return ReportCell(key, min(fit.p_values[:-1]), fit.r_squared, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(levels=st.integers(2, 5), data=st.data())
+def test_weather_cell_matches_the_dummy_regression(levels, data):
+    labels = data.draw(st.lists(st.sampled_from("abcde"[:levels]), max_size=60))
+    # multiples of 1/16: a group's spread, when not 0, stays far above fit_multi's rounding
+    y = data.draw(st.lists(st.integers(-400, 400).map(lambda v: v / 16), min_size=len(labels),
+                           max_size=len(labels)))
+    by_label: dict[str, set[float]] = {}
+    for label, value in zip(labels, y):
+        by_label.setdefault(label, set()).add(value)
+    # an exact fit is tested on its own: fit_multi's residuals there are rounding noise
+    assume(len(set(y)) <= 1 or any(len(values) > 1 for values in by_label.values()))
+    cell = _weather_cell(("m", "P1"), labels, y)
+    oracle = _dummy_regression_cell(("m", "P1"), labels, y)
+    assert (cell.key, cell.n, cell.na_reason) == (oracle.key, oracle.n, oracle.na_reason)
+    if oracle.p_value is not None:
+        assert cell.p_value == pytest.approx(oracle.p_value, rel=1e-12, abs=0.0)
+        # R² near 0 is 1 minus a ratio near 1, so its rounding error is absolute
+        assert cell.r_squared == pytest.approx(oracle.r_squared, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("value", [0.0, math.log(1234.5)])
+def test_weather_cell_constant_response_is_not_significant(value):
+    labels = ["a", "b", "a", "b", "b"]
+    cell = _weather_cell(("m", "P1"), labels, [value] * 5)
+    assert (cell.p_value, cell.r_squared) == (1.0, 1.0)
+    assert _dummy_regression_cell(("m", "P1"), labels, [value] * 5) == cell
+
+
+def test_weather_cell_exact_fit_has_p_zero():
+    # each group constant, the groups apart: ss_res and every se are exactly 0
+    cell = _weather_cell(("m", "P1"), ["a", "b", "a", "b", "c"], [3.0, 5.0, 3.0, 5.0, 4.0])
+    assert (cell.p_value, cell.r_squared, cell.na_reason) == (0.0, 1.0, None)
 
 
 def test_report_cell_validation():

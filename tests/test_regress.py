@@ -9,7 +9,6 @@ from epigrowth.errors import ConvergenceError, InsufficientDataError, PipelineEr
 from epigrowth.regress import (
     _betacf,
     bucket_temperature,
-    encode_dummies,
     fit_multi,
     fit_simple,
     student_t_sf,
@@ -105,6 +104,23 @@ def test_fit_multi_needs_residual_dof():
     assert fit.r_squared is None
 
 
+@pytest.mark.parametrize("value", [0.0, math.log(1234.5)])
+def test_fit_multi_constant_response_has_no_significant_coefficient(value):
+    # se is 0 or rounding noise here; t = 0 for every coefficient, not t = inf (p = 0)
+    design = np.array([[0.0], [1.0], [0.0], [1.0], [1.0]])
+    fit = fit_multi(design, np.full(5, value))
+    assert fit.p_values == (1.0, 1.0)
+    assert fit.r_squared == 1.0
+
+
+def test_fit_multi_constant_y_with_a_rounded_mean_has_r_squared_one():
+    # the mean of n copies need not equal the copy, which leaves tiny equal residual and total sums
+    for n in range(5, 40):
+        design = np.random.default_rng(n).normal(size=(n, 2))
+        fit = fit_multi(design, np.full(n, math.log(1234.5)))
+        assert (n, fit.r_squared, fit.p_values) == (n, 1.0, (1.0, 1.0, 1.0))
+
+
 def test_fit_multi_rejects_mismatched_shapes():
     with pytest.raises(ValidationError):
         fit_multi(np.ones((4, 2)), np.ones(5))
@@ -151,25 +167,6 @@ def test_student_t_sf_rejects_bad_dof():
 )
 def test_student_t_sf_decreases_in_magnitude(t1, delta, dof):
     assert student_t_sf(t1 + delta, dof) < student_t_sf(t1, dof)
-
-
-def test_encode_dummies_drops_first_level():
-    enc = encode_dummies(["rainy", "sunny", "rainy", "cloudy"])
-    assert enc.levels == ("cloudy", "rainy", "sunny")
-    assert enc.reference == "cloudy"
-    assert enc.columns.shape == (4, 2)
-    # columns follow the non-reference levels in order: rainy, sunny
-    assert enc.columns.tolist() == [[1, 0], [0, 1], [1, 0], [0, 0]]
-
-
-def test_encode_dummies_single_level_has_no_columns():
-    enc = encode_dummies(["sunny", "sunny"])
-    assert enc.columns.shape == (2, 0)
-
-
-def test_encode_dummies_rejects_empty():
-    with pytest.raises(ValidationError):
-        encode_dummies([])
 
 
 @pytest.mark.parametrize(
