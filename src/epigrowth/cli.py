@@ -20,6 +20,7 @@ from datetime import date, timedelta
 from typing import Callable, NamedTuple
 
 from .correlate import (
+    CorrelationReport,
     demographic_study,
     load_demographics,
     load_weather,
@@ -225,8 +226,9 @@ def _load_period_sets(args: argparse.Namespace) -> dict[str, PeriodSet]:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as sorted, indented JSON; a dataclass in it is written as its fields."""
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
+        fh.write(json.dumps(payload, sort_keys=True, indent=2, default=vars))
         fh.write("\n")
 
 
@@ -531,7 +533,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
             print(f"warning: {metro}: {exc}; excluded from demographic response", file=sys.stderr)
 
     out = _out_dir(args)
-    studies: dict[str, dict] = {}
+    studies: dict[str, CorrelationReport] = {}
     if args.demographics is not None:
         with open(args.demographics, newline="") as fh:
             demo, warnings = load_demographics(fh)
@@ -540,7 +542,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         demo_report = demographic_study(demo, response)
         with open(os.path.join(out, "table3.csv"), "w", newline="") as fh:
             write_group_report_csv(demo_report, fh)
-        studies[demo_report.study] = dataclasses.asdict(demo_report)
+        studies[demo_report.study] = demo_report
     if args.weather is not None:
         with open(args.weather, newline="") as fh:
             weather = load_weather(fh)
@@ -548,7 +550,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         for weather_report, name in zip(reports, ("table4.csv", "table5.csv", "table6.csv")):
             with open(os.path.join(out, name), "w", newline="") as fh:
                 write_weather_report_csv(weather_report, fh)
-            studies[weather_report.study] = dataclasses.asdict(weather_report)
+            studies[weather_report.study] = weather_report
     payload = {
         "response": {metro: response[metro] for metro in sorted(response)},
         "studies": studies,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Mapping
@@ -274,7 +275,7 @@ def load_weather(source) -> WeatherTable:
     high >= low.  A repeated metro and date is reported only after every row
     has parsed.
     """
-    values: dict[str, dict[date, tuple[str, float, float]]] = {}
+    values: defaultdict[str, dict[date, tuple[str, float, float]]] = defaultdict(dict)
     duplicate = None
     days: dict[str, date] = {}  # each distinct date string is parsed once
     for line, (metro, raw_day, kind, raw_high, raw_low) in read_table(
@@ -297,13 +298,13 @@ def load_weather(source) -> WeatherTable:
             raise ValidationError(f"line {line}: temperatures must be finite")
         if high < low:
             raise ValidationError(f"line {line}: {metro} {day}: high below low")
-        by_day = values.setdefault(metro, {})
+        by_day = values[metro]
         if duplicate is None and day in by_day:
             duplicate = f"duplicate weather row for {metro} on {day}"
         by_day[day] = (kind, high, low)
     if duplicate is not None:
         raise ValidationError(duplicate)
-    return WeatherTable(values)
+    return WeatherTable(dict(values))
 
 
 def write_weather_csv(table: WeatherTable, fh: io.TextIOBase) -> None:

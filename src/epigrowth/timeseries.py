@@ -9,6 +9,7 @@ from __future__ import annotations
 import io
 import csv
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import IO, Iterable, Iterator, Mapping
@@ -19,6 +20,8 @@ from .errors import InsufficientDataError, ParseError, ValidationError
 
 CASES_HEADER = ("date", "region", "count")
 METRO_MAP_HEADER = ("county", "metro")
+# The ASCII characters str.strip removes, less the line ends no unquoted cell holds.
+_EDGE_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace() and c not in "\r\n")
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,15 @@ def read_table(
     ``what`` names the table in the header error.  Line-numbered errors start
     with ``label`` (default "``what`` line") and the line the row ends on;
     ``say_got`` adds the field count found to the field-count error.
+
+    Cells are stripped only when one can need it, decided once per text.  In
+    text with no ``"`` every cell is unquoted, so it holds no ``,``, ``\\r``
+    or ``\\n``: its first character follows the text's start, a ``,`` or a
+    line end, and its last precedes a ``,``, a line end or the text's end.
+    ``str.strip`` removes only ``str.isspace`` characters, and in ASCII text
+    those are ``_EDGE_SPACE`` plus the two line ends.  So when ASCII text
+    with no ``"`` has no ``_EDGE_SPACE`` character at either end or next to
+    a ``,``, ``\\r`` or ``\\n``, no cell would change and none is stripped.
     """
     if isinstance(source, (str, bytes)):
         raise TypeError("load functions take an open file object, not a path or content")
@@ -134,20 +146,22 @@ def read_table(
         raise ParseError(f"{name}: not UTF-8 text (byte {exc.start})") from None
     label = label or f"{what} line"
     width = len(header)
+    strip = not text.isascii() or '"' in text or any(
+        w in text and (w in (text[:1], text[-1:]) or any(w + e in text or e + w in text for e in ",\r\n"))
+        for w in _EDGE_SPACE
+    )
     reader = csv.reader(io.StringIO(text))
     try:
         first = next(reader, None)
         if [c.strip().lower() for c in first or ()] != list(header):
             raise ParseError(f"{what} must start with header '{','.join(header)}'")
         for row in reader:
-            line = reader.line_num
-            row = [c.strip() for c in row]
             if len(row) != width:
                 if not row:
                     continue
                 got = f", got {len(row)}" if say_got else ""
-                raise ParseError(f"{label} {line}: expected {width} fields{got}")
-            yield line, row
+                raise ParseError(f"{label} {reader.line_num}: expected {width} fields{got}")
+            yield reader.line_num, [c.strip() for c in row] if strip else row
     except csv.Error as exc:
         raise ParseError(f"{label} {reader.line_num}: {exc}") from None
 
@@ -177,7 +191,7 @@ def load_cases(source: IO) -> tuple[list[CaseSeries], list[str]]:
     negative counts, counts too large for a float, and duplicate
     (date, region) pairs are errors.
     """
-    per_region: dict[str, dict[int, float]] = {}  # region -> day ordinal -> count
+    per_region: defaultdict[str, dict[int, float]] = defaultdict(dict)  # region -> day ordinal -> count
     ordinals: dict[str, int] = {}  # each distinct date string is parsed once
     for line, (raw_date, region, raw_count) in read_table(source, CASES_HEADER, "cases CSV"):
         day = ordinals.get(raw_date)
@@ -196,7 +210,7 @@ def load_cases(source: IO) -> tuple[list[CaseSeries], list[str]]:
             )
         if not region:
             raise ParseError(f"cases CSV line {line}: empty region")
-        by_day = per_region.setdefault(region, {})
+        by_day = per_region[region]
         if day in by_day:
             raise ValidationError(
                 f"cases CSV line {line}: duplicate entry for ({date.fromordinal(day)}, {region})"
@@ -211,16 +225,19 @@ def load_cases(source: IO) -> tuple[list[CaseSeries], list[str]]:
     for region in sorted(per_region):
         by_day = per_region[region]
         ordered = sorted(by_day)
-        counts = [by_day[ordered[0]]]
-        for prev, day in zip(ordered, ordered[1:]):
-            gap = day - prev - 1
-            if gap:
-                warnings.append(
-                    f"{region}: no data for {gap} day(s) after {date.fromordinal(prev)}; "
-                    f"carried {counts[-1]:g} forward"
-                )
-                counts.extend([counts[-1]] * gap)
-            counts.append(by_day[day])
+        if ordered[-1] - ordered[0] < len(ordered):  # the days are distinct, so there is no gap
+            counts = [by_day[day] for day in ordered]
+        else:
+            counts = [by_day[ordered[0]]]
+            for prev, day in zip(ordered, ordered[1:]):
+                gap = day - prev - 1
+                if gap:
+                    warnings.append(
+                        f"{region}: no data for {gap} day(s) after {date.fromordinal(prev)}; "
+                        f"carried {counts[-1]:g} forward"
+                    )
+                    counts.extend([counts[-1]] * gap)
+                counts.append(by_day[day])
         series.append(CaseSeries(region, date.fromordinal(ordered[0]), tuple(counts)))
     return series, warnings
 

@@ -2,12 +2,15 @@
 
 import csv
 import io
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epigrowth.cli import main
 from epigrowth.correlate import (
     WEATHER_TYPES,
     DemographicTable,
@@ -170,3 +173,43 @@ def test_weather_round_trip(rows):
     loaded = _round_trip(write_weather_csv, load_weather, WeatherTable(values))
     assert repr(loaded.values) == repr(values)
 
+
+# Names with inner spaces and commas, so the rewritten CSV quotes them.
+RENAMED = {
+    "metro-01": "Dallas-Fort Worth, TX",
+    "metro-01-east": "Dallas County, TX",
+    "metro-02-west": "Fort Bend County, TX west",
+}
+
+
+def _respelled(path, names):
+    """The CSV at ``path`` with cells renamed by ``names`` and padded with spaces."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            writer.writerow([f"  {names.get(c, c)} " for c in row])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("rename", [False, True], ids=["padded", "padded-quoted"])
+def test_loaders_read_a_padded_bundle_as_the_plain_one(tmp_path, rename):
+    assert main(["gen-fixtures", "--seed", "4", "--metros", "3", "--out", str(tmp_path)]) == 0
+    names = RENAMED if rename else {}
+
+    def both(filename, load):
+        with open(tmp_path / filename, newline="") as fh:
+            plain = fh.read()
+        respelled = _respelled(tmp_path / filename, names)
+        assert respelled != plain and ('"' in respelled) == rename
+        return load(io.StringIO(plain)), load(io.StringIO(respelled))
+
+    (want, want_warnings), (got, got_warnings) = both("cases.csv", load_cases)
+    assert {s.region: s for s in got} == {
+        names.get(s.region, s.region): replace(s, region=names.get(s.region, s.region)) for s in want
+    }
+    assert got_warnings == want_warnings == []
+    want_map, got_map = both("metro_map.csv", load_metro_map)
+    assert got_map.entries == {names.get(c, c): names.get(m, m) for c, m in want_map.entries.items()}
+    want_weather, got_weather = both("weather.csv", load_weather)
+    assert got_weather.values == {names.get(m, m): v for m, v in want_weather.values.items()}
