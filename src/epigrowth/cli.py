@@ -80,6 +80,10 @@ FIT_MODELS = ("delayed", "reinfect")
 _TRACED = (tune,)
 
 
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _require(value, flag: str):
     if value is None:
         raise ConfigError(f"{flag} is required")
@@ -214,7 +218,7 @@ def _load_case_metros(args: argparse.Namespace):
     with open(_require(args.cases, "--cases"), newline="") as fh:
         series, warnings = load_cases(fh)
     for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+        _warn(w)
     with open(_require(args.metro_map, "--metro-map"), newline="") as fh:
         metro_map = load_metro_map(fh)
     return aggregate_to_metros(series, metro_map)
@@ -290,16 +294,15 @@ def _fit_chunk(chunk, *, mu, **kwargs):
 def cmd_gen_fixtures(args: argparse.Namespace) -> int:
     bundle = make_bundle(args.seed, args.metros, args.window, args.announcement, _anchors(args))
     out = _out_dir(args)
-    with open(os.path.join(out, "cases.csv"), "w", newline="") as fh:
-        write_cases_csv(bundle.cases, fh)
-    with open(os.path.join(out, "metro_map.csv"), "w", newline="") as fh:
-        write_metro_map_csv(bundle.metro_map, fh)
-    with open(os.path.join(out, "demographics.csv"), "w", newline="") as fh:
-        write_demographics_csv(bundle.demographics, fh)
-    with open(os.path.join(out, "weather.csv"), "w", newline="") as fh:
-        write_weather_csv(bundle.weather, fh)
-    with open(os.path.join(out, "inflow.csv"), "w", newline="") as fh:
-        write_inflow_csv(bundle.inflow, fh)
+    for name, write, table in (
+        ("cases.csv", write_cases_csv, bundle.cases),
+        ("metro_map.csv", write_metro_map_csv, bundle.metro_map),
+        ("demographics.csv", write_demographics_csv, bundle.demographics),
+        ("weather.csv", write_weather_csv, bundle.weather),
+        ("inflow.csv", write_inflow_csv, bundle.inflow),
+    ):
+        with open(os.path.join(out, name), "w", newline="") as fh:
+            write(table, fh)
     _write_json(os.path.join(out, "fixture_params.json"), bundle.manifest())
     print(f"gen-fixtures: wrote {args.metros} metro(s) to {out}")
     return 0
@@ -317,7 +320,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
             ps = optimize_boundaries(series, initial_periods(args.window, anchors, series.region),
                                      search_radius=args.radius, min_period_length=args.min_period)
         except InsufficientDataError as exc:
-            print(f"warning: {series.region}: {exc}; skipped", file=sys.stderr)
+            _warn(f"{series.region}: {exc}; skipped")
             protocol_rows.append((series.region, first_case, None, "no fittable periods"))
             skipped += 1
             continue
@@ -360,7 +363,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             ]
         }
         if metro not in series_by:
-            print(f"warning: {metro}: no case data; skipped", file=sys.stderr)
+            _warn(f"{metro}: no case data; skipped")
             entry["error"] = "no case data"
             report["metros"][metro] = entry
             table_rows.append((metro, None, None))
@@ -369,7 +372,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         for model in FIT_MODELS:
             res = next(results)
             if isinstance(res, PipelineError):
-                print(f"warning: {metro}/{model}: {res}", file=sys.stderr)
+                _warn(f"{metro}/{model}: {res}")
                 entry[model] = {"error": str(res)}
                 pcts[model] = None
                 continue
@@ -482,7 +485,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 data_series = series
                 break
         if data_series is None:
-            print(f"warning: no case data for metro {args.metro}", file=sys.stderr)
+            _warn(f"no case data for metro {args.metro}")
 
     out = _out_dir(args)
     with open(os.path.join(out, "trajectory.csv"), "w", newline="") as fh:
@@ -524,13 +527,13 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         if metro in series_by:
             usable[metro] = period_sets[metro]
         else:
-            print(f"warning: {metro}: no case data; skipped", file=sys.stderr)
+            _warn(f"{metro}: no case data; skipped")
     response: dict[str, float] = {}
     for metro, ps in usable.items():
         try:
             response[metro] = weighted_avg_growth(data_growth_rates(series_by[metro], ps), ps)
         except PipelineError as exc:
-            print(f"warning: {metro}: {exc}; excluded from demographic response", file=sys.stderr)
+            _warn(f"{metro}: {exc}; excluded from demographic response")
 
     out = _out_dir(args)
     studies: dict[str, CorrelationReport] = {}
@@ -538,7 +541,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         with open(args.demographics, newline="") as fh:
             demo, warnings = load_demographics(fh)
         for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
+            _warn(w)
         demo_report = demographic_study(demo, response)
         with open(os.path.join(out, "table3.csv"), "w", newline="") as fh:
             write_group_report_csv(demo_report, fh)
@@ -662,15 +665,9 @@ def main(argv=None) -> int:
     try:
         _resolve_options(args)
         return args.func(args)
-    except ConfigError as exc:
+    except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, ConfigError) else 2 if isinstance(exc, PipelineError) else 3
 
 
 def entrypoint() -> None:

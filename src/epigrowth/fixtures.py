@@ -168,7 +168,6 @@ def make_bundle(
     if anchors is None:
         anchors = default_anchors(announcement)
     periods = initial_periods(window, anchors)
-    lengths = periods.lengths()
     cfg = SearchConfig()
     ggrid = gamma_grid(cfg)
 

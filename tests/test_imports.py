@@ -1,11 +1,18 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports or assigns is used, and the package
+exports exactly the names of the README's library example."""
 
 import ast
+import math
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "epigrowth"
+import epigrowth
+from epigrowth import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "epigrowth"
 # __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -58,3 +65,73 @@ def test_all_lists_exactly_what_init_imports():
     )
     assert exported == sorted(set(exported))
     assert set(exported) == set(_imported(tree))
+
+
+def _dead_locals(tree: ast.AST) -> list[str]:
+    """Each local a function assigns but never reads inside it, as ``function: name (line)``.
+
+    Names starting with ``_`` are deliberately unused and skipped.
+    """
+    dead = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored: dict[str, int] = {}
+        read, shared = set(), set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                else:
+                    stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+        dead += [
+            f"{func.name}: {name} (line {line})"
+            for name, line in stored.items()
+            if name not in read | shared and not name.startswith("_")
+        ]
+    return sorted(dead)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    assert _dead_locals(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_scan_sees_a_dead_local():
+    source = (
+        "def f(xs):\n"
+        "    total, _skip = 0, 1\n"
+        "    lengths = len(xs)\n"
+        "    for x in xs:\n"
+        "        total += x\n"
+        "    def g():\n"
+        "        return total\n"
+        "    return g\n"
+    )
+    assert _dead_locals(ast.parse(source)) == ["f: lengths (line 3)"]
+
+
+def _library_example() -> str:
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Library use"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_all_is_what_the_readme_example_imports_from_the_package():
+    tree = ast.parse(_library_example())
+    imported = [
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "epigrowth" and node.level == 0
+        for alias in node.names
+    ]
+    assert sorted(imported) == epigrowth.__all__
+
+
+def test_the_readme_example_runs_on_a_fixture_bundle(tmp_path, capsys):
+    assert cli.main(["gen-fixtures", "--metros", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    exec(_library_example().replace('"run/', f'"{tmp_path}/'), {})
+    assert math.isfinite(float(capsys.readouterr().out))
