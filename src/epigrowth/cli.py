@@ -479,13 +479,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     window = periods.window
 
     data_series = None
-    if args.cases is not None and args.metro is not None and args.metro_map is not None:
-        for series in _load_case_metros(args):
-            if series.region == args.metro:
-                data_series = series
-                break
+    if args.cases is not None or args.metro_map is not None:  # the data need all three flags
+        metro = _require(args.metro, "--metro")
+        data_series = next((series for series in _load_case_metros(args) if series.region == metro), None)
         if data_series is None:
-            _warn(f"no case data for metro {args.metro}")
+            _warn(f"no case data for metro {metro}")
 
     out = _out_dir(args)
     with open(os.path.join(out, "trajectory.csv"), "w", newline="") as fh:
@@ -665,9 +663,10 @@ def main(argv=None) -> int:
     try:
         _resolve_options(args)
         return args.func(args)
-    except (PipelineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4 if isinstance(exc, ConfigError) else 2 if isinstance(exc, PipelineError) else 3
+    except (PipelineError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return (4 if isinstance(exc, (ConfigError, MemoryError))
+                else 2 if isinstance(exc, PipelineError) else 3)
 
 
 def entrypoint() -> None:

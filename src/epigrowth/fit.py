@@ -112,16 +112,9 @@ class TuneResult:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid ranges and refinement depth for tune().
+    """Grid points and refinement depth for tune(), which searches beta in [0, 1/S0], gamma in [0, 1]."""
 
-    ``beta_max`` None means auto-scale to 1/S0 so beta*S0 spans [0, 1] per day.
-    """
-
-    beta_min: float = 0.0
-    beta_max: float | None = None
     beta_points: int = 101
-    gamma_min: float = 0.0
-    gamma_max: float = 1.0
     gamma_points: int = 101
     refinement_levels: int = 3
 
@@ -130,30 +123,21 @@ class SearchConfig:
             raise ConfigError("grids need at least one point per axis")
         if self.refinement_levels < 0:
             raise ConfigError("refinement_levels must be >= 0")
-        if self.beta_min < 0 or self.gamma_min < 0:
-            raise ConfigError("rate grids start at or above 0")
-        if self.beta_max is not None and self.beta_max < self.beta_min:
-            raise ConfigError("beta_max must be >= beta_min")
-        if self.gamma_max < self.gamma_min:
-            raise ConfigError("gamma_max must be >= gamma_min")
 
 
-def _beta_range(cfg: SearchConfig, s0: float) -> tuple[float, float]:
-    """``(beta_min, beta_max)`` of the search, beta_max auto-scaled to 1/S0 when unset."""
-    if cfg.beta_max is None and s0 <= 0:
-        raise ConfigError("beta_max auto-scaling needs a positive initial susceptible count")
-    hi = cfg.beta_max if cfg.beta_max is not None else 1.0 / s0
-    if hi < cfg.beta_min:
-        raise ConfigError("auto-scaled beta_max fell below beta_min")
-    return cfg.beta_min, hi
+def _beta_hi(s0: float) -> float:
+    """1/S0, the top of the beta range, so beta*S0 spans [0, 1] per day."""
+    if s0 <= 0:
+        raise ConfigError("the beta range [0, 1/S0] needs a positive initial susceptible count")
+    return 1.0 / s0
 
 
 def beta_grid(cfg: SearchConfig, s0: float) -> np.ndarray:
-    return np.linspace(*_beta_range(cfg, s0), cfg.beta_points)
+    return np.linspace(0.0, _beta_hi(s0), cfg.beta_points)
 
 
 def gamma_grid(cfg: SearchConfig) -> np.ndarray:
-    return np.linspace(cfg.gamma_min, cfg.gamma_max, cfg.gamma_points)
+    return np.linspace(0.0, 1.0, cfg.gamma_points)
 
 
 def default_init(series: CaseSeries, periods: PeriodSet) -> SirState:
@@ -295,7 +279,7 @@ class TuneJob:
                     f"{series.region}: period {idx + 1} has no fittable growth rate"
                 )
         self.o_vals = _inflow_values(model, inflow, periods.window.days)
-        self.b_range = _beta_range(self.cfg, self.init.s)
+        self.b_hi = _beta_hi(self.init.s)
         self.model, self.region, self.periods, self.shared_beta = model, series.region, periods, shared_beta
         self.cuts = periods.cuts()
         self.days = ([self.init.s], [self.init.i], [self.init.r])
@@ -353,7 +337,7 @@ def _tune_together(batch: list[TuneJob]) -> None:
             fit_lo, fit_hi = job.fits.before[seg_lo], job.fits.before[seg_hi]
             rows, x_fit = job.fits.days[fit_lo:fit_hi] - seg_lo, job.fits.x[fit_lo:fit_hi]
             job.span = (seg_hi, rows, x_fit, seg_hi < job.cuts[5], job.data.k[per_idx])
-            job.window = [*job.b_range, cfg.gamma_min, cfg.gamma_max]
+            job.window = [0.0, job.b_hi, 0.0, 1.0]
             job.best = None
         for _level in range(cfg.refinement_levels + 1):
             if not live:
@@ -375,8 +359,8 @@ def _tune_together(batch: list[TuneJob]) -> None:
                 b_lo, b_hi, g_lo, g_hi = job.window
                 half_b, half_g = (b_hi - b_lo) / 20.0, (g_hi - g_lo) / 20.0
                 _, beta, gamma = job.best
-                job.window = [max(job.b_range[0], beta - half_b), min(job.b_range[1], beta + half_b),
-                              max(cfg.gamma_min, gamma - half_g), min(cfg.gamma_max, gamma + half_g)]
+                job.window = [max(0.0, beta - half_b), min(job.b_hi, beta + half_b),
+                              max(0.0, gamma - half_g), min(1.0, gamma + half_g)]
             live = [job for job in live if job.error is None]
         if not live:
             return

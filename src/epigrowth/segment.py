@@ -242,16 +242,13 @@ def optimize_boundaries(
         i = nxt
         cuts[k + 1] = int(starts[k + 1][i])
 
+    # The initial placement lies in every box and scores finitely, so the optimum is finite and
+    # every chosen stretch (an unfittable one scores -inf) holds 2 points: each period has a fit.
     periods = []
     for i in range(NUM_PERIODS):
         start = window.start + timedelta(days=cuts[i])
         end = window.start + timedelta(days=cuts[i + 1] - 1)
-        seg = fits.segment_fit(cuts[i], cuts[i + 1])
-        if seg is None:
-            raise InsufficientDataError(
-                f"{series.region}: optimized period {i + 1} has fewer than 2 positive counts"
-            )
-        periods.append(Period(i + 1, start, end, SimpleFit(*seg)))
+        periods.append(Period(i + 1, start, end, SimpleFit(*fits.segment_fit(cuts[i], cuts[i + 1]))))
     return PeriodSet(metro=series.region, periods=tuple(periods))
 
 

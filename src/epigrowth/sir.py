@@ -127,12 +127,13 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     state was finite on their job's last day: a non-finite value never leaves
     the state again.  ``params`` supplies the delays and the mu/epsilon rates.
     """
-    tau1, tau2, epsilon = params.tau1, params.tau2, params.epsilon
-    if model == "original":
-        tau1 = tau2 = 0
+    top, epsilon = max(steps), params.epsilon
+    # A lag past a job's committed days plus its steps reads day 0 at any length.
+    cap = 0 if model == "original" else top + max(len(i) for _, i, _ in days)
+    tau1, tau2 = min(params.tau1, cap), min(params.tau2, cap)
     # With mu = 0 the reentries term is +0.0, and adding it changes no clamped value.
     mu = params.mu if model == "reinfect" else 0.0
-    top, reach = max(steps), max(tau1, tau2)
+    reach = max(tau1, tau2)
     # I history right-aligned on each job's last day: row reach - d is day m_j - 1 - d, or day 0.
     hist = np.array([[i[0]] * (reach + 1 - len(i)) + i[-reach - 1:] for _, i, _ in days]).T[:, :, None]
     start = np.array([[seq[-1] for seq in job] for job in days]).T[:, :, None]

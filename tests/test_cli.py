@@ -616,6 +616,61 @@ def test_unexpected_worker_exception_propagates_out_of_main(pipeline_dir, tmp_pa
     assert not (tmp_path / "fit_report.json").exists()
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("exc, line", [(MemoryError(), "error: out of memory"),
+                                       (MemoryError("Unable to allocate"), "error: Unable to allocate")],
+                         ids=["bare", "with-message"])
+def test_running_out_of_memory_exits_4_with_one_error_line(pipeline_dir, tmp_path, monkeypatch, capsys,
+                                                           cores, exc, line):
+    _use_cores(monkeypatch, cores)
+    _plant(monkeypatch, "TuneJob", "metro-02", "reinfect", exc)
+    rc = main(["fit", "--cases", os.path.join(pipeline_dir, "cases.csv"),
+               "--metro-map", os.path.join(pipeline_dir, "metro_map.csv"),
+               "--periods", os.path.join(pipeline_dir, "periods.csv"), *FIT_FLAGS, "--out", str(tmp_path)])
+    assert rc == 4
+    assert _one_error_line(capsys) == line
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "fit_report.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--tau1", "--tau2"])
+def test_simulate_delay_past_the_window_writes_what_a_window_long_delay_writes(tmp_path, capsys, flag):
+    runs = {}
+    for tau in ("122", str(10**17)):
+        out = tmp_path / tau
+        argv = ["simulate", "--model", "delayed", "--beta", "2e-6", "--gamma", "0.1", "--i0", "10"]
+        assert main([*argv, flag, tau, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        runs[tau] = [(out / name).read_bytes() for name in ("trajectory.csv", "plotdata.csv")]
+    assert runs["122"] == runs[str(10**17)]
+
+
+@pytest.mark.parametrize("given, missing", [
+    (["cases"], "--metro"),
+    (["metro_map"], "--metro"),
+    (["cases", "metro_map"], "--metro"),
+    (["cases", "metro"], "--metro-map"),
+    (["metro_map", "metro"], "--cases"),
+])
+def test_simulate_plot_data_flags_come_together(pipeline_dir, tmp_path, capsys, given, missing):
+    flags = {"cases": ["--cases", os.path.join(pipeline_dir, "cases.csv")],
+             "metro_map": ["--metro-map", os.path.join(pipeline_dir, "metro_map.csv")],
+             "metro": ["--metro", "metro-01"]}
+    rc = main(["simulate", "--model", "original", "--beta", "2e-6", "--gamma", "0.1", "--i0", "10",
+               *(arg for name in given for arg in flags[name]), "--out", str(tmp_path)])
+    assert rc == 4
+    assert _one_error_line(capsys) == f"error: {missing} is required"
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_simulate_takes_metro_alone_with_a_fit_report(pipeline_dir, tmp_path):
+    report = os.path.join(pipeline_dir, "fit_report.json")
+    rc = main(["simulate", "--model", "reinfect", "--fit-report", report, "--metro", "metro-01",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert all(row[2] == "NA" for row in _read_rows(tmp_path / "plotdata.csv")[1:])
+
+
 # Every input file the CLI reads, by the name gen-fixtures and segment give it.
 INPUT_KINDS = ("cases", "metro_map", "periods", "demographics", "weather", "inflow")
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import pickle
 from datetime import date, timedelta
@@ -201,11 +202,13 @@ def test_search_config_rejects_bad_ranges():
     with pytest.raises(ConfigError):
         SearchConfig(beta_points=0)
     with pytest.raises(ConfigError):
+        SearchConfig(gamma_points=0)
+    with pytest.raises(ConfigError):
         SearchConfig(refinement_levels=-1)
-    with pytest.raises(ConfigError):
-        SearchConfig(gamma_min=0.5, gamma_max=0.1)
-    with pytest.raises(ConfigError):
-        SearchConfig(beta_min=1e-6, beta_max=1e-7)
+    # The ranges are fixed: beta in [0, 1/S0], gamma in [0, 1].
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+        "beta_points", "gamma_points", "refinement_levels"
+    ]
 
 
 def _simulated_series(beta=2e-6, gamma=0.05, lengths=(7,) * 5):
@@ -239,16 +242,12 @@ def test_tune_needs_a_growth_rate_in_every_period():
 
 
 def test_tune_single_point_grid_returns_that_point():
-    beta, gamma = 2e-6, 0.05
-    series, ps, init = _simulated_series(beta, gamma)
-    cfg = SearchConfig(
-        beta_min=beta, beta_max=beta, beta_points=1,
-        gamma_min=gamma, gamma_max=gamma, gamma_points=1,
-        refinement_levels=0,
-    )
+    # A one-point grid is (0, 0), the low end of both ranges.
+    series, ps, init = _simulated_series(0.0, 0.0)
+    cfg = SearchConfig(beta_points=1, gamma_points=1, refinement_levels=0)
     res = tune("original", series, ps, cfg, init=init)
-    assert res.params.beta == (beta,) * 5
-    assert res.params.gamma == (gamma,) * 5
+    assert res.params.beta == (0.0,) * 5
+    assert res.params.gamma == (0.0,) * 5
     assert res.report.as_percent == 0.0
 
 
@@ -487,19 +486,19 @@ def test_a_batch_tunes_each_job_as_tune_alone_does_bitwise(shared_beta, points):
         series, ps = _noisy_metro(lengths, seed)
         for model, mu in (("delayed", 0.0), ("reinfect", 0.2), ("reinfect", 0.0)):
             calls.append(((model, series, ps, cfg), {"tau1": 3, "tau2": 7, "mu": mu}))
-    # On this grid every candidate's I dies within days once S has run down, so the jobs
-    # seeded with a high I/S ratio find nothing feasible in period 1 or 2; the others finish.
+    # With mu = 1e308 the reinfection term mu * R overflows for R >= 2, so the job seeded with
+    # R = 5 finds nothing feasible in period 1; of the others, some fail later and some finish.
     series, ps = _noisy_metro((3, 9, 9, 9, 9), 7)
-    strict = SearchConfig(beta_points=points, gamma_points=points, refinement_levels=1, gamma_min=1.01,
-                          gamma_max=2.0)
-    for init in (SirState(1e3, 10.0, 0.0), SirState(1e3, 100.0, 0.0), SirState(100.0, 100.0, 0.0),
+    for init in (SirState(1e3, 10.0, 5.0), SirState(1e3, 10.0, 0.0), SirState(100.0, 100.0, 0.0),
                  SirState(1e4, 1.0, 0.0)):
-        calls.append((("delayed", series, ps, strict), {"tau1": 1, "tau2": 1, "init": init}))
+        calls.append((("reinfect", series, ps, cfg), {"tau1": 1, "tau2": 1, "mu": 1e308, "init": init}))
     got = tune_batch([TuneJob(*args, **kwargs, shared_beta=shared_beta) for args, kwargs in calls])
     want = [_tune_alone(*args, **kwargs, shared_beta=shared_beta) for args, kwargs in calls]
     assert [_outcome(res) for res in got] == [_outcome(res) for res in want]
-    failed = [str(res)[-8:] for res in want[-4:] if isinstance(res, ConfigError)]
-    assert failed == (["period 2", "period 1"] if points > 1 else ["period 1"] * 4)
+    failed = [str(res)[-8:] if isinstance(res, ConfigError) else None for res in want[-4:]]
+    assert failed == {(False, 9): ["period 1", "period 3", "period 2", None],
+                      (True, 9): ["period 1", None, "period 2", None],
+                      (False, 1): ["period 1", None, None, None]}[shared_beta, points]
 
 
 def test_fit_chunk_gives_each_metro_and_model_what_tune_alone_gives():
