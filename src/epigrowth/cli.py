@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import pickle
 import re
 import sys
 from datetime import date, timedelta
@@ -236,38 +237,54 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _cores() -> int:
-    """Usable cores: the process's CPU affinity set where there is one, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _map_in_order(fn, items: list) -> list:
-    """``fn(items)``, with ``items`` cut into one contiguous chunk per forked worker, one per core.
+    """``fn(items)``, with ``items`` cut into one contiguous chunk per core, each run in a forked child.
 
-    ``fn`` maps a list of items to a list with one result per item, so a
-    worker can batch the work of its whole chunk.  Results are pickled back
-    and returned in input order, so what the caller writes does not depend on
-    the worker count.  Workers are forked rather than spawned, so they start
-    with the parent's modules already imported instead of importing NumPy
-    again; the CLI starts no threads of its own that a fork could catch
-    mid-update.  With one core, one item or no ``fork``, ``fn`` runs in this
-    process.  The pool modules are imported here so that importing the CLI
-    stays as cheap as before.
+    ``fn`` maps a list of items to one result per item.  Each child pickles its
+    results, or the exception ``fn`` raised, into a pipe and leaves by
+    ``os._exit``.  Every pipe is read and every child reaped, in input order,
+    before the first exception is raised here, so the output does not depend
+    on the core count; a child that ends without a result raises
+    ChildProcessError.  The CLI starts no threads a fork could catch
+    mid-update.  With one core, one item or no ``os.fork``, ``fn`` runs here.
     """
-    import multiprocessing
-
-    workers = min(len(items), _cores())
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(items), cores)
+    if workers <= 1 or not hasattr(os, "fork"):
         return fn(items)
-    from concurrent.futures import ProcessPoolExecutor
-
     cuts = [len(items) * k // workers for k in range(workers + 1)]
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        chunks = pool.map(fn, [items[a:b] for a, b in zip(cuts, cuts[1:])])
-        return [res for chunk in chunks for res in chunk]
+    children: list = []
+    try:
+        for a, b in zip(cuts, cuts[1:]):
+            read_end, write_end = os.pipe()
+            if (pid := os.fork()) == 0:  # the child never returns into the caller
+                try:
+                    try:
+                        outcome = (fn(items[a:b]), None)
+                    except BaseException as exc:  # raised again in the parent
+                        outcome = (None, exc)
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(outcome, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+    finally:  # also after a failed fork: no child is left behind
+        ended = []
+        for pid, pipe in children:
+            with pipe:
+                ended.append((pid, pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    results = []
+    for pid, payload, code in ended:
+        if code:
+            how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+            raise ChildProcessError(f"worker process {pid} {how} before sending its results")
+        chunk, exc = pickle.loads(payload)
+        if exc is not None:
+            raise exc
+        results += chunk
+    return results
 
 
 def _fit_chunk(chunk, *, mu, **kwargs):

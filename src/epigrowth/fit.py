@@ -208,7 +208,8 @@ def _grid_eval(model: str, days: Sequence[tuple], bvals: np.ndarray, gvals: np.n
     their days on the data's axis, so a candidate that reproduces the
     observed counts scores within float rounding of the data slope.  The
     batch sums day by day, which the data fit does only below 8 points, so
-    the two agree to rounding, not bit for bit.  Other days are logged as 1.0
+    the two agree to rounding, not bit for bit.  Rows are read through each
+    job's last fit row only; those that are not fit days are logged as 1.0
     and add exactly 0.0, so a job scores as it would alone.
 
     Candidates whose infected count dies on a fit day, or whose state stops
@@ -223,22 +224,29 @@ def _grid_eval(model: str, days: Sequence[tuple], bvals: np.ndarray, gvals: np.n
         model, days, shared, np.repeat(bvals, n_g, axis=1), np.tile(gvals, (1, n_b)), lasts, o_vals
     )
     alive = finite & ((block[lasts, np.arange(n_jobs)] > 0) | ~np.array(check_boundary)[:, None])
-    fit = np.zeros(block.shape[:2] + (1,), dtype=bool)
-    xc = np.zeros(fit.shape)
+    need = [int(r[-1]) + 1 if len(r) else 0 for r in rows]
+    pad = np.ones((max(need), n_jobs, 1), dtype=bool)  # True off each job's fit days
+    xc = np.zeros(pad.shape)
     n, sxx = np.ones((n_jobs, 1)), np.ones((n_jobs, 1))
     for j, (r, x) in enumerate(zip(rows, x_fit)):
         if len(r) < 2:
             alive[j] = False
             continue
-        fit[r, j] = True
+        pad[r, j] = False
         n[j] = len(r)
         xc[r, j, 0] = dx = x - x.sum() / len(r)
         sxx[j] = float((dx**2).sum())
-    np.copyto(block, 1.0, where=~fit)
-    alive &= (block > 0).all(axis=0)
+    # (rows, jobs read): one block of the rows all jobs have stepped, then one row at a time
+    common = min(min(lasts) + 1, max(need))
+    parts = [(slice(0, common), n_jobs)] + [
+        (slice(d, d + 1), 1 + max(j for j, e in enumerate(need) if e > d)) for d in range(common, max(need))]
+    for at, p in parts:
+        np.copyto(block[at, :p], 1.0, where=pad[at, :p])
+        alive[:p] &= (block[at, :p] > 0).all(axis=0)
     # Dead candidates are masked below; 1.0 keeps np.log off its slow path for 0 and inf.
-    np.copyto(block, 1.0, where=~alive)
-    np.log(block, out=block)
+    for at, p in parts:
+        np.copyto(block[at, :p], 1.0, where=~alive[:p])
+        np.log(block[at, :p], out=block[at, :p])
     for j, (r, job) in enumerate(zip(rows, days)):
         if len(r) and r[0] == 0 and job[1][-1] > 0:
             block[0, j] = math.log(job[1][-1])  # the committed day: one float, logged as the data are
@@ -246,11 +254,21 @@ def _grid_eval(model: str, days: Sequence[tuple], bvals: np.ndarray, gvals: np.n
         slope = np.array([_ols_slope(x, block[r, j])[0] if len(r) > 1 else [0.0]
                           for j, (r, x) in enumerate(zip(rows, x_fit))])
     else:  # _ols_slope's arithmetic, in place, with every job's x - x mean, n and sxx
-        ym = block.sum(axis=0) / n
-        block -= ym
-        block *= xc
-        slope = block.sum(axis=0) / sxx
+        ym = _day_sums(block, parts) / n
+        for at, p in parts:
+            block[at, :p] -= ym[:p]
+            block[at, :p] *= xc[at, :p]
+        slope = _day_sums(block, parts) / sxx
     return np.where(alive, np.abs(slope - np.array(target_k)[:, None]), np.inf)
+
+
+def _day_sums(block: np.ndarray, parts: list) -> np.ndarray:
+    """Each (job, candidate) column of ``block`` summed over its parts' rows, day by day."""
+    (head, _), *rest = parts
+    total = block[head].sum(axis=0)
+    for row, p in rest:
+        total[:p] += block[row.start, :p]
+    return total
 
 
 class TuneJob:
@@ -303,6 +321,7 @@ def tune_batch(jobs: Sequence[TuneJob]) -> list[TuneResult | PipelineError]:
     Jobs that share a model, the shared rates, the grid and ``shared_beta``
     run together, at most _BATCH_COLUMNS grid columns at a time: one kernel
     call per period and refinement level, then one that commits every winner.
+    Each period's jobs run longest first, each stepped only through its period.
     """
     groups: dict[tuple, list[TuneJob]] = {}
     for job in jobs:
@@ -331,7 +350,9 @@ def _tune_together(batch: list[TuneJob]) -> None:
     """tune()'s sequential per-period search with refinement and state carry-over, for a batch."""
     model, shared, cfg, shared_beta = batch[0].model, batch[0].shared, batch[0].cfg, batch[0].shared_beta
     for per_idx in range(NUM_PERIODS):
-        live = [job for job in batch if job.error is None]
+        # Longest period first: the kernel then steps only the jobs still running.
+        live = sorted((job for job in batch if job.error is None),
+                      key=lambda job: job.cuts[per_idx + 1] - job.cuts[per_idx], reverse=True)
         for job in live:
             seg_lo, seg_hi = job.cuts[per_idx], job.cuts[per_idx + 1]
             fit_lo, fit_hi = job.fits.before[seg_lo], job.fits.before[seg_hi]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO
 
 import numpy as np
@@ -116,16 +117,18 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     This is the one forward-Euler step of every variant.  ``days`` holds each
     job's committed (s, i, r) float lists, m_j days long; ``beta`` and
     ``gamma`` are (jobs, candidates) arrays; ``o_vals`` holds each job's
-    inflow (tourism only).  Delayed reads before day 0 return day 0 (constant
-    pre-history); ``original`` reads today.  Negative values are clamped to
-    zero.  Returns (block, clamps, finite).  ``block`` is (days, jobs,
-    candidates), row k holding the I of each job's day m_j - 1 + k, so that
-    one lag index serves the batch; rows past a job's steps mean nothing.
-    With ``record`` it is (3, days, jobs, candidates), holding S, I and R, and
-    ``clamps`` counts each job's negative raw values; without, S and R are
-    kept for the current day only.  ``finite`` marks the candidates whose
-    state was finite on their job's last day: a non-finite value never leaves
-    the state again.  ``params`` supplies the delays and the mu/epsilon rates.
+    inflow (tourism only); ``params`` supplies the delays and the mu/epsilon
+    rates.  Delayed reads before day 0 return day 0 (constant pre-history);
+    ``original`` reads today.  Negative values are clamped to zero.  Returns
+    (block, clamps, finite).  ``block`` is (days, jobs, candidates), row k
+    holding the I of each job's day m_j - 1 + k, so one lag index serves the
+    batch.  Step k advances the jobs up to the last one that takes it: with
+    steps in descending order, only the running ones.  A row past a job's
+    steps may never have been written.  With ``record`` it is (3, days, jobs,
+    candidates), holding S, I and R, and ``clamps`` counts each job's negative
+    raw values; without, S and R are kept for the current day only.
+    ``finite`` marks the candidates whose state was finite on their job's
+    last day: a non-finite value never leaves the state again.
     """
     top, epsilon = max(steps), params.epsilon
     # A lag past a job's committed days plus its steps reads day 0 at any length.
@@ -141,44 +144,50 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     if record:
         block = np.empty((3, top + 1, *shape))
         block[:, 0] = start
-        s_block, i_block, r_block = block
-        s, r = s_block[0], r_block[0]
         raw = np.empty((3, top, *shape))
     else:
-        block = i_block = np.empty((top + 1, *shape))
-        i_block[0] = start[1]
-        s, r = (np.broadcast_to(v, shape).copy() for v in start[::2])
-    ends = {n: [j for j, m in enumerate(steps) if m == n] for n in set(steps)}
-    finite = np.empty(shape, dtype=bool)
-    new_infections, removals, reentries = np.empty(shape), np.empty(shape), np.empty(shape)
+        block = np.empty((top + 1, *shape))
+        block[0] = start[1]
+        today = np.broadcast_to(start[::2], (2, *shape)).copy()  # S and R of the current day
+    # The jobs that end on each step, as a slice where they are adjacent (as in descending order).
+    ends = {m: [j for j, n in enumerate(steps) if n == m] for m in set(steps)}
+    ends = {m: slice(js[0], js[-1] + 1) if js[-1] - js[0] < len(js) else js for m, js in ends.items()}
+    finite = np.broadcast_to(np.isfinite(start).all(axis=0), shape).copy()  # kept by a job taking no step
+    scratch = np.empty((3, *shape))
+    # tail[j], the most steps of job j or a later one: steps tail[n] + 1 .. tail[n - 1] advance jobs :n
+    tail = [*accumulate(reversed(steps), max)][::-1] + [0]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite is checked below
-        for k in range(top + 1):
-            if k:
+        for n in range(len(steps), 0, -1):
+            b, g, h, inflows = beta[:n], gamma[:n], hist[:, :n], o_vals[:n]
+            new_infections, removals, reentries = scratch[:, :n]
+            i_rows = block[1, :, :n] if record else block[:, :n]
+            s, r = block[::2, tail[n], :n] if record else today[:, :n]
+            for k in range(tail[n] + 1, tail[n - 1] + 1):
                 lag1, lag2 = k - 1 - tau1, k - 1 - tau2
-                np.multiply(beta, i_block[lag1] if lag1 >= 0 else hist[reach + lag1], out=new_infections)
+                np.multiply(b, i_rows[lag1] if lag1 >= 0 else h[reach + lag1], out=new_infections)
                 new_infections *= s
-                np.multiply(gamma, i_block[lag2] if lag2 >= 0 else hist[reach + lag2], out=removals)
+                np.multiply(g, i_rows[lag2] if lag2 >= 0 else h[reach + lag2], out=removals)
                 if mu:
                     np.multiply(mu, r, out=reentries)
-                s_new, i_new, r_new = raw[:, k - 1] if record else (s, i_block[k], r)
+                s_new, i_new, r_new = raw[:, k - 1, :n] if record else (s, i_rows[k], r)
                 np.subtract(s, new_infections, out=s_new)
-                np.add(i_block[k - 1], new_infections, out=i_new)
+                np.add(i_rows[k - 1], new_infections, out=i_new)
                 i_new -= removals
                 np.add(r, removals, out=r_new)
                 if mu:
                     s_new += reentries
                     r_new -= reentries
                 if model == "tourism":  # a job past its own steps reads its last inflow day
-                    o_day = [[o[min(len(i) + k - 2, len(o) - 1)]] for (_, i, _), o in zip(days, o_vals)]
+                    o_day = [[o[min(len(i) + k - 2, len(o) - 1)]] for (_, i, _), o in zip(days, inflows)]
                     s_new += epsilon * np.array(o_day)
                 if record:
-                    s, r = s_block[k], r_block[k]
+                    s, r = block[::2, k, :n]
                 np.maximum(s_new, 0.0, out=s)
-                np.maximum(i_new, 0.0, out=i_block[k])
+                np.maximum(i_new, 0.0, out=i_rows[k])
                 np.maximum(r_new, 0.0, out=r)
-            if k in ends:
-                done = ends[k]
-                finite[done] = np.isfinite(s[done]) & np.isfinite(i_block[k, done]) & np.isfinite(r[done])
+                if k in ends:
+                    done = ends[k]
+                    finite[done] = np.isfinite(s[done]) & np.isfinite(i_rows[k, done]) & np.isfinite(r[done])
     clamps = [int(np.count_nonzero(raw[:, :n, j] < 0.0)) for j, n in enumerate(steps)] if record else []
     return block, clamps, finite
 

@@ -4,6 +4,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
+import signal
+import subprocess
+import sys
 from datetime import date
 
 import pytest
@@ -613,6 +617,8 @@ def test_unexpected_worker_exception_propagates_out_of_main(pipeline_dir, tmp_pa
     finally:
         faulthandler.cancel_dump_traceback_later()
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child is left, plain forks and zombies included
+        os.waitpid(-1, os.WNOHANG)
     assert not (tmp_path / "fit_report.json").exists()
 
 
@@ -630,7 +636,60 @@ def test_running_out_of_memory_exits_4_with_one_error_line(pipeline_dir, tmp_pat
     assert rc == 4
     assert _one_error_line(capsys) == line
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child is left, plain forks and zombies included
+        os.waitpid(-1, os.WNOHANG)
     assert not (tmp_path / "fit_report.json").exists()
+
+
+@pytest.mark.parametrize("region, ending", [("metro-01", "exited with status 1"),
+                                              ("metro-03", "was killed by signal 9")])
+def test_a_worker_that_dies_without_a_result_exits_3_with_one_error_line(pipeline_dir, tmp_path, monkeypatch,
+                                                                       capsys, region, ending):
+    # Two chunks: metro-01 dies in the first, whose pipe is read first, and metro-03 in the second.
+    _use_cores(monkeypatch, 2)
+    parent, real = os.getpid(), cli.TuneJob
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent and args[1].region == region:
+            if ending.startswith("exited"):
+                os._exit(1)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "TuneJob", dying)
+    argv = ["fit", "--cases", os.path.join(pipeline_dir, "cases.csv"),
+            "--metro-map", os.path.join(pipeline_dir, "metro_map.csv"),
+            "--periods", os.path.join(pipeline_dir, "periods.csv"), *FIT_FLAGS, "--out", str(tmp_path)]
+    faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)  # a hang fails the run
+    try:
+        rc = main(argv)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert rc == 3
+    assert re.fullmatch(rf"error: worker process \d+ {ending} before sending its results", _one_error_line(capsys))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "fit_report.json").exists()
+
+
+def test_a_forked_fit_imports_no_process_pool(pipeline_dir, tmp_path):
+    """Two chunks run in plain forks: neither multiprocessing nor concurrent.futures is loaded."""
+    argv = ["fit", "--cases", os.path.join(pipeline_dir, "cases.csv"),
+            "--metro-map", os.path.join(pipeline_dir, "metro_map.csv"),
+            "--periods", os.path.join(pipeline_dir, "periods.csv"), *FIT_FLAGS, "--out", str(tmp_path)]
+    code = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from epigrowth.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "fit_report.json").exists()
 
 
 @pytest.mark.parametrize("flag", ["--tau1", "--tau2"])

@@ -225,3 +225,5 @@ def test_mutated_input_file_exits_cleanly_in_forked_workers(bundle_dir, tmp_path
     assert rc in (0, 2, 3, 4)
     assert len(errors) == (0 if rc == 0 else 1), errors
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child is left, plain forks and zombies included
+        os.waitpid(-1, os.WNOHANG)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epigrowth import sir
 from epigrowth.errors import ConfigError, InsufficientDataError, PipelineError, ValidationError
 from epigrowth.fit import (
     DEFAULT_S0_SCALE,
@@ -43,6 +44,7 @@ from epigrowth.sir import (
     SirState,
     Trajectory,
     _commit,
+    _euler_days,
     simulate,
 )
 from epigrowth.timeseries import CaseSeries, aggregate_to_metros, load_cases, load_metro_map
@@ -499,6 +501,84 @@ def test_a_batch_tunes_each_job_as_tune_alone_does_bitwise(shared_beta, points):
     assert failed == {(False, 9): ["period 1", "period 3", "period 2", None],
                       (True, 9): ["period 1", None, "period 2", None],
                       (False, 1): ["period 1", None, None, None]}[shared_beta, points]
+
+
+class _NanEmptyNumpy:
+    """NumPy, but ``empty`` returns arrays filled with NaN (True as bool), and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        self.calls += 1
+        return np.full(shape, np.nan, dtype=dtype)
+
+
+# Per period the longest job is the first (period 1), the last (period 2) or in the middle (period 3).
+RAGGED_LENGTHS = ((16, 8, 10, 12, 9), (10, 12, 9, 11, 14), (9, 10, 17, 8, 10), (12, 9, 11, 13, 12),
+                  (11, 16, 10, 9, 11), (12, 10, 9, 12, 13))
+# Window days set to 0 per job: inside a period, at a period's end, all but two days of period 1
+# (days 2 and 5 of 11), and all but one day of period 3, which leaves it no growth rate.
+RAGGED_ZEROS = ({}, {4, 21, 55}, {14, 26}, {20, 31, 44}, {0, 1, 3, 4, *range(6, 11)}, {*range(22, 30)})
+
+
+def test_a_ragged_batch_never_reads_an_unstepped_row(monkeypatch):
+    cfg = SearchConfig(beta_points=7, gamma_points=7, refinement_levels=1)
+    inflow = InflowSeries(tuple(float(3 + d % 7) for d in range(60)))
+    calls = []
+    for seed, (lengths, zeros) in enumerate(zip(RAGGED_LENGTHS, RAGGED_ZEROS)):
+        series, ps = _noisy_metro(lengths, seed)
+        counts = tuple(0.0 if d in zeros else c for d, c in enumerate(series.counts))
+        series = CaseSeries(series.region, START, counts)
+        for model, kwargs in (("delayed", {}), ("reinfect", {"mu": 0.2}),
+                              ("tourism", {"epsilon": 0.5, "inflow": inflow})):
+            calls.append(((model, series, ps, cfg), {"tau1": 3, "tau2": 7, **kwargs}))
+    want = [_outcome(_tune_alone(*args, **kwargs)) for args, kwargs in calls]
+    assert [res[0] for res in want[-3:]] == [InsufficientDataError] * 3
+    nan_numpy = _NanEmptyNumpy()
+    monkeypatch.setattr(sir, "np", nan_numpy)
+    for order in (calls, calls[::-1]):
+        jobs = []
+        for args, kwargs in order:
+            try:
+                jobs.append(TuneJob(*args, **kwargs))
+            except PipelineError as exc:
+                jobs.append(exc)
+        done = iter(tune_batch([job for job in jobs if isinstance(job, TuneJob)]))
+        got = [_outcome(job if isinstance(job, PipelineError) else next(done)) for job in jobs]
+        assert got == (want if order is calls else want[::-1])
+    assert nan_numpy.calls > 0
+
+
+# (days, betas, gammas, steps) in no order: the first and third end on step 3, and the second,
+# between them, is stepped past its own last step, where its first candidate overflows.
+UNORDERED_JOBS = (
+    (([1e5, 9e4], [10.0, 20.0], [0.0, 5.0]), [2e-6, 1e-5], [0.1, 0.3], 3),
+    (([1e305], [1.0], [0.0]), [1e-5, 0.0], [0.0, 0.1], 1),
+    (([5e4], [100.0], [1.0]), [1e-5, 3e-6], [1.5, 0.2], 3),
+    (([1e5], [10.0], [0.0]), [1e-6, 2e-6], [0.1, 0.2], 9),
+)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("model", VARIANTS)
+def test_the_step_kernel_runs_jobs_in_any_order_as_it_runs_each_alone(monkeypatch, model, record):
+    monkeypatch.setattr(sir, "np", _NanEmptyNumpy())
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=1, tau2=2, mu=0.5, epsilon=0.5)
+    inflow = tuple(float(3 + d % 7) for d in range(20))
+    days, betas, gammas, steps = zip(*UNORDERED_JOBS)
+    block, clamps, finite = _euler_days(model, days, shared, np.array(betas), np.array(gammas), list(steps),
+                                        [inflow] * len(days), record)
+    for j, (job_days, beta, gamma, n) in enumerate(UNORDERED_JOBS):
+        alone, alone_clamps, alone_finite = _euler_days(model, [job_days], shared, np.array([beta]),
+                                                        np.array([gamma]), [n], [inflow], record)
+        got = block[:, :n + 1, j] if record else block[:n + 1, j]
+        assert np.array_equal(got.view(np.int64), alone[..., 0, :].view(np.int64))
+        assert (finite[j].tolist(), clamps[j:j + 1]) == (alone_finite[0].tolist(), alone_clamps)
+    assert finite[1].tolist() == [True, True]
 
 
 def test_fit_chunk_gives_each_metro_and_model_what_tune_alone_gives():
