@@ -1,8 +1,8 @@
 """Per-period (beta, gamma) tuning against observed log-growth slopes.
 
-A growth rate is the log-linear slope over a period's positive data days.
-``segment._WindowFits`` fits it for the data and for a simulated run; the grid
-fits its candidates over the same days.
+A growth rate is the log-linear slope over a period's positive data days,
+which ``segment._WindowFits`` holds for the data and for a simulated run; the
+grid scores its candidates over the same days.
 The tuner works period by period, carrying the simulated state across
 boundaries: for each period it evaluates a (beta, gamma) grid, keeps the
 candidate whose fitted log-I slope is closest to the data slope (ties to the
@@ -162,9 +162,9 @@ def _growth_rates(series: CaseSeries, periods: PeriodSet) -> tuple[GrowthRates, 
     ks, ns = [], []
     cuts = periods.cuts()
     for lo, hi in zip(cuts, cuts[1:]):
-        fit = fits.segment_fit(lo, hi)
-        ks.append(None if fit is None else fit[0])
-        ns.append(fits.before[hi] - fits.before[lo])
+        a, b = fits.before[lo], fits.before[hi]
+        ks.append(float(_ols_slope(fits.x[a:b], fits.y[a:b])[0]) if b - a > 1 else None)
+        ns.append(b - a)
     return GrowthRates(tuple(ks), tuple(ns)), fits
 
 
@@ -201,16 +201,15 @@ def _grid_eval(model: str, days: Sequence[tuple], bvals: np.ndarray, gvals: np.n
     Every argument but ``model`` and ``shared`` holds one entry per job;
     ``bvals`` and ``gvals`` are (jobs, points), and a job's candidates run
     beta-major.  ``days`` holds each job's committed run through its period's
-    first day, seg_lo; one kernel call extends every job through its period.
-    A span is (seg_hi, rows, x_fit, check_boundary, target_k).  Slopes are
-    fitted over the fit days, the positive data days behind the data slope:
-    ``rows`` are their block rows (row d is day seg_lo + d) and ``x_fit``
-    their days on the data's axis, so a candidate that reproduces the
-    observed counts scores within float rounding of the data slope.  The
-    batch sums day by day, which the data fit does only below 8 points, so
-    the two agree to rounding, not bit for bit.  Rows are read through each
-    job's last fit row only; those that are not fit days are logged as 1.0
-    and add exactly 0.0, so a job scores as it would alone.
+    first day, seg_lo; one kernel call extends every job through its period,
+    scoring as it steps.  A span is (seg_hi, rows, x_fit, check_boundary,
+    target_k).  Slopes are fitted over the fit days, the positive data days
+    behind the data slope: ``rows`` are their kernel rows (row d is day
+    seg_lo + d) and ``x_fit`` their days on the data's axis.  The slope is
+    sum(xc * log I) / sxx, xc being x minus its mean, summed day by day from
+    the committed day, logged with ``math.log`` as the data are; the data
+    fit subtracts the mean log count and sums pairwise from 8 points, so a
+    candidate that reproduces the counts scores the data slope to rounding.
 
     Candidates whose infected count dies on a fit day, or whose state stops
     being finite, are infeasible (np.inf); with check_boundary the day after
@@ -220,55 +219,21 @@ def _grid_eval(model: str, days: Sequence[tuple], bvals: np.ndarray, gvals: np.n
     n_jobs, n_b, n_g = len(days), bvals.shape[1], gvals.shape[1]
     seg_hi, rows, x_fit, check_boundary, target_k = zip(*spans)
     lasts = [hi - len(job[0]) + check for job, hi, check in zip(days, seg_hi, check_boundary)]
-    block, _, finite = _euler_days(
-        model, days, shared, np.repeat(bvals, n_g, axis=1), np.tile(gvals, (1, n_b)), lasts, o_vals
-    )
-    alive = finite & ((block[lasts, np.arange(n_jobs)] > 0) | ~np.array(check_boundary)[:, None])
-    need = [int(r[-1]) + 1 if len(r) else 0 for r in rows]
-    pad = np.ones((max(need), n_jobs, 1), dtype=bool)  # True off each job's fit days
-    xc = np.zeros(pad.shape)
-    n, sxx = np.ones((n_jobs, 1)), np.ones((n_jobs, 1))
-    for j, (r, x) in enumerate(zip(rows, x_fit)):
+    xc, fit = np.zeros((max(lasts) + 1, n_jobs, 1)), np.zeros((max(lasts) + 1, n_jobs), dtype=bool)
+    sxx, acc = np.ones((n_jobs, 1)), np.zeros((n_jobs, n_b * n_g))
+    for j, (r, x, job, last, check) in enumerate(zip(rows, x_fit, days, lasts, check_boundary)):
         if len(r) < 2:
-            alive[j] = False
+            acc[j] = math.nan
             continue
-        pad[r, j] = False
-        n[j] = len(r)
+        fit[last, j] = check  # the boundary day adds 0 * log I: nothing, unless I is 0
+        fit[r, j] = True
         xc[r, j, 0] = dx = x - x.sum() / len(r)
         sxx[j] = float((dx**2).sum())
-    # (rows, jobs read): one block of the rows all jobs have stepped, then one row at a time
-    common = min(min(lasts) + 1, max(need))
-    parts = [(slice(0, common), n_jobs)] + [
-        (slice(d, d + 1), 1 + max(j for j, e in enumerate(need) if e > d)) for d in range(common, max(need))]
-    for at, p in parts:
-        np.copyto(block[at, :p], 1.0, where=pad[at, :p])
-        alive[:p] &= (block[at, :p] > 0).all(axis=0)
-    # Dead candidates are masked below; 1.0 keeps np.log off its slow path for 0 and inf.
-    for at, p in parts:
-        np.copyto(block[at, :p], 1.0, where=~alive[:p])
-        np.log(block[at, :p], out=block[at, :p])
-    for j, (r, job) in enumerate(zip(rows, days)):
-        if len(r) and r[0] == 0 and job[1][-1] > 0:
-            block[0, j] = math.log(job[1][-1])  # the committed day: one float, logged as the data are
-    if n_g * n_b == 1:  # NumPy sums one column pairwise, not day by day: fit each job alone
-        slope = np.array([_ols_slope(x, block[r, j])[0] if len(r) > 1 else [0.0]
-                          for j, (r, x) in enumerate(zip(rows, x_fit))])
-    else:  # _ols_slope's arithmetic, in place, with every job's x - x mean, n and sxx
-        ym = _day_sums(block, parts) / n
-        for at, p in parts:
-            block[at, :p] -= ym[:p]
-            block[at, :p] *= xc[at, :p]
-        slope = _day_sums(block, parts) / sxx
-    return np.where(alive, np.abs(slope - np.array(target_k)[:, None]), np.inf)
-
-
-def _day_sums(block: np.ndarray, parts: list) -> np.ndarray:
-    """Each (job, candidate) column of ``block`` summed over its parts' rows, day by day."""
-    (head, _), *rest = parts
-    total = block[head].sum(axis=0)
-    for row, p in rest:
-        total[:p] += block[row.start, :p]
-    return total
+        if r[0] == 0:  # the committed day: one float, logged as the data are
+            acc[j] = dx[0] * math.log(job[1][-1]) if job[1][-1] > 0 else math.nan
+    acc, _, finite = _euler_days(model, days, shared, np.repeat(bvals, n_g, axis=1), np.tile(gvals, (1, n_b)),
+                                 lasts, o_vals, (xc, fit, acc))
+    return np.where(finite & np.isfinite(acc), np.abs(acc / sxx - np.array(target_k)[:, None]), np.inf)
 
 
 class TuneJob:

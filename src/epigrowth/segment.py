@@ -9,7 +9,6 @@ around its anchor, clipped to the window.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import IO, Iterable, Sequence
@@ -142,7 +141,6 @@ class _WindowFits:
         # days: each point's window-relative day; before[d]: points ahead of day d <= window.days
         self.days = self.x.astype(int) - (window.start - series.start_date).days
         self.before = np.searchsorted(self.days, np.arange(window.days + 1)).tolist()
-        self.window_days = window.days
 
     def segment_fit(self, lo: int, hi: int) -> tuple[float, float, float, int] | None:
         """(slope, intercept, r2, n) over window-relative days [lo, hi), or None if unfittable."""
@@ -150,18 +148,6 @@ class _WindowFits:
         n = b - a
         # distinct days, so two points always spread x
         return None if n < 2 else (*_line_fit(self.x[a:b], self.y[a:b]), n)
-
-    def objective(self, bounds: Sequence[int]) -> float:
-        """Length-weighted mean R2 for boundaries ``bounds`` (window-relative start days)."""
-        cuts = [0, *bounds, self.window_days]
-        total = 0.0
-        for i in range(NUM_PERIODS):
-            lo, hi = cuts[i], cuts[i + 1]
-            fit = self.segment_fit(lo, hi)
-            if fit is None:
-                return -math.inf
-            total += fit[2] * (hi - lo)
-        return total / self.window_days
 
     def scores(self, starts: np.ndarray, ends: np.ndarray, min_days: int) -> np.ndarray:
         """R2 * days of every stretch [starts[i], ends[j]), or -inf where it is unfittable.

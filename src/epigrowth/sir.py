@@ -111,7 +111,7 @@ class InflowSeries:
         return len(self.o)
 
 
-def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals, record=False):
+def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals, score=None):
     """Step a batch of jobs, job j from its last committed day for ``steps[j]`` days.
 
     This is the one forward-Euler step of every variant.  ``days`` holds each
@@ -119,16 +119,22 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     ``gamma`` are (jobs, candidates) arrays; ``o_vals`` holds each job's
     inflow (tourism only); ``params`` supplies the delays and the mu/epsilon
     rates.  Delayed reads before day 0 return day 0 (constant pre-history);
-    ``original`` reads today.  Negative values are clamped to zero.  Returns
-    (block, clamps, finite).  ``block`` is (days, jobs, candidates), row k
-    holding the I of each job's day m_j - 1 + k, so one lag index serves the
-    batch.  Step k advances the jobs up to the last one that takes it: with
-    steps in descending order, only the running ones.  A row past a job's
-    steps may never have been written.  With ``record`` it is (3, days, jobs,
-    candidates), holding S, I and R, and ``clamps`` counts each job's negative
-    raw values; without, S and R are kept for the current day only.
-    ``finite`` marks the candidates whose state was finite on their job's
-    last day: a non-finite value never leaves the state again.
+    ``original`` reads today.  Negative values are clamped to zero.  Row k
+    of a job is its day m_j - 1 + k, so one lag index serves the batch.
+    Step k advances the jobs up to the last one that takes it: with steps in
+    descending order, only the running ones.  ``finite`` marks the
+    candidates whose state was finite on their job's last day: a non-finite
+    value never leaves the state again.
+
+    Without ``score`` it returns (block, clamps, finite): ``block`` is (3,
+    days, jobs, candidates), holding S, I and R, and ``clamps`` counts each
+    job's negative raw values.  With ``score``, (xc, fit, acc), it keeps only
+    the current S and R and a ring of the max(tau1, tau2) + 2 I rows that a
+    step reads and writes, scores as it steps and returns (acc, [], finite):
+    after step k, each job j with ``fit[k, j]`` adds ``xc[k, j] * log(I)``
+    into its row of ``acc``, so a zero or non-finite I there leaves ``acc``
+    non-finite.  On a step where only some jobs have a fit row, the others
+    add exactly 0.0, even past their own steps.
     """
     top, epsilon = max(steps), params.epsilon
     # A lag past a job's committed days plus its steps reads day 0 at any length.
@@ -141,14 +147,15 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     hist = np.array([[i[0]] * (reach + 1 - len(i)) + i[-reach - 1:] for _, i, _ in days]).T[:, :, None]
     start = np.array([[seq[-1] for seq in job] for job in days]).T[:, :, None]
     shape = beta.shape
-    if record:
-        block = np.empty((3, top + 1, *shape))
+    if score is None:  # every day of S, I and R, and of their raw values
+        block, raw = np.empty((3, top + 1, *shape)), np.empty((3, top, *shape))
         block[:, 0] = start
-        raw = np.empty((3, top, *shape))
-    else:
-        block = np.empty((top + 1, *shape))
+    else:  # a ring of the I rows a step reads and writes, and the current S and R
+        block, today = np.empty((reach + 2, *shape)), np.broadcast_to(start[::2], (2, *shape)).copy()
         block[0] = start[1]
-        today = np.broadcast_to(start[::2], (2, *shape)).copy()  # S and R of the current day
+        xc, fit, acc = score
+        n_fit, skip = np.cumsum(fit, axis=1).tolist(), ~fit[:, :, None]  # n_fit[k][n - 1]: fit rows k in :n
+    size = block.shape[-3]  # I rows kept
     # The jobs that end on each step, as a slice where they are adjacent (as in descending order).
     ends = {m: [j for j, n in enumerate(steps) if n == m] for m in set(steps)}
     ends = {m: slice(js[0], js[-1] + 1) if js[-1] - js[0] < len(js) else js for m, js in ends.items()}
@@ -156,22 +163,23 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     scratch = np.empty((3, *shape))
     # tail[j], the most steps of job j or a later one: steps tail[n] + 1 .. tail[n - 1] advance jobs :n
     tail = [*accumulate(reversed(steps), max)][::-1] + [0]
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is checked below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite is checked below
         for n in range(len(steps), 0, -1):
             b, g, h, inflows = beta[:n], gamma[:n], hist[:, :n], o_vals[:n]
             new_infections, removals, reentries = scratch[:, :n]
-            i_rows = block[1, :, :n] if record else block[:, :n]
-            s, r = block[::2, tail[n], :n] if record else today[:, :n]
+            i_rows = block[1, :, :n] if score is None else block[:, :n]
+            s, r = block[::2, tail[n], :n] if score is None else today[:, :n]
             for k in range(tail[n] + 1, tail[n - 1] + 1):
                 lag1, lag2 = k - 1 - tau1, k - 1 - tau2
-                np.multiply(b, i_rows[lag1] if lag1 >= 0 else h[reach + lag1], out=new_infections)
+                np.multiply(b, i_rows[lag1 % size] if lag1 >= 0 else h[reach + lag1], out=new_infections)
                 new_infections *= s
-                np.multiply(g, i_rows[lag2] if lag2 >= 0 else h[reach + lag2], out=removals)
+                np.multiply(g, i_rows[lag2 % size] if lag2 >= 0 else h[reach + lag2], out=removals)
                 if mu:
                     np.multiply(mu, r, out=reentries)
-                s_new, i_new, r_new = raw[:, k - 1, :n] if record else (s, i_rows[k], r)
+                i_k = i_rows[k % size]
+                s_new, i_new, r_new = raw[:, k - 1, :n] if score is None else (s, i_k, r)
                 np.subtract(s, new_infections, out=s_new)
-                np.add(i_rows[k - 1], new_infections, out=i_new)
+                np.add(i_rows[(k - 1) % size], new_infections, out=i_new)
                 i_new -= removals
                 np.add(r, removals, out=r_new)
                 if mu:
@@ -180,16 +188,24 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
                 if model == "tourism":  # a job past its own steps reads its last inflow day
                     o_day = [[o[min(len(i) + k - 2, len(o) - 1)]] for (_, i, _), o in zip(days, inflows)]
                     s_new += epsilon * np.array(o_day)
-                if record:
+                if score is None:
                     s, r = block[::2, k, :n]
                 np.maximum(s_new, 0.0, out=s)
-                np.maximum(i_new, 0.0, out=i_rows[k])
+                np.maximum(i_new, 0.0, out=i_k)
                 np.maximum(r_new, 0.0, out=r)
                 if k in ends:
                     done = ends[k]
-                    finite[done] = np.isfinite(s[done]) & np.isfinite(i_rows[k, done]) & np.isfinite(r[done])
-    clamps = [int(np.count_nonzero(raw[:, :n, j] < 0.0)) for j, n in enumerate(steps)] if record else []
-    return block, clamps, finite
+                    finite[done] = np.isfinite(s[done]) & np.isfinite(i_k[done]) & np.isfinite(r[done])
+                if score is None or not n_fit[k][n - 1]:
+                    continue
+                np.log(i_k, out=new_infections)
+                if n_fit[k][n - 1] < n:  # whatever their I, the jobs without a fit row add 0.0
+                    np.copyto(new_infections, 0.0, where=skip[k, :n])
+                new_infections *= xc[k, :n]
+                acc[:n] += new_infections
+    if score is not None:
+        return acc, [], finite
+    return block, [int(np.count_nonzero(raw[:, :n, j] < 0.0)) for j, n in enumerate(steps)], finite
 
 
 def _inflow_values(model: str, inflow: InflowSeries | None, horizon: int):
@@ -216,9 +232,8 @@ def _commit(model, days, params: PiecewiseParams, beta, gamma, cuts, o_vals, per
     """
     starts = [len(job[0]) for job in days]
     steps = [min(c[period] + 1, c[-1]) - start for start, c in zip(starts, cuts)]
-    block, clamps, finite = _euler_days(
-        model, days, params, np.array(beta)[:, None], np.array(gamma)[:, None], steps, o_vals, record=True
-    )
+    beta, gamma = np.array(beta)[:, None], np.array(gamma)[:, None]
+    block, clamps, finite = _euler_days(model, days, params, beta, gamma, steps, o_vals)
     for j, (job, start, n) in enumerate(zip(days, starts, steps)):
         for seq, col in zip(job, block[:, 1:n + 1, j, 0]):
             seq.extend(col.tolist())

@@ -1,4 +1,5 @@
-"""Exp-linear synthetic case counts shared by the segmentation, fit and acceptance tests."""
+"""Exp-linear synthetic case counts shared by the segmentation, fit and acceptance tests, and the
+segmentation objective that the segment tests search exhaustively."""
 
 import math
 from typing import Sequence
@@ -34,3 +35,17 @@ def piecewise_log_linear_counts(
             raise ConfigError("noise_sigma > 0 needs an rng")
         logs = [v + rng.normal(0.0, noise_sigma) for v in logs]
     return tuple(math.exp(v) for v in logs)
+
+
+def window_objective(fits, bounds: Sequence[int]) -> float:
+    """Length-weighted mean R2 of ``fits``, a ``segment._WindowFits``, with periods 2-5 starting
+    on the window-relative days ``bounds``; -inf when a period holds fewer than 2 points."""
+    days = len(fits.before) - 1
+    cuts = [0, *bounds, days]
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        fit = fits.segment_fit(lo, hi)
+        if fit is None:
+            return -math.inf
+        total += fit[2] * (hi - lo)
+    return total / days

@@ -6,7 +6,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epigrowth import sir
@@ -35,7 +35,7 @@ from epigrowth.fixtures import (
     make_bundle,
 )
 from epigrowth.cli import FIT_MODELS, _fit_chunk, main
-from epigrowth.regress import fit_simple
+from epigrowth.regress import _ols_slope, fit_simple
 from epigrowth.segment import Period, PeriodSet, load_periods_csv
 from epigrowth.sir import (
     VARIANTS,
@@ -344,8 +344,9 @@ def test_tune_replay_with_shared_beta_and_clamped_reinfection():
 
 def _reference_grid_eval(model, days, bvals, gvals, seg_lo, seg_hi, x_off, fit_days,
                          check_boundary, target_k, shared, o_vals):
-    """The grid objective as first written: day lists of arrays, a candidate-major
-    log-I matrix filled one column per fit day, then the closed-form slope."""
+    """The grid objective as first written: day lists of arrays and a candidate-major
+    log-I matrix filled one column per fit day, then the one-pass slope sum(xc * log I) / sxx,
+    summed day by day."""
     tau1, tau2 = (0, 0) if model == "original" else (shared.tau1, shared.tau2)
     mu = shared.mu if model == "reinfect" else 0.0
     nb, ng = len(bvals), len(gvals)
@@ -389,10 +390,11 @@ def _reference_grid_eval(model, days, bvals, gvals, seg_lo, seg_hi, x_off, fit_d
         x = np.arange(x_off + seg_lo, x_off + seg_hi, dtype=float)[fit_days]
         if len(x) < 2:
             return np.full(n_cand, np.inf)
-        y = y[:, fit_days]
         xc = x - x.sum() / len(x)
-        ym = y.sum(axis=-1) / len(x)
-        slope = (xc * (y - ym[..., None])).sum(axis=-1) / float((xc**2).sum())
+        total = np.zeros(n_cand)
+        for xd, yd in zip(xc, y[:, fit_days].T):
+            total += xd * yd
+        slope = total / float((xc**2).sum())
         return np.where(alive, np.abs(slope - target_k), np.inf)
 
 
@@ -479,7 +481,6 @@ def _noisy_metro(lengths, seed):
 BATCH_LENGTHS = ((10, 12, 14, 12, 10), (8, 15, 9, 13, 11), (14, 9, 12, 10, 13))
 
 
-# One grid point per job takes _grid_eval's pairwise-sum path.
 @pytest.mark.parametrize("shared_beta, points", [(False, 9), (True, 9), (False, 1)])
 def test_a_batch_tunes_each_job_as_tune_alone_does_bitwise(shared_beta, points):
     cfg = SearchConfig(beta_points=points, gamma_points=points, refinement_levels=1)
@@ -563,6 +564,17 @@ UNORDERED_JOBS = (
 )
 
 
+def _score_inputs(steps, n_cand):
+    """Score-mode kernel inputs: each job's rows 1 .. its steps are fit rows but row 2, with
+    xc = row - 2.5, so some steps score only some jobs."""
+    fit = np.zeros((max(steps) + 1, len(steps)), dtype=bool)
+    for j, n in enumerate(steps):
+        fit[1:n + 1, j] = True
+    fit[2:3] = False
+    xc = np.where(fit, np.arange(fit.shape[0])[:, None] - 2.5, 0.0)[:, :, None]
+    return xc, fit, np.zeros((len(steps), n_cand))
+
+
 @pytest.mark.parametrize("record", [False, True])
 @pytest.mark.parametrize("model", VARIANTS)
 def test_the_step_kernel_runs_jobs_in_any_order_as_it_runs_each_alone(monkeypatch, model, record):
@@ -570,13 +582,16 @@ def test_the_step_kernel_runs_jobs_in_any_order_as_it_runs_each_alone(monkeypatc
     shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=1, tau2=2, mu=0.5, epsilon=0.5)
     inflow = tuple(float(3 + d % 7) for d in range(20))
     days, betas, gammas, steps = zip(*UNORDERED_JOBS)
+    # Recording, the kernel returns S, I and R of every day; scoring, each job's score.
     block, clamps, finite = _euler_days(model, days, shared, np.array(betas), np.array(gammas), list(steps),
-                                        [inflow] * len(days), record)
+                                        [inflow] * len(days), None if record else _score_inputs(steps, 2))
     for j, (job_days, beta, gamma, n) in enumerate(UNORDERED_JOBS):
         alone, alone_clamps, alone_finite = _euler_days(model, [job_days], shared, np.array([beta]),
-                                                        np.array([gamma]), [n], [inflow], record)
-        got = block[:, :n + 1, j] if record else block[:n + 1, j]
-        assert np.array_equal(got.view(np.int64), alone[..., 0, :].view(np.int64))
+                                                        np.array([gamma]), [n], [inflow],
+                                                        None if record else _score_inputs([n], 2))
+        got, want = (block[:, :n + 1, j], alone[..., 0, :]) if record else (block[j], alone[0])
+        assert np.isfinite(want).any()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert (finite[j].tolist(), clamps[j:j + 1]) == (alone_finite[0].tolist(), alone_clamps)
     assert finite[1].tolist() == [True, True]
 
@@ -640,25 +655,98 @@ def test_a_job_is_feasible_by_its_own_last_day_not_the_batch_longest():
     assert np.isfinite(got[0, 0])
 
 
-def test_a_one_point_grid_is_summed_pairwise_as_the_reference_does():
-    # NumPy sums a single column pairwise once it holds 8 values, and a batch column day by
-    # day; over these 15 fit days and the boundary day the two round these jobs differently.
+def test_a_one_point_grid_is_summed_day_by_day_as_a_wide_grid_is():
+    # NumPy sums a single column pairwise once it holds 8 values; over these 15 fit days the
+    # pairwise sum of xc * log I rounds differently from the day-by-day one for both jobs.
     shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4)
-    jobs = [(628.8445119386203, 2.6916414029087264e-06, 0.23270570707355803),
-            (333.70255383950513, 2.9618305300137767e-06, 0.09561325154565502)]
+    jobs = [(560.6394622302311, 3.851391088977806e-06, 0.08603990317990844),
+            (844.9323344383976, 2.227597409107484e-06, 0.1873984219182649)]
     wants, calls = [], []
     for i0, beta, gamma in jobs:
         days = ([1e5], [i0], [0.0])
-        fit_days = np.ones(15, dtype=bool)
-        args = (np.array([beta]), np.array([gamma]), 0, 15, 3, fit_days, True, 0.05, shared, None)
-        wants.append(_reference_grid_eval("delayed", days, *args))
-        calls.append((days, *_fit_rows(*args)))
+        rest = (0, 15, 3, np.ones(15, dtype=bool), True, 0.05, shared, None)
+        wants.append(_reference_grid_eval("delayed", days, np.array([beta]), np.array([gamma]), *rest))
+        calls.append((days, *_fit_rows(np.array([beta]), np.array([gamma]), *rest)))
+        wide = _fit_rows(np.array([beta, 0.0]), np.array([gamma, 0.5]), *rest)
+        (wide,) = _grid_eval("delayed", [days], *wide)
+        assert np.array_equal(wide[:1].view(np.int64), wants[-1].view(np.int64))
     for (days, *rest), want in zip(calls, wants):
         (alone,) = _grid_eval("delayed", [days], *rest)
         assert np.array_equal(alone.view(np.int64), want.view(np.int64))
     days, bvals, gvals, spans = zip(*((c[0], c[1][0], c[2][0], c[3][0]) for c in calls))
     got = _grid_eval("delayed", days, np.array(bvals), np.array(gvals), spans, shared, [None, None])
     assert np.array_equal(got.view(np.int64), np.array(wants).view(np.int64))
+
+
+def test_a_job_that_overflows_past_its_last_fit_row_scores_as_it_does_alone():
+    # Steps 11, 20, 13: the first job is stepped to row 20 for the second.  Its six candidates
+    # with beta > 0 are finite through its last row, 11, then overflow to inf on row 15 and turn
+    # NaN on row 18, rows that must add 0.0 to its score.
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4, mu=1.0)
+    odd, ramp = np.arange(1, 20, 2), np.arange(14)
+    first = ([1.0], [1e60], [0.0]), [0.01, 0.0, 0.02], [0.5, 0.1, 0.3]
+    rows = np.array([0, 1, 2, 3, 5, 7, 8, 10])
+    jobs = [
+        (*first, (11, rows, rows + 4.0, True, 0.1)),
+        (([1e5], [10.0], [0.0]), [1e-6, 2e-6, 0.0], [0.1, 0.2, 0.0], (20, odd, odd + 0.0, True, 0.05)),
+        (([5e4], [100.0], [1.0]), [1e-5, 3e-6, 0.0], [1.5, 0.2, 0.3], (14, ramp, ramp + 0.0, False, 0.0)),
+    ]
+    block, _, _ = _euler_days("reinfect", [first[0]], shared, np.repeat([first[1]], 3, axis=1),
+                              np.tile([first[2]], (1, 3)), [20], [None])
+    i_past = block[1, 11:, 0]
+    assert np.isinf(i_past).any() and np.isnan(i_past).any()
+    days, bvals, gvals, spans = zip(*jobs)
+    got = _grid_eval("reinfect", days, np.array(bvals), np.array(gvals), spans, shared, [None] * 3)
+    for j, (job_days, job_b, job_g, span) in enumerate(jobs):
+        (alone,) = _grid_eval("reinfect", [job_days], np.array([job_b]), np.array([job_g]), [span], shared,
+                              [None])
+        assert np.array_equal(got[j].view(np.int64), alone.view(np.int64))
+    assert np.isfinite(got[0, [0, 1, 2, 6, 7, 8]]).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=st.sampled_from(VARIANTS),
+    i0=st.floats(1.0, 1e3),
+    span=st.integers(2, 40),
+    data=st.data(),
+    bvals=st.lists(_rate, min_size=1, max_size=5),
+    gvals=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=5),
+    tau1=st.integers(0, 10),
+    tau2=st.integers(0, 10),
+    x_off=st.integers(0, 300),
+)
+def test_the_one_pass_slope_is_within_rounding_of_the_two_pass_slope(
+    model, i0, span, data, bvals, gvals, tau1, tau2, x_off
+):
+    """sum(xc * y) / sxx against _ols_slope's sum(xc * (y - y mean)) / sxx, n fit days, u = 2**-53.
+
+    Both sums are within (n + 1) u sum|xc| (|y| + |y - y mean|) of their exact values, and the
+    computed xc sum to at most u (n |x mean| + sum|xc|), which the two-pass form multiplies by the
+    y mean; the division adds u |slope| to each.  The bound asserted is twice all that."""
+    fit_days = np.array(data.draw(st.lists(st.booleans(), min_size=span, max_size=span)))
+    assume(fit_days.sum() >= 2)
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=tau1, tau2=tau2, mu=0.3, epsilon=0.5)
+    o_vals = tuple(float(3 + d % 7) for d in range(span + 1))
+    days = ([1e5 * i0], [i0], [0.0])
+    args = (np.array(bvals), np.array(gvals), 0, span, x_off, fit_days, False, 0.0, shared, o_vals)
+    (one,) = _grid_eval(model, [days], *_fit_rows(*args))
+    beta, gamma = np.repeat(bvals, len(gvals))[None], np.tile(gvals, len(bvals))[None]
+    block, _, _ = _euler_days(model, [days], shared, beta, gamma, [span - 1], [o_vals])
+    ok = np.isfinite(one)  # the feasible candidates, whose fit-day I is positive and finite
+    with np.errstate(all="ignore"):
+        y = np.log(block[1, fit_days, 0])
+        if fit_days[0]:
+            y[0] = math.log(i0)
+        x = np.arange(x_off, x_off + span, dtype=float)[fit_days]
+        two, ym, xm = _ols_slope(x, y)
+        n, u = len(x), 2.0**-53
+        xc = x - xm
+        sxx = float((xc**2).sum())
+        terms = (np.abs(xc)[:, None] * (np.abs(y) + np.abs(y - ym))).sum(axis=0)
+        bound = 2 * ((n + 1) * u * terms + u * np.abs(ym) * (n * abs(xm) + np.abs(xc).sum())) / sxx
+        bound += 2 * u * (one + np.abs(two))
+        assert (np.abs(one - np.abs(two)) <= bound)[ok].all()
 
 
 def _reference_data_rates(series, periods):

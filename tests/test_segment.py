@@ -40,7 +40,7 @@ from epigrowth.timeseries import (
     load_metro_map,
     to_log_series,
 )
-from synth_counts import piecewise_log_linear_counts
+from synth_counts import piecewise_log_linear_counts, window_objective
 from test_cli import _use_cores
 
 
@@ -151,8 +151,8 @@ def test_optimizer_matches_exhaustive_search_on_small_box():
     for combo in itertools.product(*[range(o - 2, o + 3) for o in offsets]):
         if any(b - a < 7 for a, b in zip((0, *combo), (*combo, WINDOW.days))):
             continue
-        best = max(best, fits.objective(list(combo)))
-    got = fits.objective([(p.start - WINDOW.start).days for p in ps.periods[1:]])
+        best = max(best, window_objective(fits, list(combo)))
+    got = window_objective(fits, [(p.start - WINDOW.start).days for p in ps.periods[1:]])
     assert got == pytest.approx(best, abs=1e-9)
 
 
@@ -241,7 +241,7 @@ def _bits(value: float) -> int:
 
 def _total(series, window, cuts) -> float:
     """Exact (two-pass) summed R2 * days of the periods cut at ``cuts``."""
-    return _WindowFits(series, window).objective(cuts[1:-1]) * window.days
+    return window_objective(_WindowFits(series, window), cuts[1:-1]) * window.days
 
 
 def _exhaustive(series, initial, radius, min_period):
@@ -254,7 +254,7 @@ def _exhaustive(series, initial, radius, min_period):
         cuts = (0, *combo, window.days)
         if all(hi - lo >= min(min_period, length)
                for lo, hi, length in zip(cuts, cuts[1:], initial.lengths())):
-            found.append((fits.objective(combo) * window.days, combo))
+            found.append((window_objective(fits, combo) * window.days, combo))
     best = max(total for total, _ in found)
     return best, next(combo for total, combo in found if total >= best - _TIE_TOL)
 

@@ -11,6 +11,7 @@ from epigrowth.timeseries import (
     CaseSeries,
     DateInterval,
     MetroMap,
+    _needs_strip,
     aggregate_to_metros,
     load_cases,
     load_metro_map,
@@ -257,6 +258,24 @@ def test_read_table_rows_are_the_stripped_csv_rows(body):
             assert str(got) == str(want)
     else:
         assert got == want
+
+
+CASES = "date,region,count\n2020-03-01,Los Angeles,5\n2020-03-01,New  York City,7\n"
+
+
+def test_names_with_inner_spaces_are_not_stripped_and_edge_spaces_are():
+    assert not _needs_strip(CASES)
+    assert not _needs_strip(CASES.replace("\n", "\r\n"))
+    for old, new in (("Los Angeles", "Los Angeles "), ("Los Angeles", " Los Angeles"), ("City", "City\t"),
+                     ("\n2020", "\n 2020"), ("Los", "\x1cLos"), ("date", " date"), ("7\n", "7\n ")):
+        assert _needs_strip(CASES.replace(old, new)), new
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([",", "\n", "\r\n", " ", "\t", "\x1c", "a", "1"]), max_size=30).map("".join))
+def test_cells_are_stripped_exactly_when_one_would_change(text):
+    cells = [c for row in csv.reader(io.StringIO(text)) for c in row]
+    assert _needs_strip(text) == any(c != c.strip() for c in cells)
 
 
 def test_read_table_shared_rules():
