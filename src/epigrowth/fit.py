@@ -202,10 +202,11 @@ def _grid_eval(model: str, days: Sequence[tuple], bvals: np.ndarray, gvals: np.n
     ``bvals`` and ``gvals`` are (jobs, points), and a job's candidates run
     beta-major.  ``days`` holds each job's committed run through its period's
     first day, seg_lo; one kernel call extends every job through its period,
-    scoring as it steps.  A span is (seg_hi, rows, x_fit, check_boundary,
-    target_k).  Slopes are fitted over the fit days, the positive data days
-    behind the data slope: ``rows`` are their kernel rows (row d is day
-    seg_lo + d) and ``x_fit`` their days on the data's axis.  The slope is
+    scoring as it steps, so the jobs come longest period first.  A span is
+    (seg_hi, rows, x_fit, check_boundary, target_k).  Slopes are fitted over
+    the fit days, the positive data days behind the data slope: ``rows`` are
+    their kernel rows (row d is day seg_lo + d) and ``x_fit`` their days on
+    the data's axis.  The slope is
     sum(xc * log I) / sxx, xc being x minus its mean, summed day by day from
     the committed day, logged with ``math.log`` as the data are; the data
     fit subtracts the mean log count and sums pairwise from 8 points, so a
@@ -315,7 +316,7 @@ def _tune_together(batch: list[TuneJob]) -> None:
     """tune()'s sequential per-period search with refinement and state carry-over, for a batch."""
     model, shared, cfg, shared_beta = batch[0].model, batch[0].shared, batch[0].cfg, batch[0].shared_beta
     for per_idx in range(NUM_PERIODS):
-        # Longest period first: the kernel then steps only the jobs still running.
+        # Longest period first, as the kernel requires: each step advances only the jobs that take it.
         live = sorted((job for job in batch if job.error is None),
                       key=lambda job: job.cuts[per_idx + 1] - job.cuts[per_idx], reverse=True)
         for job in live:

@@ -3,21 +3,22 @@
 All variants advance through one array-valued forward-Euler kernel at a fixed
 step of one day; a variant only changes which values feed it.  That keeps the
 degenerate cases (tau=0, mu=0, epsilon=0) bit-for-bit equal to the simpler
-models.  The kernel steps a batch of jobs, each from its own committed day:
-the tuner runs the (beta, gamma) grids of many jobs in one call and commits
-their winners in another, ``simulate`` runs one job with one candidate, and
-float64 arithmetic is the same elementwise at every batch size.  Both commit
-through ``_commit``, the one place that says on which day a period's run
-ends.  Negative values are clamped to zero and counted; a clamp can create
-population, since the flow that overdrew a compartment still reaches the next
-one in full.  A state that stops being finite raises StateError.
+models.  The kernel steps a batch of jobs, longest first, each from its own
+committed day to its own last day: the tuner runs the (beta, gamma) grids of
+many jobs in one call and commits their winners in another, ``simulate``
+runs one job with one candidate, and float64 arithmetic is the same
+elementwise at every batch size.  It keeps one state layout whether it
+records every day or scores as it steps.  Both commit through ``_commit``,
+the one place that says on which day a period's run ends.  Negative values
+are clamped to zero and counted; a clamp can create population, since the
+flow that overdrew a compartment still reaches the next one in full.  A
+state that stops being finite raises StateError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import IO
 
 import numpy as np
@@ -121,21 +122,23 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     rates.  Delayed reads before day 0 return day 0 (constant pre-history);
     ``original`` reads today.  Negative values are clamped to zero.  Row k
     of a job is its day m_j - 1 + k, so one lag index serves the batch.
-    Step k advances the jobs up to the last one that takes it: with steps in
-    descending order, only the running ones.  ``finite`` marks the
-    candidates whose state was finite on their job's last day: a non-finite
-    value never leaves the state again.
+    The jobs come longest first (``steps`` must not increase, or ValueError),
+    so step k advances the jobs that take it and no job runs past its last
+    day.  The state is today's S and R and a ring of the max(tau1, tau2) + 2
+    I rows that a step reads and writes.  ``finite`` marks the candidates
+    whose state is finite on their job's last day.
 
-    Without ``score`` it returns (block, clamps, finite): ``block`` is (3,
-    days, jobs, candidates), holding S, I and R, and ``clamps`` counts each
-    job's negative raw values.  With ``score``, (xc, fit, acc), it keeps only
-    the current S and R and a ring of the max(tau1, tau2) + 2 I rows that a
-    step reads and writes, scores as it steps and returns (acc, [], finite):
-    after step k, each job j with ``fit[k, j]`` adds ``xc[k, j] * log(I)``
-    into its row of ``acc``, so a zero or non-finite I there leaves ``acc``
-    non-finite.  On a step where only some jobs have a fit row, the others
-    add exactly 0.0, even past their own steps.
+    Without ``score`` it returns (block, clamps, finite): each step copies its
+    raw S, I and R into ``block``, (3, days, jobs, candidates), which is
+    clamped after the loop, and ``clamps`` counts each job's negative raw
+    values.  With ``score``, (xc, fit, acc), it scores as it steps and
+    returns (acc, [], finite): after step k, each job j with ``fit[k, j]``
+    adds ``xc[k, j] * log(I)`` into its row of ``acc``, so a zero or
+    non-finite I there leaves ``acc`` non-finite.  On a step where only some
+    jobs have a fit row, the others add exactly 0.0.
     """
+    if any(a < b for a, b in zip(steps, steps[1:])):
+        raise ValueError(f"steps must not increase, got {steps}")
     top, epsilon = max(steps), params.epsilon
     # A lag past a job's committed days plus its steps reads day 0 at any length.
     cap = 0 if model == "original" else top + max(len(i) for _, i, _ in days)
@@ -146,29 +149,22 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     # I history right-aligned on each job's last day: row reach - d is day m_j - 1 - d, or day 0.
     hist = np.array([[i[0]] * (reach + 1 - len(i)) + i[-reach - 1:] for _, i, _ in days]).T[:, :, None]
     start = np.array([[seq[-1] for seq in job] for job in days]).T[:, :, None]
-    shape = beta.shape
-    if score is None:  # every day of S, I and R, and of their raw values
-        block, raw = np.empty((3, top + 1, *shape)), np.empty((3, top, *shape))
+    shape, size = beta.shape, reach + 2
+    ring, today = np.empty((size, *shape)), np.broadcast_to(start[::2], (2, *shape)).copy()
+    ring[0] = start[1]
+    if score is None:  # every day of S, I and R, and nothing scored
+        block = np.empty((3, top + 1, *shape))
         block[:, 0] = start
-    else:  # a ring of the I rows a step reads and writes, and the current S and R
-        block, today = np.empty((reach + 2, *shape)), np.broadcast_to(start[::2], (2, *shape)).copy()
-        block[0] = start[1]
+        n_fit = [[0] * len(steps)] * (top + 1)
+    else:
         xc, fit, acc = score
         n_fit, skip = np.cumsum(fit, axis=1).tolist(), ~fit[:, :, None]  # n_fit[k][n - 1]: fit rows k in :n
-    size = block.shape[-3]  # I rows kept
-    # The jobs that end on each step, as a slice where they are adjacent (as in descending order).
-    ends = {m: [j for j, n in enumerate(steps) if n == m] for m in set(steps)}
-    ends = {m: slice(js[0], js[-1] + 1) if js[-1] - js[0] < len(js) else js for m, js in ends.items()}
-    finite = np.broadcast_to(np.isfinite(start).all(axis=0), shape).copy()  # kept by a job taking no step
     scratch = np.empty((3, *shape))
-    # tail[j], the most steps of job j or a later one: steps tail[n] + 1 .. tail[n - 1] advance jobs :n
-    tail = [*accumulate(reversed(steps), max)][::-1] + [0]
+    tail = [*steps, 0]  # steps tail[n] + 1 .. tail[n - 1] advance jobs :n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite is checked below
         for n in range(len(steps), 0, -1):
-            b, g, h, inflows = beta[:n], gamma[:n], hist[:, :n], o_vals[:n]
+            b, g, h, i_rows, (s, r) = beta[:n], gamma[:n], hist[:, :n], ring[:, :n], today[:, :n]
             new_infections, removals, reentries = scratch[:, :n]
-            i_rows = block[1, :, :n] if score is None else block[:, :n]
-            s, r = block[::2, tail[n], :n] if score is None else today[:, :n]
             for k in range(tail[n] + 1, tail[n - 1] + 1):
                 lag1, lag2 = k - 1 - tau1, k - 1 - tau2
                 np.multiply(b, i_rows[lag1 % size] if lag1 >= 0 else h[reach + lag1], out=new_infections)
@@ -177,35 +173,33 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
                 if mu:
                     np.multiply(mu, r, out=reentries)
                 i_k = i_rows[k % size]
-                s_new, i_new, r_new = raw[:, k - 1, :n] if score is None else (s, i_k, r)
-                np.subtract(s, new_infections, out=s_new)
-                np.add(i_rows[(k - 1) % size], new_infections, out=i_new)
-                i_new -= removals
-                np.add(r, removals, out=r_new)
+                s -= new_infections
+                np.add(i_rows[(k - 1) % size], new_infections, out=i_k)
+                i_k -= removals
+                r += removals
                 if mu:
-                    s_new += reentries
-                    r_new -= reentries
-                if model == "tourism":  # a job past its own steps reads its last inflow day
-                    o_day = [[o[min(len(i) + k - 2, len(o) - 1)]] for (_, i, _), o in zip(days, inflows)]
-                    s_new += epsilon * np.array(o_day)
+                    s += reentries
+                    r -= reentries
+                if model == "tourism":
+                    s += epsilon * np.array([[o[len(i) + k - 2]] for (_, i, _), o in zip(days, o_vals[:n])])
                 if score is None:
-                    s, r = block[::2, k, :n]
-                np.maximum(s_new, 0.0, out=s)
-                np.maximum(i_new, 0.0, out=i_k)
-                np.maximum(r_new, 0.0, out=r)
-                if k in ends:
-                    done = ends[k]
-                    finite[done] = np.isfinite(s[done]) & np.isfinite(i_k[done]) & np.isfinite(r[done])
-                if score is None or not n_fit[k][n - 1]:
+                    block[:, k, :n] = s, i_k, r
+                np.maximum(s, 0.0, out=s)
+                np.maximum(i_k, 0.0, out=i_k)
+                np.maximum(r, 0.0, out=r)
+                if not n_fit[k][n - 1]:
                     continue
                 np.log(i_k, out=new_infections)
                 if n_fit[k][n - 1] < n:  # whatever their I, the jobs without a fit row add 0.0
                     np.copyto(new_infections, 0.0, where=skip[k, :n])
                 new_infections *= xc[k, :n]
                 acc[:n] += new_infections
+    finite = np.isfinite(today).all(axis=0) & np.isfinite(ring[np.array(steps) % size, range(len(steps))])
     if score is not None:
         return acc, [], finite
-    return block, [int(np.count_nonzero(raw[:, :n, j] < 0.0)) for j, n in enumerate(steps)], finite
+    clamps = [int(np.count_nonzero(block[:, 1:n + 1, j] < 0.0)) for j, n in enumerate(steps)]
+    np.maximum(block, 0.0, out=block)
+    return block, clamps, finite
 
 
 def _inflow_values(model: str, inflow: InflowSeries | None, horizon: int):
@@ -226,7 +220,8 @@ def _commit(model, days, params: PiecewiseParams, beta, gamma, cuts, o_vals, per
     through the next period's first day: the step leaving day t is charged to
     the period containing t, so that state belongs to this period's
     parameters.  The last period stops at the window end.  Runs the step
-    kernel with one column per job.  Returns each job's clamp count, or the
+    kernel with one column per job; the jobs' periods must not grow along
+    the batch (the kernel takes its jobs longest first).  Returns each job's clamp count, or the
     StateError naming the model, the first bad day and the period for a job
     whose state stopped being finite.
     """

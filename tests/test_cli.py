@@ -269,6 +269,26 @@ def _one_error_line(capsys) -> str:
     return err[0]
 
 
+def test_tourism_reads_one_inflow_value_per_step(tmp_path, capsys):
+    # The default window is 122 days: 121 steps, the last leaving day 120 with inflow o[120].
+    def run(values, name):
+        inflow = tmp_path / f"{name}.csv"
+        inflow.write_text("day,o\n" + "".join(f"{d},{v}\n" for d, v in enumerate(values)))
+        rc = main(["simulate", "--model", "tourism", "--beta", "1e-6", "--gamma", "0.1", "--i0", "10",
+                   "--epsilon", "0.5", "--inflow", str(inflow), "--out", str(tmp_path / name)])
+        return rc, _read_rows(tmp_path / name / "trajectory.csv") if rc == 0 else None
+
+    values = [float(3 + d % 7) for d in range(121)]
+    rc, exact = run(values, "exact")
+    assert rc == 0 and len(exact) == 1 + 122
+    assert run([*values, 50.0], "longer") == (0, exact)
+    rc, last = run([*values[:-1], 50.0], "last")
+    assert rc == 0 and last[:-1] == exact[:-1] and last[-1] != exact[-1]
+    capsys.readouterr()
+    assert run(values[:-1], "short") == (4, None)
+    assert _one_error_line(capsys) == "error: inflow series covers 120 days, need 121 steps"
+
+
 def test_simulate_non_finite_state_exits_2_naming_day_and_period(tmp_path, capsys):
     # beta*I*S overflows on day 1; the old clamp turned day 2's NaN into I = 0
     rc = main(

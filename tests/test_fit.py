@@ -554,13 +554,14 @@ def test_a_ragged_batch_never_reads_an_unstepped_row(monkeypatch):
     assert nan_numpy.calls > 0
 
 
-# (days, betas, gammas, steps) in no order: the first and third end on step 3, and the second,
-# between them, is stepped past its own last step, where its first candidate overflows.
-UNORDERED_JOBS = (
-    (([1e5, 9e4], [10.0, 20.0], [0.0, 5.0]), [2e-6, 1e-5], [0.1, 0.3], 3),
-    (([1e305], [1.0], [0.0]), [1e-5, 0.0], [0.0, 0.1], 1),
-    (([5e4], [100.0], [1.0]), [1e-5, 3e-6], [1.5, 0.2], 3),
+# (days, betas, gammas, steps), longest first: the second and third end on step 3, the fourth
+# starts near the largest float, and the last takes no step, so its state is its committed day.
+LONGEST_FIRST_JOBS = (
     (([1e5], [10.0], [0.0]), [1e-6, 2e-6], [0.1, 0.2], 9),
+    (([1e5, 9e4], [10.0, 20.0], [0.0, 5.0]), [2e-6, 1e-5], [0.1, 0.3], 3),
+    (([5e4], [100.0], [1.0]), [1e-5, 3e-6], [1.5, 0.2], 3),
+    (([1e305], [1.0], [0.0]), [1e-5, 0.0], [0.0, 0.1], 1),
+    (([2e4, 1.5e4, 1e4], [5.0, 6.0, 7.0], [1.0, 1.5, 2.0]), [3e-6, 0.0], [0.2, 0.0], 0),
 )
 
 
@@ -577,15 +578,15 @@ def _score_inputs(steps, n_cand):
 
 @pytest.mark.parametrize("record", [False, True])
 @pytest.mark.parametrize("model", VARIANTS)
-def test_the_step_kernel_runs_jobs_in_any_order_as_it_runs_each_alone(monkeypatch, model, record):
+def test_the_step_kernel_runs_jobs_longest_first_as_it_runs_each_alone(monkeypatch, model, record):
     monkeypatch.setattr(sir, "np", _NanEmptyNumpy())
     shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=1, tau2=2, mu=0.5, epsilon=0.5)
     inflow = tuple(float(3 + d % 7) for d in range(20))
-    days, betas, gammas, steps = zip(*UNORDERED_JOBS)
+    days, betas, gammas, steps = zip(*LONGEST_FIRST_JOBS)
     # Recording, the kernel returns S, I and R of every day; scoring, each job's score.
     block, clamps, finite = _euler_days(model, days, shared, np.array(betas), np.array(gammas), list(steps),
                                         [inflow] * len(days), None if record else _score_inputs(steps, 2))
-    for j, (job_days, beta, gamma, n) in enumerate(UNORDERED_JOBS):
+    for j, (job_days, beta, gamma, n) in enumerate(LONGEST_FIRST_JOBS):
         alone, alone_clamps, alone_finite = _euler_days(model, [job_days], shared, np.array([beta]),
                                                         np.array([gamma]), [n], [inflow],
                                                         None if record else _score_inputs([n], 2))
@@ -593,7 +594,43 @@ def test_the_step_kernel_runs_jobs_in_any_order_as_it_runs_each_alone(monkeypatc
         assert np.isfinite(want).any()
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert (finite[j].tolist(), clamps[j:j + 1]) == (alone_finite[0].tolist(), alone_clamps)
-    assert finite[1].tolist() == [True, True]
+    assert finite.all()
+    if record:  # the job without a step returns its committed day and counts no clamp
+        assert block[:, 0, -1, 0].tolist() == [1e4, 7.0, 2.0] and clamps[-1] == 0
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_the_step_kernel_rejects_jobs_that_are_not_longest_first(record):
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5)
+    days = [([1e5], [10.0], [0.0])] * 3
+    beta, gamma = np.full((3, 2), 1e-6), np.full((3, 2), 0.1)
+    _euler_days("original", days, shared, beta, gamma, [4, 4, 2], [None] * 3,
+                None if record else _score_inputs([4, 4, 2], 2))
+    with pytest.raises(ValueError, match="steps must not increase"):
+        _euler_days("original", days, shared, beta, gamma, [4, 2, 3], [None] * 3,
+                    None if record else _score_inputs([4, 2, 3], 2))
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_a_state_that_overflows_in_one_compartment_is_not_finite(record):
+    # On the second job's one step, its first candidate removes gamma * I = inf: I clamps to 0
+    # and R becomes inf.  Its second infects beta * I * S = inf: S clamps to 0 and I becomes
+    # inf.  Its row 1 is no fit row, so its score stays finite; only the state tells.
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5)
+    days = [([1e5], [10.0], [0.0]), ([1.0], [1e300], [0.0])]
+    beta = np.array([[1e-6, 2e-6, 3e-6], [0.0, 1e10, 0.0]])
+    gamma = np.array([[0.1, 0.2, 0.3], [1e10, 0.1, 0.1]])
+    score = _score_inputs([3, 1], 3)
+    score[1][:, 1] = False
+    block, _, finite = _euler_days("original", days, shared, beta, gamma, [3, 1], [None] * 2,
+                                   None if record else score)
+    assert finite.tolist() == [[True] * 3, [False, False, True]]
+    if record:
+        assert np.isinf(block[:, 1, 1]).T.tolist() == [[False, False, True], [False, True, False],
+                                                       [False, False, False]]
+        assert block[:2, 1, 1, :2].tolist() == [[1.0, 0.0], [0.0, math.inf]]
+    else:
+        assert np.isfinite(block).all()
 
 
 def test_fit_chunk_gives_each_metro_and_model_what_tune_alone_gives():
@@ -638,13 +675,13 @@ def test_a_batched_commit_extends_each_job_as_it_would_alone():
 
 
 def test_a_job_is_feasible_by_its_own_last_day_not_the_batch_longest():
-    # Candidate (0.01, 0.5) of the first job stays finite through its last day, row 8,
-    # and overflows on row 9, which the batch reaches for the second job.
+    # Candidate (0.01, 0.5) of the second job stays finite through its last day, row 8,
+    # and overflows on row 9, which the batch reaches for the first job.
     shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, mu=1.0)
     odd = np.arange(1, 20, 2)
     jobs = [
-        (([1.0], [1e60], [0.0]), [0.01, 0.0], [0.5, 0.1], (9, np.arange(9), np.arange(9.0), False, 0.1)),
         (([1e5], [10.0], [0.0]), [1e-6, 2e-6], [0.1, 0.2], (20, odd, odd.astype(float), True, 0.05)),
+        (([1.0], [1e60], [0.0]), [0.01, 0.0], [0.5, 0.1], (9, np.arange(9), np.arange(9.0), False, 0.1)),
     ]
     days, bvals, gvals, spans = zip(*jobs)
     got = _grid_eval("reinfect", days, np.array(bvals), np.array(gvals), spans, shared, [None, None])
@@ -652,7 +689,7 @@ def test_a_job_is_feasible_by_its_own_last_day_not_the_batch_longest():
         (alone,) = _grid_eval("reinfect", [job_days], np.array([job_b]), np.array([job_g]), [span], shared,
                               [None])
         assert np.array_equal(got[j].view(np.int64), alone.view(np.int64))
-    assert np.isfinite(got[0, 0])
+    assert np.isfinite(got[1, 0])
 
 
 def test_a_one_point_grid_is_summed_day_by_day_as_a_wide_grid_is():
@@ -676,32 +713,6 @@ def test_a_one_point_grid_is_summed_day_by_day_as_a_wide_grid_is():
     days, bvals, gvals, spans = zip(*((c[0], c[1][0], c[2][0], c[3][0]) for c in calls))
     got = _grid_eval("delayed", days, np.array(bvals), np.array(gvals), spans, shared, [None, None])
     assert np.array_equal(got.view(np.int64), np.array(wants).view(np.int64))
-
-
-def test_a_job_that_overflows_past_its_last_fit_row_scores_as_it_does_alone():
-    # Steps 11, 20, 13: the first job is stepped to row 20 for the second.  Its six candidates
-    # with beta > 0 are finite through its last row, 11, then overflow to inf on row 15 and turn
-    # NaN on row 18, rows that must add 0.0 to its score.
-    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4, mu=1.0)
-    odd, ramp = np.arange(1, 20, 2), np.arange(14)
-    first = ([1.0], [1e60], [0.0]), [0.01, 0.0, 0.02], [0.5, 0.1, 0.3]
-    rows = np.array([0, 1, 2, 3, 5, 7, 8, 10])
-    jobs = [
-        (*first, (11, rows, rows + 4.0, True, 0.1)),
-        (([1e5], [10.0], [0.0]), [1e-6, 2e-6, 0.0], [0.1, 0.2, 0.0], (20, odd, odd + 0.0, True, 0.05)),
-        (([5e4], [100.0], [1.0]), [1e-5, 3e-6, 0.0], [1.5, 0.2, 0.3], (14, ramp, ramp + 0.0, False, 0.0)),
-    ]
-    block, _, _ = _euler_days("reinfect", [first[0]], shared, np.repeat([first[1]], 3, axis=1),
-                              np.tile([first[2]], (1, 3)), [20], [None])
-    i_past = block[1, 11:, 0]
-    assert np.isinf(i_past).any() and np.isnan(i_past).any()
-    days, bvals, gvals, spans = zip(*jobs)
-    got = _grid_eval("reinfect", days, np.array(bvals), np.array(gvals), spans, shared, [None] * 3)
-    for j, (job_days, job_b, job_g, span) in enumerate(jobs):
-        (alone,) = _grid_eval("reinfect", [job_days], np.array([job_b]), np.array([job_g]), [span], shared,
-                              [None])
-        assert np.array_equal(got[j].view(np.int64), alone.view(np.int64))
-    assert np.isfinite(got[0, [0, 1, 2, 6, 7, 8]]).all()
 
 
 @settings(max_examples=80, deadline=None)
