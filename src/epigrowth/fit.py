@@ -216,6 +216,8 @@ def _grid_eval(model: str, days: Sequence[tuple], bvals: np.ndarray, gvals: np.n
     being finite, are infeasible (np.inf); with check_boundary the day after
     the segment must stay positive too, or the next period would start from
     an unrecoverable zero.  A job with fewer than two fit days has no slope.
+    A candidate dead for good (its score or I not finite) may stop being
+    stepped; it still scores np.inf.
     """
     n_jobs, n_b, n_g = len(days), bvals.shape[1], gvals.shape[1]
     seg_hi, rows, x_fit, check_boundary, target_k = zip(*spans)

@@ -479,6 +479,22 @@ def test_fit_output_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatc
     }
 
 
+def test_default_grid_fit_output_bytes_are_pinned(tmp_path):
+    # The default 101 x 101 grid and 3 refinements: each kernel call scores one job, and on the
+    # full grid many of its columns die within a few steps and are dropped.
+    out = str(tmp_path)
+    inputs = ["--cases", f"{out}/cases.csv", "--metro-map", f"{out}/metro_map.csv"]
+    assert main(["gen-fixtures", "--seed", "0", "--metros", "2", "--out", out]) == 0
+    assert main(["segment", *inputs, "--out", out]) == 0
+    assert main(["fit", *inputs, "--periods", f"{out}/periods.csv", "--mu", "0.2", "--out", out]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("table2.csv", "fit_report.json")}
+    assert digests == {
+        "table2.csv": "b4253594e406d2afa246c2543dc42fb6a747137bbcad05ee3cc940b9f0e72cd6",
+        "fit_report.json": "15306d9862856d5efd197aee72bab67c7080acb89c21c04113701d910d87a104",
+    }
+
+
 def test_simulate_output_bytes_are_pinned(tmp_path, capsys):
     out = str(tmp_path)
     inputs = ["--cases", f"{out}/cases.csv", "--metro-map", f"{out}/metro_map.csv"]

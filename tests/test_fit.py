@@ -6,7 +6,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epigrowth import sir
@@ -713,6 +713,157 @@ def test_a_one_point_grid_is_summed_day_by_day_as_a_wide_grid_is():
     days, bvals, gvals, spans = zip(*((c[0], c[1][0], c[2][0], c[3][0]) for c in calls))
     got = _grid_eval("delayed", days, np.array(bvals), np.array(gvals), spans, shared, [None, None])
     assert np.array_equal(got.view(np.int64), np.array(wants).view(np.int64))
+
+
+@pytest.fixture
+def drops(monkeypatch):
+    """The (jobs, columns) index array kept by each kernel call that drops dead columns."""
+    kept, real = [], sir._to_front
+
+    def spy(a, cols, rows, tmp):
+        if not any(c is cols for c in kept):  # a drop passes the same cols to each of its gathers
+            kept.append(cols)
+        return real(a, cols, rows, tmp)
+
+    monkeypatch.setattr(sir, "_to_front", spy)
+    return kept
+
+
+def _every_column_kept(monkeypatch, run):
+    """``run()`` with the dead-column check past every step, so the kernel drops nothing."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sir, "_CHECK_STEP", 10**9)
+        return run()
+
+
+_GRID = (np.linspace(0.0, 1e-5, 21), np.linspace(0.0, 1.0, 21))
+_SEED_DAYS = ([1e5], [50.0], [0.0])
+# (model, shared rates, jobs longest first), a job being (committed days, bvals, gvals, seg_hi,
+# fit days, check_boundary, target_k).  A committed day holds seg_lo = len(days) - 1.
+_DROP_CASES = {
+    # Columns with a large gamma and a small beta reach I = 0 on a fit day within a few steps.
+    "one job, 101 x 101": ("delayed", PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=5, tau2=14),
+                           [(_SEED_DAYS, np.linspace(0.0, 1e-5, 101), np.linspace(0.0, 1.0, 101), 40,
+                             np.ones(40, dtype=bool), True, 0.05)]),
+    # The last job ends on step 5, before the check; the others keep different live counts.
+    "a job ends before the check": (
+        "tourism", PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=3, tau2=7, epsilon=0.5),
+        [(([1.2e5, 1.1e5], [40.0, 60.0], [0.0, 2.0]), *_GRID, 31, np.ones(30, dtype=bool), True, 0.04),
+         (_SEED_DAYS, np.linspace(0.0, 2e-5, 21), _GRID[1], 22, np.arange(22) % 3 > 0, False, 0.02),
+         (_SEED_DAYS, *_GRID, 6, np.ones(6, dtype=bool), True, 0.0)]),
+    # One fit day leaves the second job's acc all NaN, so it keeps only dead columns.
+    "a job without two fit days": (
+        "reinfect", PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=5, tau2=14, mu=0.2),
+        [(_SEED_DAYS, *_GRID, 30, np.ones(30, dtype=bool), True, 0.05),
+         (_SEED_DAYS, *_GRID, 25, np.arange(25) == 12, False, 0.0)]),
+    "a lone job without two fit days": ("delayed", PiecewiseParams((0.0,) * 5, (0.0,) * 5),
+                                        [(_SEED_DAYS, *_GRID, 20, np.arange(20) == 3, True, 0.0)]),
+    # beta = 1e300 overflows I on step 1, gamma = 1e300 overflows R; no fit day before step 10,
+    # so only the I rule can drop a column at the check.
+    "overflow before the check": (
+        "reinfect", PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4, mu=0.5),
+        [(_SEED_DAYS, np.array([0.0, 2e-6, 1e300]), np.array([0.1, 0.3, 1e300]), 24,
+          np.arange(24) >= 10, True, 0.03)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_DROP_CASES))
+def test_dropping_dead_columns_scores_each_job_as_the_reference_does(monkeypatch, drops, case):
+    model, shared, jobs = _DROP_CASES[case]
+    o_vals = [tuple(float(3 + d % 7) for d in range(60))] * len(jobs)
+    days = [tuple(list(seq) for seq in job[0]) for job in jobs]
+    spans = [(hi, np.flatnonzero(fit), np.arange(len(fit), dtype=float)[fit] + 3, check, k)
+             for _, _, _, hi, fit, check, k in jobs]
+    args = (model, days, np.array([job[1] for job in jobs]), np.array([job[2] for job in jobs]), spans,
+            shared, o_vals)
+    got = _grid_eval(*args)
+    assert len(drops) == 1
+    n, width = drops[0].shape
+    steps = [hi - len(job_days[0]) + check for job_days, _, _, hi, _, check, _ in jobs]
+    assert n == sum(step > sir._CHECK_STEP for step in steps) and width < got.shape[1]
+    kept = _every_column_kept(monkeypatch, lambda: _grid_eval(*args))
+    assert np.array_equal(got.view(np.int64), kept.view(np.int64))
+    for row, (job_days, bvals, gvals, hi, fit, check, k), inflow in zip(got, jobs, o_vals):
+        seg_lo = len(job_days[0]) - 1
+        want = _reference_grid_eval(model, job_days, bvals, gvals, seg_lo, hi, 3 - seg_lo, fit, check, k, shared,
+                                    inflow)
+        assert np.array_equal(row.view(np.int64), want.view(np.int64))
+    assert np.isfinite(got).any() or case == "a lone job without two fit days"
+
+
+def test_a_column_whose_i_is_zero_off_the_fit_days_is_not_dropped(drops):
+    # Removals read today's I (tau2 = 0) at gamma = 1.2, infections read I six days back: the
+    # first column's I is 0 on days 1, 8 (the check step), 15, 22 and 29, which are no fit days,
+    # and positive on the others.  beta = 1e300 overflows I on step 1, so the check drops those
+    # columns.
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=6, tau2=0)
+    bvals, gvals = np.array([1e-6, 1e300]), np.array([1.2, 0.1])
+    args = (bvals, gvals, 0, 30, 0, np.arange(30) % 7 != 1, False, 0.0, shared, None)
+    (got,) = _grid_eval("delayed", [_SEED_DAYS], *_fit_rows(*args))
+    assert [cols.shape for cols in drops] == [(1, 2)]
+    assert np.array_equal(got.view(np.int64), _reference_grid_eval("delayed", _SEED_DAYS, *args).view(np.int64))
+    block, _, _ = _euler_days("delayed", [_SEED_DAYS], shared, np.array([[1e-6]]), np.array([[1.2]]), [29],
+                              [None])
+    assert np.flatnonzero(block[1, :, 0, 0] == 0.0).tolist() == [1, sir._CHECK_STEP, 15, 22, 29]
+    assert np.isfinite(got[:2]).all() and np.isinf(got[2:]).all()
+
+
+class _RawBlockNumpy:
+    """NumPy, but ``maximum`` keeps a copy of each 4-d array it clamps: record mode's raw block."""
+
+    def __init__(self):
+        self.raw = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def maximum(self, a, *args, **kwargs):
+        if np.ndim(a) == 4:
+            self.raw.append(np.array(a))
+        return np.maximum(a, *args, **kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@example(committed=[(1e5, 10.0, -0.0)], bvals=[1e-6], gvals=[-0.0], steps=3, tau1=0, tau2=0, mu=0.0)
+@given(
+    committed=st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e3), st.sampled_from([-0.0, 0.0, 7.0])),
+                       min_size=1, max_size=6),
+    bvals=st.lists(st.one_of(_rate, st.just(-0.0), st.floats(1e290, 1e300)), min_size=1, max_size=4),
+    gvals=st.lists(st.one_of(st.floats(0.0, 2.0), st.just(-0.0), st.just(1e300)), min_size=1, max_size=4),
+    steps=st.integers(1, 15),
+    tau1=st.integers(0, 6),
+    tau2=st.integers(0, 6),
+    mu=st.floats(0.0, 1.0),
+)
+def test_r_never_goes_negative_when_mu_is_at_most_one(committed, bvals, gvals, steps, tau1, tau2, mu):
+    # The kernel clamps R only for mu > 1.  With mu <= 1 the reentries mu * R never exceed the R
+    # they leave, and a committed R of -0.0 is read as +0.0, so the raw R is >= +0.0 or NaN.
+    spy = _RawBlockNumpy()
+    days = tuple(list(col) for col in zip(*committed))
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=tau1, tau2=tau2, mu=mu)
+    beta, gamma = np.repeat(bvals, len(gvals))[None], np.tile(gvals, len(bvals))[None]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sir, "np", spy)
+        _euler_days("reinfect", [days], shared, beta, gamma, [steps], [None])
+    (raw,) = spy.raw
+    r = raw[2, 1:]
+    assert not (r < 0.0).any()
+    assert not np.signbit(r[r == 0.0]).any()
+
+
+def test_r_is_clamped_when_mu_exceeds_one():
+    # mu = 1.5 moves more than R holds back to S: R goes negative and is clamped, in record
+    # mode (counted) and when scoring, bitwise as the reference that clamps R on every step.
+    shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4, mu=1.5)
+    days = ([1e5], [100.0], [50.0])
+    args = (np.linspace(0.0, 4e-6, 5), np.linspace(0.0, 0.2, 5), 0, 20, 0, np.ones(20, dtype=bool), True, 0.05,
+            shared, None)
+    (got,) = _grid_eval("reinfect", [days], *_fit_rows(*args))
+    assert np.isfinite(got).sum() == 21
+    assert np.array_equal(got.view(np.int64), _reference_grid_eval("reinfect", days, *args).view(np.int64))
+    beta, gamma = np.repeat(args[0], 5)[None], np.tile(args[1], 5)[None]
+    block, (clamps,), _ = _euler_days("reinfect", [days], shared, beta, gamma, [20], [None])
+    assert clamps > 0 and (block[2] >= 0.0).all()
 
 
 @settings(max_examples=80, deadline=None)
