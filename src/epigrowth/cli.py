@@ -356,11 +356,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = SearchConfig(
-        beta_points=args.grid_points,
-        gamma_points=args.grid_points,
-        refinement_levels=args.refinements,
-    )
+    cfg = SearchConfig(points=args.grid_points, refinement_levels=args.refinements)
     metros = _load_case_metros(args)
     period_sets = _load_period_sets(args)
     series_by = {s.region: s for s in metros}
@@ -416,17 +412,27 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 _NUMBER = (int, float)
+# A fit-report entry as simulate reads it, keyed as the records it builds: PiecewiseParams, SirState, Period.
+_REPORT_MODEL = {"beta": [_NUMBER], "gamma": [_NUMBER], "tau1": int, "tau2": int, "mu": _NUMBER,
+                 "epsilon": _NUMBER, "init": dict.fromkeys("sir", _NUMBER)}
+_REPORT_PERIODS = [{"start": str, "end": str}]
 
 
-def _report_field(path: str, obj, where: tuple, key, kind):
-    """``obj[key]`` of the fit report at ``where``; missing or ill-typed is a ParseError naming it."""
+def _report_field(path: str, obj, where: tuple, key, shape):
+    """``obj[key]`` of the fit report at ``where``, as ``shape`` (a JSON type, a list of one shape or a
+    dict of shapes) declares it; missing or ill-typed is a ParseError naming the field."""
     name = ".".join(str(k) for k in (*where, key))
     try:
         value = obj[key]
     except (KeyError, IndexError, TypeError):
         raise ParseError(f"{path}: field {name} is missing") from None
+    kind = type(shape) if isinstance(shape, (list, dict)) else shape
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ParseError(f"{path}: field {name} has the wrong type: {value!r}")
+    if isinstance(shape, list):
+        return [_report_field(path, value, (*where, key), k, shape[0]) for k in range(len(value))]
+    if isinstance(shape, dict):
+        return {k: _report_field(path, value, (*where, key), k, item) for k, item in shape.items()}
     return value
 
 
@@ -436,45 +442,28 @@ def _simulate_inputs(args: argparse.Namespace):
         raise ConfigError(f"unknown model variant {model!r}; choose from {', '.join(VARIANTS)}")
     if args.fit_report is not None:
         metro = _require(args.metro, "--metro")
-        with open(args.fit_report, newline="") as fh:
+        path = args.fit_report
+        with open(path, newline="") as fh:
             try:
                 payload = json.load(fh)
-            except ValueError as exc:
-                raise ParseError(f"{args.fit_report}: {exc}") from None
-        path = args.fit_report
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(f"{path}: {exc}") from None
         metros = _report_field(path, payload, (), "metros", dict)
         if metro not in metros:
             raise ConfigError(f"{path} has no metro {metro!r}")
         where = ("metros", metro)
         entry = _report_field(path, metros, ("metros",), metro, dict)
-        fitted = entry.get(model)
-        if fitted is None or "error" in _report_field(path, entry, where, model, dict):
+        if entry.get(model) is None or "error" in _report_field(path, entry, where, model, dict):
             raise ConfigError(f"{path} has no usable {model} fit for {metro}")
-
-        def items(obj, at, key, kind):
-            seq = _report_field(path, obj, at, key, list)
-            return [_report_field(path, seq, (*at, key), k, kind) for k in range(len(seq))]
-
         periods = []
-        for i, span in enumerate(items(entry, where, "periods", dict)):
-            at = (*where, "periods", i)
-            ends = [_report_field(path, span, at, k, str) for k in ("start", "end")]
+        for i, span in enumerate(_report_field(path, entry, where, "periods", _REPORT_PERIODS)):
             try:
-                periods.append(Period(i + 1, *map(date.fromisoformat, ends)))
+                periods.append(Period(i + 1, **{k: date.fromisoformat(v) for k, v in span.items()}))
             except ValueError:
-                raise ParseError(f"{path}: field {'.'.join(map(str, at))} needs ISO dates") from None
-        where += (model,)
-        params = PiecewiseParams(
-            items(fitted, where, "beta", _NUMBER),
-            items(fitted, where, "gamma", _NUMBER),
-            tau1=_report_field(path, fitted, where, "tau1", int),
-            tau2=_report_field(path, fitted, where, "tau2", int),
-            mu=_report_field(path, fitted, where, "mu", _NUMBER),
-            epsilon=_report_field(path, fitted, where, "epsilon", _NUMBER),
-        )
-        init = _report_field(path, fitted, where, "init", dict)
-        init = SirState(*(_report_field(path, init, (*where, "init"), k, _NUMBER) for k in "sir"))
-        return model, params, init, PeriodSet(metro, tuple(periods))
+                raise ParseError(f"{path}: field metros.{metro}.periods.{i} needs ISO dates") from None
+        fields = _report_field(path, entry, where, model, _REPORT_MODEL)
+        init = fields.pop("init")
+        return model, PiecewiseParams(**fields), SirState(**init), PeriodSet(metro, tuple(periods))
     beta = _require(args.beta, "--beta")
     gamma = _require(args.gamma, "--gamma")
     periods = initial_periods(args.window, _anchors(args))

@@ -112,15 +112,16 @@ class TuneResult:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid points and refinement depth for tune(), which searches beta in [0, 1/S0], gamma in [0, 1]."""
+    """Points per axis and refinement depth for tune(), which searches beta in [0, 1/S0], gamma in [0, 1]."""
 
-    beta_points: int = 101
-    gamma_points: int = 101
+    points: int = 101
     refinement_levels: int = 3
 
     def __post_init__(self) -> None:
-        if self.beta_points < 1 or self.gamma_points < 1:
+        if self.points < 1:
             raise ConfigError("grids need at least one point per axis")
+        if self.points**2 * 8 > np.iinfo(np.intp).max:  # one job's float64 candidates in one array
+            raise ConfigError(f"a grid of {self.points} points per axis is too large")
         if self.refinement_levels < 0:
             raise ConfigError("refinement_levels must be >= 0")
 
@@ -133,11 +134,11 @@ def _beta_hi(s0: float) -> float:
 
 
 def beta_grid(cfg: SearchConfig, s0: float) -> np.ndarray:
-    return np.linspace(0.0, _beta_hi(s0), cfg.beta_points)
+    return np.linspace(0.0, _beta_hi(s0), cfg.points)
 
 
 def gamma_grid(cfg: SearchConfig) -> np.ndarray:
-    return np.linspace(0.0, 1.0, cfg.gamma_points)
+    return np.linspace(0.0, 1.0, cfg.points)
 
 
 def default_init(series: CaseSeries, periods: PeriodSet) -> SirState:
@@ -295,7 +296,7 @@ def tune_batch(jobs: Sequence[TuneJob]) -> list[TuneResult | PipelineError]:
     for job in jobs:
         groups.setdefault((job.model, job.shared, job.cfg, job.shared_beta), []).append(job)
     for group in groups.values():
-        size = max(1, _BATCH_COLUMNS // (group[0].cfg.beta_points * group[0].cfg.gamma_points))
+        size = max(1, _BATCH_COLUMNS // group[0].cfg.points**2)
         for first in range(0, len(group), size):
             _tune_together(group[first:first + size])
     return [job.result() for job in jobs]
@@ -333,8 +334,8 @@ def _tune_together(batch: list[TuneJob]) -> None:
                 return
             wins = np.array([job.window for job in live], dtype=float).T
             bvals = (np.array([[job.betas[0]] for job in live]) if shared_beta and per_idx
-                     else _linspace_rows(wins[0], wins[1], cfg.beta_points))
-            gvals = _linspace_rows(wins[2], wins[3], cfg.gamma_points)
+                     else _linspace_rows(wins[0], wins[1], cfg.points))
+            gvals = _linspace_rows(wins[2], wins[3], cfg.points)
             obj = _grid_eval(model, [job.days for job in live], bvals, gvals, [job.span for job in live],
                              shared, [job.o_vals for job in live])
             for job, row, j, bs, gs in zip(live, obj, obj.argmin(axis=1), bvals, gvals):

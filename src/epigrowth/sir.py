@@ -40,7 +40,10 @@ _CHECK_STEP, _DROP_STEPS = 8, 3
 
 
 def _check_nonneg(name: str, value: float) -> float:
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int past the float range
+        raise ValidationError(f"{name} must be finite and >= 0, got a number too large for a float") from None
     if not math.isfinite(v) or v < 0:
         raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
     return v

@@ -52,7 +52,10 @@ def _nonneg_column(values, name: str, *, show_raw: bool = False) -> tuple[float,
     naming the float it converts to, or with ``show_raw`` the repr of the
     value as given.
     """
-    column = np.asarray(values, dtype=float)
+    try:
+        column = np.asarray(values, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValidationError(f"{name} must be finite and >= 0, got a number too large for a float") from None
     bad = np.flatnonzero(~(np.isfinite(column) & (column >= 0.0)))
     if bad.size:
         shown = repr(values[bad[0]]) if show_raw else float(column[bad[0]])

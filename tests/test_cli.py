@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import faulthandler
 import hashlib
 import json
@@ -11,12 +12,13 @@ import sys
 from datetime import date
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from epigrowth import cli
 from epigrowth.cli import PROTOCOL_HEADER, TABLE2_HEADER, main
 from epigrowth.errors import InsufficientDataError, ValidationError
+from epigrowth.sir import PiecewiseParams, SirState
 
 
 FIT_FLAGS = ["--grid-points", "21", "--refinements", "1"]
@@ -372,6 +374,10 @@ def test_simulate_fit_report_with_bad_field_exits_2(pipeline_dir, tmp_path, caps
     assert f"field {field} " in _one_error_line(capsys)
 
 
+HUGE = int("9" * 400)  # JSON reads it as an int that no float can hold
+TOO_LARGE = "must be finite and >= 0, got a number too large for a float"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -379,6 +385,9 @@ def test_simulate_fit_report_with_bad_field_exits_2(pipeline_dir, tmp_path, caps
         (lambda m: m["beta"].__setitem__(2, -1e-6), "beta must be finite and >= 0, got -1e-06"),
         (lambda m: m.__setitem__("tau1", -1), "tau1 must be a non-negative integer, got -1"),
         (lambda m: m.__setitem__("mu", -0.5), "mu must be finite and >= 0, got -0.5"),
+        (lambda m: m["beta"].__setitem__(0, HUGE), f"beta {TOO_LARGE}"),
+        (lambda m: m.__setitem__("mu", HUGE), f"mu {TOO_LARGE}"),
+        (lambda m: m["init"].__setitem__("s", HUGE), f"s {TOO_LARGE}"),
     ],
 )
 def test_simulate_fit_report_with_bad_value_exits_2(pipeline_dir, tmp_path, capsys, edit, message):
@@ -391,6 +400,66 @@ def test_simulate_fit_report_with_bad_value_exits_2(pipeline_dir, tmp_path, caps
                "--out", str(tmp_path)])
     assert rc == 2
     assert _one_error_line(capsys) == f"error: {message}"
+
+
+def test_simulate_fit_report_checks_every_type_before_any_value(pipeline_dir, tmp_path, capsys):
+    with open(os.path.join(pipeline_dir, "fit_report.json")) as fh:
+        report = json.load(fh)
+    fitted = report["metros"]["metro-01"]["reinfect"]
+    fitted["beta"][0], fitted["init"]["s"] = -1.0, "many"
+    path = tmp_path / "fit_report.json"
+    path.write_text(json.dumps(report))
+    rc = main(["simulate", "--model", "reinfect", "--fit-report", str(path), "--metro", "metro-01",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "field metros.metro-01.reinfect.init.s has the wrong type" in _one_error_line(capsys)
+
+
+def test_simulate_fit_report_nested_too_deeply_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    rc = main(["simulate", "--model", "reinfect", "--fit-report", str(path), "--metro", "metro-01",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert _one_error_line(capsys).startswith(f"error: {path}: ")
+
+
+def test_fit_writes_every_field_simulate_reads(pipeline_dir):
+    """Each model entry of a real fit report has every key of the shape the reader declares, with its
+    declared type, and that shape is keyed as the records it builds."""
+    def conforms(value, shape):
+        if isinstance(shape, list):
+            return isinstance(value, list) and all(conforms(v, shape[0]) for v in value)
+        if isinstance(shape, dict):
+            return isinstance(value, dict) and all(k in value and conforms(value[k], item)
+                                                   for k, item in shape.items())
+        return isinstance(value, shape) and not isinstance(value, bool)
+
+    assert set(cli._REPORT_MODEL) == {f.name for f in dataclasses.fields(PiecewiseParams)} | {"init"}
+    assert set(cli._REPORT_MODEL["init"]) == {f.name for f in dataclasses.fields(SirState)}
+    with open(os.path.join(pipeline_dir, "fit_report.json")) as fh:
+        entries = json.load(fh)["metros"].values()
+    fitted = [entry[model] for entry in entries for model in cli.FIT_MODELS if "error" not in entry[model]]
+    assert len(fitted) == 2 * len(entries) == 6
+    assert all(conforms(model, cli._REPORT_MODEL) for model in fitted)
+    assert all(conforms(entry["periods"], cli._REPORT_PERIODS) for entry in entries)
+
+
+def test_fit_with_a_grid_no_array_can_hold_exits_4(pipeline_dir, tmp_path, capsys):
+    rc = main(
+        [
+            "fit",
+            "--cases", os.path.join(pipeline_dir, "cases.csv"),
+            "--metro-map", os.path.join(pipeline_dir, "metro_map.csv"),
+            "--periods", os.path.join(pipeline_dir, "periods.csv"),
+            "--grid-points", "1" + "0" * 20,
+            "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 4
+    assert _one_error_line(capsys) == (
+        "error: a grid of 100000000000000000000 points per axis is too large"
+    )
 
 
 @pytest.mark.parametrize("flag, value", [("--tau1", "-1"), ("--tau2", "-3"), ("--mu", "-1")])
@@ -933,6 +1002,85 @@ def test_mutated_input_file_exits_cleanly(pipeline_dir, tmp_path, monkeypatch, c
         content = _mutate(data, fh.read(), mutation)
     capsys.readouterr()
     rc = _run_with_input(pipeline_dir, tmp_path, kind, content)
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert rc in (0, 2, 3, 4)
+    assert len(errors) == (0 if rc == 0 else 1), errors
+
+
+REPORT_MUTATIONS = ("truncate", "insert-bytes", "drop-key", "swap-values", "huge-number")
+
+
+def _json_nodes(node, at=()):
+    """(path, value) of every value inside a parsed JSON document, containers too, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield (*at, key), value
+        yield from _json_nodes(value, (*at, key))
+
+
+def _mutate_report(data, text: str, mutation: str) -> bytes:
+    """One drawn edit of a fit report: bytes cut or inserted, or on the parsed document a key
+    dropped, two values swapped or a number replaced with 400 nines."""
+    raw = text.encode("utf-8")
+    if mutation == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw)), label="cut")]
+    if mutation == "insert-bytes":
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        return raw[:at] + data.draw(st.binary(min_size=1, max_size=6), label="bytes") + raw[at:]
+    report = json.loads(text)
+    nodes = dict(_json_nodes(report))
+
+    def parent(path):
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        return node
+
+    if mutation == "drop-key":
+        path = data.draw(st.sampled_from([p for p in nodes if isinstance(p[-1], str)]), label="key")
+        del parent(path)[path[-1]]
+    elif mutation == "swap-values":
+        p = data.draw(st.sampled_from(list(nodes)), label="first")
+        apart = [q for q in nodes if q[:len(p)] != p and p[:len(q)] != q]  # neither holds the other
+        q = data.draw(st.sampled_from(apart), label="second")
+        parent(p)[p[-1]], parent(q)[q[-1]] = nodes[q], nodes[p]
+    else:  # huge-number
+        numbers = [p for p, v in nodes.items() if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        path = data.draw(st.sampled_from(numbers), label="number")
+        parent(path)[path[-1]] = HUGE
+    return json.dumps(report).encode("utf-8")
+
+
+class _Scripted:
+    """Stands in for ``st.data()`` in an ``@example``: each draw returns the next scripted value."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy, label=None):
+        return next(self.values)
+
+
+FITTED = ("metros", "metro-01", "reinfect")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=st.sampled_from(REPORT_MUTATIONS), data=st.data())
+@example(mutation="insert-bytes", data=_Scripted(0, b"[" * 100_000))  # nested past the recursion limit
+@example(mutation="huge-number", data=_Scripted((*FITTED, "beta", 0)))
+@example(mutation="huge-number", data=_Scripted((*FITTED, "mu")))
+@example(mutation="huge-number", data=_Scripted((*FITTED, "init", "s")))
+def test_mutated_fit_report_exits_cleanly(pipeline_dir, tmp_path, capsys, mutation, data):
+    """Whatever is done to the fit report, ``simulate --fit-report`` ends with an exit code and, on
+    failure, exactly one ``error:`` line."""
+    with open(os.path.join(pipeline_dir, "fit_report.json"), encoding="utf-8") as fh:
+        content = _mutate_report(data, fh.read(), mutation)
+    path = tmp_path / "fit_report.json"
+    path.write_bytes(content)
+    capsys.readouterr()
+    rc = main(["simulate", "--model", "reinfect", "--fit-report", str(path), "--metro", "metro-01",
+               "--out", str(tmp_path / "out")])
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert rc in (0, 2, 3, 4)
     assert len(errors) == (0 if rc == 0 else 1), errors

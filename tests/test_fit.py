@@ -194,23 +194,26 @@ def test_beta_grid_auto_scales_to_initial_susceptibles():
     g = beta_grid(cfg, 2e5)
     assert g[0] == 0.0
     assert g[-1] == pytest.approx(1 / 2e5)
-    assert len(g) == cfg.beta_points
-    assert len(gamma_grid(cfg)) == cfg.gamma_points
+    assert len(g) == cfg.points
+    assert len(gamma_grid(cfg)) == cfg.points
     with pytest.raises(ConfigError):
         beta_grid(cfg, 0.0)
 
 
 def test_search_config_rejects_bad_ranges():
     with pytest.raises(ConfigError):
-        SearchConfig(beta_points=0)
-    with pytest.raises(ConfigError):
-        SearchConfig(gamma_points=0)
+        SearchConfig(points=0)
     with pytest.raises(ConfigError):
         SearchConfig(refinement_levels=-1)
     # The ranges are fixed: beta in [0, 1/S0], gamma in [0, 1].
-    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
-        "beta_points", "gamma_points", "refinement_levels"
-    ]
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == ["points", "refinement_levels"]
+
+
+def test_search_config_takes_the_largest_grid_one_float64_array_can_hold():
+    largest = math.isqrt(np.iinfo(np.intp).max // 8)
+    assert SearchConfig(points=largest).points == largest
+    with pytest.raises(ConfigError, match="too large"):
+        SearchConfig(points=largest + 1)
 
 
 def _simulated_series(beta=2e-6, gamma=0.05, lengths=(7,) * 5):
@@ -229,7 +232,7 @@ def test_tune_rejects_unknown_model():
 
 def test_tune_tourism_requires_long_enough_inflow():
     series, ps, _ = _simulated_series()
-    cfg = SearchConfig(beta_points=3, gamma_points=3, refinement_levels=0)
+    cfg = SearchConfig(points=3, refinement_levels=0)
     with pytest.raises(ConfigError):
         tune("tourism", series, ps, cfg)
     with pytest.raises(ConfigError):
@@ -246,7 +249,7 @@ def test_tune_needs_a_growth_rate_in_every_period():
 def test_tune_single_point_grid_returns_that_point():
     # A one-point grid is (0, 0), the low end of both ranges.
     series, ps, init = _simulated_series(0.0, 0.0)
-    cfg = SearchConfig(beta_points=1, gamma_points=1, refinement_levels=0)
+    cfg = SearchConfig(points=1, refinement_levels=0)
     res = tune("original", series, ps, cfg, init=init)
     assert res.params.beta == (0.0,) * 5
     assert res.params.gamma == (0.0,) * 5
@@ -255,7 +258,7 @@ def test_tune_single_point_grid_returns_that_point():
 
 def test_tune_shared_beta_locks_beta_across_periods():
     series, ps, init = _simulated_series()
-    cfg = SearchConfig(beta_points=15, gamma_points=15, refinement_levels=1)
+    cfg = SearchConfig(points=15, refinement_levels=1)
     res = tune("original", series, ps, cfg, init=init, shared_beta=True)
     assert len(set(res.params.beta)) == 1
 
@@ -268,8 +271,8 @@ def test_tune_refinement_never_hurts():
     )
     series = CaseSeries("m", START, counts)
     ps = periods_over(lengths)
-    coarse = SearchConfig(beta_points=21, gamma_points=21, refinement_levels=0)
-    refined = SearchConfig(beta_points=21, gamma_points=21, refinement_levels=2)
+    coarse = SearchConfig(points=21, refinement_levels=0)
+    refined = SearchConfig(points=21, refinement_levels=2)
     rep0 = tune("original", series, ps, coarse).report
     rep2 = tune("original", series, ps, refined).report
     assert rep2.weighted_error <= rep0.weighted_error + 1e-9
@@ -296,7 +299,7 @@ def _replay_tuned_run(model, slopes, seed, tau1=3, tau2=7, mu=0.0, epsilon=0.0, 
     rng = np.random.default_rng(seed)
     series = CaseSeries("m", START, piecewise_log_linear_counts(500.0, slopes, lengths, rng=rng, noise_sigma=0.05))
     inflow = InflowSeries(tuple(rng.uniform(0.0, 50.0, sum(lengths)))) if model == "tourism" else None
-    cfg = SearchConfig(beta_points=9, gamma_points=9, refinement_levels=1)
+    cfg = SearchConfig(points=9, refinement_levels=1)
     res = tune(
         model, series, ps, cfg, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon,
         inflow=inflow, shared_beta=shared_beta,
@@ -483,7 +486,7 @@ BATCH_LENGTHS = ((10, 12, 14, 12, 10), (8, 15, 9, 13, 11), (14, 9, 12, 10, 13))
 
 @pytest.mark.parametrize("shared_beta, points", [(False, 9), (True, 9), (False, 1)])
 def test_a_batch_tunes_each_job_as_tune_alone_does_bitwise(shared_beta, points):
-    cfg = SearchConfig(beta_points=points, gamma_points=points, refinement_levels=1)
+    cfg = SearchConfig(points=points, refinement_levels=1)
     calls = []
     for seed, lengths in enumerate(BATCH_LENGTHS):
         series, ps = _noisy_metro(lengths, seed)
@@ -527,7 +530,7 @@ RAGGED_ZEROS = ({}, {4, 21, 55}, {14, 26}, {20, 31, 44}, {0, 1, 3, 4, *range(6, 
 
 
 def test_a_ragged_batch_never_reads_an_unstepped_row(monkeypatch):
-    cfg = SearchConfig(beta_points=7, gamma_points=7, refinement_levels=1)
+    cfg = SearchConfig(points=7, refinement_levels=1)
     inflow = InflowSeries(tuple(float(3 + d % 7) for d in range(60)))
     calls = []
     for seed, (lengths, zeros) in enumerate(zip(RAGGED_LENGTHS, RAGGED_ZEROS)):
@@ -634,7 +637,7 @@ def test_a_state_that_overflows_in_one_compartment_is_not_finite(record):
 
 
 def test_fit_chunk_gives_each_metro_and_model_what_tune_alone_gives():
-    cfg = SearchConfig(beta_points=9, gamma_points=9, refinement_levels=1)
+    cfg = SearchConfig(points=9, refinement_levels=1)
     chunk = [_noisy_metro(lengths, seed) for seed, lengths in enumerate(BATCH_LENGTHS)]
     series, ps = chunk[1]
     counts = list(series.counts)

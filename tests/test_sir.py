@@ -339,3 +339,17 @@ def test_inflow_roundtrip_and_validation():
     assert load_inflow(buf).o == inflow.o
     with pytest.raises(ValidationError):
         InflowSeries((1.0, -2.0))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda huge: SirState(huge, 1, 0), "s"),
+        (lambda huge: PiecewiseParams([0.0] * 4 + [huge], [0.0] * 5), "beta"),
+        (lambda huge: CaseSeries("x", date(2020, 3, 1), (1, huge)), "x: counts"),
+    ],
+)
+def test_a_number_too_large_for_a_float_is_rejected_by_name(build, name):
+    with pytest.raises(ValidationError) as err:
+        build(10**400)
+    assert str(err.value) == f"{name} must be finite and >= 0, got a number too large for a float"
