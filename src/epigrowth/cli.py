@@ -56,6 +56,7 @@ from .sir import (
     VARIANTS,
     PiecewiseParams,
     SirState,
+    check_variant,
     load_inflow,
     simulate,
     write_inflow_csv,
@@ -66,6 +67,7 @@ from .timeseries import (
     aggregate_to_metros,
     load_cases,
     load_metro_map,
+    parse_date,
     write_cases_csv,
     write_metro_map_csv,
     write_table,
@@ -110,7 +112,7 @@ def _to_float(value, flag: str) -> float:
 
 def _to_date(value, flag: str) -> date:
     try:
-        return date.fromisoformat(str(value))
+        return parse_date(str(value))
     except ValueError:
         raise ConfigError(f"{flag}: expected YYYY-MM-DD, got {value!r}") from None
 
@@ -169,11 +171,10 @@ def _resolve_options(args: argparse.Namespace) -> None:
     keys = {opt.key for opt in args.options} - {"config"}
     pairs: dict[str, str] = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                lines = fh.readlines()
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{args.config}: not UTF-8 text (byte {exc.start})") from None
+        try:
+            lines = _read(args.config, list)  # one str per line, its line end kept
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text (byte {exc.start})") from None
         for line_num, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -215,26 +216,32 @@ def _anchors(args: argparse.Namespace) -> tuple[date, ...]:
     return anchors
 
 
+def _read(path: str, load: Callable):
+    """``load(fh)``, ``fh`` being ``path`` open as UTF-8 text whatever the locale, line ends as read."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return load(fh)
+
+
+def _write(path: str, dump: Callable) -> None:
+    """``dump(fh)``, ``fh`` being ``path`` open as UTF-8 text whatever the locale, line ends as written."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        dump(fh)
+
+
 def _load_case_metros(args: argparse.Namespace):
-    with open(_require(args.cases, "--cases"), newline="") as fh:
-        series, warnings = load_cases(fh)
+    series, warnings = _read(_require(args.cases, "--cases"), load_cases)
     for w in warnings:
         _warn(w)
-    with open(_require(args.metro_map, "--metro-map"), newline="") as fh:
-        metro_map = load_metro_map(fh)
-    return aggregate_to_metros(series, metro_map)
+    return aggregate_to_metros(series, _read(_require(args.metro_map, "--metro-map"), load_metro_map))
 
 
 def _load_period_sets(args: argparse.Namespace) -> dict[str, PeriodSet]:
-    with open(_require(args.periods, "--periods"), newline="") as fh:
-        return load_periods_csv(fh)
+    return _read(_require(args.periods, "--periods"), load_periods_csv)
 
 
 def _write_json(path: str, payload: dict) -> None:
     """Write ``payload`` as sorted, indented JSON; a dataclass in it is written as its fields."""
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2, default=vars))
-        fh.write("\n")
+    _write(path, lambda fh: fh.write(json.dumps(payload, sort_keys=True, indent=2, default=vars) + "\n"))
 
 
 def _map_in_order(fn, items: list) -> list:
@@ -318,8 +325,7 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
         ("weather.csv", write_weather_csv, bundle.weather),
         ("inflow.csv", write_inflow_csv, bundle.inflow),
     ):
-        with open(os.path.join(out, name), "w", newline="") as fh:
-            write(table, fh)
+        _write(os.path.join(out, name), functools.partial(write, table))
     _write_json(os.path.join(out, "fixture_params.json"), bundle.manifest())
     print(f"gen-fixtures: wrote {args.metros} metro(s) to {out}")
     return 0
@@ -345,11 +351,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
         call = protocol_followed_date(ps, args.announcement)
         protocol_rows.append((series.region, first_case, call.date, call.note))
     out = _out_dir(args)
-    with open(os.path.join(out, "periods.csv"), "w", newline="") as fh:
-        write_periods_csv(period_sets, fh)
+    _write(os.path.join(out, "periods.csv"), functools.partial(write_periods_csv, period_sets))
     protocol_rows.sort(key=lambda r: (r[2] is None, r[2] or date.min, r[0]))
-    with open(os.path.join(out, "protocol.csv"), "w", newline="") as fh:
-        write_table(fh, PROTOCOL_HEADER, protocol_rows)
+    _write(os.path.join(out, "protocol.csv"), lambda fh: write_table(fh, PROTOCOL_HEADER, protocol_rows))
     tail = f", skipped {skipped}" if skipped else ""
     print(f"segment: wrote periods for {len(period_sets)} metro(s) to {out}{tail}")
     return 0
@@ -404,8 +408,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         report["metros"][metro] = entry
         table_rows.append((metro, pcts.get("delayed"), pcts.get("reinfect")))
     out = _out_dir(args)
-    with open(os.path.join(out, "table2.csv"), "w", newline="") as fh:
-        write_table(fh, TABLE2_HEADER, table_rows)
+    _write(os.path.join(out, "table2.csv"), lambda fh: write_table(fh, TABLE2_HEADER, table_rows))
     _write_json(os.path.join(out, "fit_report.json"), report)
     print(f"fit: wrote discrepancies for {len(table_rows)} metro(s) to {out}")
     return 0
@@ -438,16 +441,14 @@ def _report_field(path: str, obj, where: tuple, key, shape):
 
 def _simulate_inputs(args: argparse.Namespace):
     model = _require(args.model, "--model")
-    if model not in VARIANTS:
-        raise ConfigError(f"unknown model variant {model!r}; choose from {', '.join(VARIANTS)}")
+    check_variant(model)
     if args.fit_report is not None:
         metro = _require(args.metro, "--metro")
         path = args.fit_report
-        with open(path, newline="") as fh:
-            try:
-                payload = json.load(fh)
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(f"{path}: {exc}") from None
+        try:
+            payload = _read(path, json.load)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
         metros = _report_field(path, payload, (), "metros", dict)
         if metro not in metros:
             raise ConfigError(f"{path} has no metro {metro!r}")
@@ -458,7 +459,7 @@ def _simulate_inputs(args: argparse.Namespace):
         periods = []
         for i, span in enumerate(_report_field(path, entry, where, "periods", _REPORT_PERIODS)):
             try:
-                periods.append(Period(i + 1, **{k: date.fromisoformat(v) for k, v in span.items()}))
+                periods.append(Period(i + 1, **{k: parse_date(v) for k, v in span.items()}))
             except ValueError:
                 raise ParseError(f"{path}: field metros.{metro}.periods.{i} needs ISO dates") from None
         fields = _report_field(path, entry, where, model, _REPORT_MODEL)
@@ -477,10 +478,7 @@ def _simulate_inputs(args: argparse.Namespace):
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model, params, init, periods = _simulate_inputs(args)
-    inflow = None
-    if args.inflow is not None:
-        with open(args.inflow, newline="") as fh:
-            inflow = load_inflow(fh)
+    inflow = None if args.inflow is None else _read(args.inflow, load_inflow)
     traj = simulate(model, params, init, periods, inflow)
     window = periods.window
 
@@ -492,8 +490,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             _warn(f"no case data for metro {metro}")
 
     out = _out_dir(args)
-    with open(os.path.join(out, "trajectory.csv"), "w", newline="") as fh:
-        write_trajectory_csv(traj, fh)
+    _write(os.path.join(out, "trajectory.csv"), functools.partial(write_trajectory_csv, traj))
     plot_rows = []
     for day_idx, i in enumerate(traj.i):
         log_sim = math.log(i) if i > 0 else None
@@ -502,8 +499,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             count = data_series.filled_count(window.start + timedelta(days=day_idx))
             log_data = math.log(count) if count > 0 else None
         plot_rows.append((day_idx, log_sim, log_data))
-    with open(os.path.join(out, "plotdata.csv"), "w", newline="") as fh:
-        write_table(fh, PLOTDATA_HEADER, plot_rows)
+    _write(os.path.join(out, "plotdata.csv"), lambda fh: write_table(fh, PLOTDATA_HEADER, plot_rows))
 
     totals = [s + i + r for s, i, r in zip(traj.s, traj.i, traj.r)]
     drift = 0.0
@@ -542,21 +538,16 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     studies: dict[str, CorrelationReport] = {}
     if args.demographics is not None:
-        with open(args.demographics, newline="") as fh:
-            demo, warnings = load_demographics(fh)
+        demo, warnings = _read(args.demographics, load_demographics)
         for w in warnings:
             _warn(w)
         demo_report = demographic_study(demo, response)
-        with open(os.path.join(out, "table3.csv"), "w", newline="") as fh:
-            write_group_report_csv(demo_report, fh)
+        _write(os.path.join(out, "table3.csv"), functools.partial(write_group_report_csv, demo_report))
         studies[demo_report.study] = demo_report
     if args.weather is not None:
-        with open(args.weather, newline="") as fh:
-            weather = load_weather(fh)
-        reports = weather_studies(weather, series_by, usable)
+        reports = weather_studies(_read(args.weather, load_weather), series_by, usable)
         for weather_report, name in zip(reports, ("table4.csv", "table5.csv", "table6.csv")):
-            with open(os.path.join(out, name), "w", newline="") as fh:
-                write_weather_report_csv(weather_report, fh)
+            _write(os.path.join(out, name), functools.partial(write_weather_report_csv, weather_report))
             studies[weather_report.study] = weather_report
     payload = {
         "response": {metro: response[metro] for metro in sorted(response)},
@@ -572,12 +563,15 @@ class _Parser(argparse.ArgumentParser):
 
     argparse's own pattern misses the exponent form, so ``--beta -1e-6`` would
     be taken for an unknown option; no option of this CLI starts with a digit.
-    Subparsers inherit the class.
+    A usage error raises ConfigError (one line, exit 4); subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 _COMMON = (
@@ -664,9 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _resolve_options(args)
         return args.func(args)
     except (PipelineError, OSError, MemoryError) as exc:

@@ -23,7 +23,7 @@ from .errors import ParseError, ValidationError
 from .fit import GrowthRates, weighted_mean
 from .regress import _r_squared, bucket_temperature, fit_multi, student_t_sf
 from .segment import Period, PeriodSet
-from .timeseries import CaseSeries, read_table, write_table
+from .timeseries import CaseSeries, parse_date, read_table, write_table
 
 NA_RANK = "rank-deficient"
 NA_SAMPLES = "insufficient-samples"
@@ -232,17 +232,15 @@ def load_demographics(source) -> tuple[DemographicTable, list[str]]:
     flagged with a warning; the study skips them for that group.
     """
     values: dict[str, dict[str, dict[str, float]]] = {}
-    for line, (metro, group, subcat, raw) in read_table(
-        source, DEMOGRAPHICS_HEADER, "demographics CSV", label="line"
-    ):
+    for line, (metro, group, subcat, raw) in read_table(source, DEMOGRAPHICS_HEADER, "demographics CSV"):
         if not metro or not group or not subcat:
-            raise ParseError(f"line {line}: empty key field")
+            raise ParseError(f"demographics CSV line {line}: empty key field")
         try:
             value = float(raw)
         except ValueError:
-            raise ParseError(f"line {line}: bad value {raw!r}") from None
+            raise ParseError(f"demographics CSV line {line}: bad value {raw!r}") from None
         if not math.isfinite(value) or value < 0 or value > 100:
-            raise ValidationError(f"line {line}: value {raw} outside [0, 100]")
+            raise ValidationError(f"demographics CSV line {line}: value {raw} outside [0, 100]")
         per_metro = values.setdefault(group, {}).setdefault(metro, {})
         if subcat in per_metro:
             raise ValidationError(f"duplicate demographics row for {metro}/{group}/{subcat}")
@@ -278,26 +276,24 @@ def load_weather(source) -> WeatherTable:
     values: defaultdict[str, dict[date, tuple[str, float, float]]] = defaultdict(dict)
     duplicate = None
     days: dict[str, date] = {}  # each distinct date string is parsed once
-    for line, (metro, raw_day, kind, raw_high, raw_low) in read_table(
-        source, WEATHER_HEADER, "weather CSV", label="line"
-    ):
+    for line, (metro, raw_day, kind, raw_high, raw_low) in read_table(source, WEATHER_HEADER, "weather CSV"):
         day = days.get(raw_day)
         if day is None:
             try:
-                day = days[raw_day] = date.fromisoformat(raw_day)
+                day = days[raw_day] = parse_date(raw_day)
             except ValueError:
-                raise ParseError(f"line {line}: bad date {raw_day!r}") from None
+                raise ParseError(f"weather CSV line {line}: bad date {raw_day!r}") from None
         try:
             high = float(raw_high)
             low = float(raw_low)
         except ValueError:
-            raise ParseError(f"line {line}: bad temperature") from None
+            raise ParseError(f"weather CSV line {line}: bad temperature") from None
         if kind not in WEATHER_TYPES:
-            raise ValidationError(f"line {line}: unknown weather type {kind!r}")
+            raise ValidationError(f"weather CSV line {line}: unknown weather type {kind!r}")
         if not (math.isfinite(high) and math.isfinite(low)):
-            raise ValidationError(f"line {line}: temperatures must be finite")
+            raise ValidationError(f"weather CSV line {line}: temperatures must be finite")
         if high < low:
-            raise ValidationError(f"line {line}: {metro} {day}: high below low")
+            raise ValidationError(f"weather CSV line {line}: {metro} {day}: high below low")
         by_day = values[metro]
         if duplicate is None and day in by_day:
             duplicate = f"duplicate weather row for {metro} on {day}"

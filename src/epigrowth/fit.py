@@ -31,7 +31,6 @@ from .segment import NUM_PERIODS, PeriodSet, _WindowFits
 from .sir import (
     DEFAULT_TAU1,
     DEFAULT_TAU2,
-    VARIANTS,
     InflowSeries,
     PiecewiseParams,
     SirState,
@@ -39,6 +38,7 @@ from .sir import (
     _commit,
     _euler_days,
     _inflow_values,
+    check_variant,
 )
 from .timeseries import CaseSeries
 
@@ -253,8 +253,7 @@ class TuneJob:
                  *, tau1: int = DEFAULT_TAU1, tau2: int = DEFAULT_TAU2, mu: float = 0.0,
                  epsilon: float = 0.0, inflow: InflowSeries | None = None, init: SirState | None = None,
                  shared_beta: bool = False, rates: tuple | None = None):
-        if model not in VARIANTS:
-            raise ConfigError(f"unknown model variant {model!r}; choose from {', '.join(VARIANTS)}")
+        check_variant(model)
         self.cfg = cfg if cfg is not None else SearchConfig()
         self.shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
         self.init = init if init is not None else default_init(series, periods)

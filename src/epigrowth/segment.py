@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .regress import SimpleFit, _line_fit
-from .timeseries import CaseSeries, DateInterval, read_table, to_log_series, write_table
+from .timeseries import CaseSeries, DateInterval, parse_date, read_table, to_log_series, write_table
 
 NUM_PERIODS = 5
 DEFAULT_WINDOW = DateInterval(date(2020, 3, 1), date(2020, 6, 30))
@@ -280,11 +280,9 @@ def load_periods_csv(source: IO) -> dict[str, PeriodSet]:
     rows may come in any order; they are sorted by period index.
     """
     by_metro: dict[str, list[tuple[int, date, date]]] = {}
-    for line, (metro, index, start, end, *fit) in read_table(
-        source, PERIODS_HEADER, "periods CSV", say_got=False
-    ):
+    for line, (metro, index, start, end, *fit) in read_table(source, PERIODS_HEADER, "periods CSV"):
         try:
-            row = (int(index), *map(date.fromisoformat, (start, end)), *map(float, fit))
+            row = (int(index), *map(parse_date, (start, end)), *map(float, fit))
         except ValueError:
             raise ParseError(f"periods CSV line {line}: malformed row") from None
         by_metro.setdefault(metro, []).append(row[:3])  # the fit columns are checked, not kept

@@ -18,7 +18,6 @@ StateError; scoring stops stepping the candidates that are dead for good.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import IO
 
@@ -39,14 +38,10 @@ TRAJECTORY_HEADER = ("day", "s", "i", "r")
 _CHECK_STEP, _DROP_STEPS = 8, 3
 
 
-def _check_nonneg(name: str, value: float) -> float:
-    try:
-        v = float(value)
-    except OverflowError:  # an int past the float range
-        raise ValidationError(f"{name} must be finite and >= 0, got a number too large for a float") from None
-    if not math.isfinite(v) or v < 0:
-        raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
-    return v
+def check_variant(model: str) -> None:
+    """ConfigError unless ``model`` is one of VARIANTS; each entry point calls it first."""
+    if model not in VARIANTS:
+        raise ConfigError(f"unknown model variant {model!r}; choose from {', '.join(VARIANTS)}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,7 @@ class SirState:
 
     def __post_init__(self) -> None:
         for name in ("s", "i", "r"):
-            object.__setattr__(self, name, _check_nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, _nonneg_column((getattr(self, name),), name)[0])
 
 
 @dataclass(frozen=True)
@@ -73,7 +68,7 @@ class Trajectory:
         if not self.s:
             raise ValidationError("trajectory must hold at least one state")
         for name in ("s", "i", "r"):
-            column = _nonneg_column(getattr(self, name), name, show_raw=True)
+            column = _nonneg_column(getattr(self, name), name)
             if len(column) != len(self.s):
                 raise ValidationError("trajectory columns must hold the same number of days")
             object.__setattr__(self, name, column)
@@ -97,9 +92,9 @@ class PiecewiseParams:
         if len(self.beta) != 5 or len(self.gamma) != 5:
             raise ValidationError("need 5 betas and 5 gammas")
         for name in ("beta", "gamma"):
-            object.__setattr__(self, name, tuple(_check_nonneg(name, v) for v in getattr(self, name)))
+            object.__setattr__(self, name, _nonneg_column(getattr(self, name), name))
         for name in ("mu", "epsilon"):
-            object.__setattr__(self, name, _check_nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, _nonneg_column((getattr(self, name),), name)[0])
         for name in ("tau1", "tau2"):
             tau = getattr(self, name)
             if not isinstance(tau, int) or isinstance(tau, bool) or tau < 0:
@@ -294,8 +289,7 @@ def simulate(
     Day 0 of the trajectory is the window start; the step leaving day t uses
     the parameters of the period containing day t.
     """
-    if model not in VARIANTS:
-        raise ConfigError(f"unknown model variant {model!r}; choose from {', '.join(VARIANTS)}")
+    check_variant(model)
     o_vals = _inflow_values(model, inflow, periods.window.days)
     days = ([init.s], [init.i], [init.r])
     clamp_events = 0
@@ -314,7 +308,7 @@ def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:
 
 def load_inflow(source: IO) -> InflowSeries:
     values = []
-    for line, (raw_day, raw_value) in read_table(source, INFLOW_HEADER, "inflow CSV", say_got=False):
+    for line, (raw_day, raw_value) in read_table(source, INFLOW_HEADER, "inflow CSV"):
         try:
             day = int(raw_day)
             val = float(raw_value)

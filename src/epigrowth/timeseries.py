@@ -1,6 +1,6 @@
 """Ingestion and transformation of daily case-count series.
 
-Cases CSV format: header ``date,region,count``; ISO dates, non-negative
+Cases CSV format: header ``date,region,count``; ``YYYY-MM-DD`` dates, non-negative
 integer counts.  Metro-map CSV format: header ``county,metro``.
 """
 
@@ -25,6 +25,14 @@ METRO_MAP_HEADER = ("county", "metro")
 _EDGE_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace() and c not in "\r\n")
 
 
+def parse_date(text: str) -> date:
+    """``text`` as a date; ValueError unless it is a real day written ``YYYY-MM-DD``, the one form every
+    supported Python reads alike (3.11's ``date.fromisoformat`` also takes ``20200301``, ``2020-W10-1``)."""
+    if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
+
+
 @dataclass(frozen=True)
 class DateInterval:
     """Inclusive range of calendar days."""
@@ -45,12 +53,12 @@ class DateInterval:
             yield self.start + timedelta(days=i)
 
 
-def _nonneg_column(values, name: str, *, show_raw: bool = False) -> tuple[float, ...]:
+def _nonneg_column(values, name: str) -> tuple[float, ...]:
     """``values`` as floats, each checked finite and >= 0 in one NumPy pass.
 
     The first bad value raises "``name`` must be finite and >= 0, got ...",
-    naming the float it converts to, or with ``show_raw`` the repr of the
-    value as given.
+    naming the float it converts to.  Every non-negative check goes through
+    here; a scalar is checked as a column of one.
     """
     try:
         column = np.asarray(values, dtype=float)
@@ -58,8 +66,7 @@ def _nonneg_column(values, name: str, *, show_raw: bool = False) -> tuple[float,
         raise ValidationError(f"{name} must be finite and >= 0, got a number too large for a float") from None
     bad = np.flatnonzero(~(np.isfinite(column) & (column >= 0.0)))
     if bad.size:
-        shown = repr(values[bad[0]]) if show_raw else float(column[bad[0]])
-        raise ValidationError(f"{name} must be finite and >= 0, got {shown}")
+        raise ValidationError(f"{name} must be finite and >= 0, got {float(column[bad[0]])}")
     return tuple(column.tolist())
 
 
@@ -117,18 +124,15 @@ class MetroMap:
         object.__setattr__(self, "entries", dict(self.entries))
 
 
-def read_table(
-    source: IO, header: tuple[str, ...], what: str, *, label: str | None = None, say_got: bool = True
-) -> Iterator[tuple[int, list[str]]]:
+def read_table(source: IO, header: tuple[str, ...], what: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line number, stripped fields)`` for each data row of a CSV table.
 
     Every loader reads through here, so all share these rules: the source is
     UTF-8 text; its first row is ``header`` (cells stripped and lowercased);
     blank lines are skipped; other rows hold ``len(header)`` fields; and CSV
     the csv module cannot read (a field over its size limit) is a ParseError.
-    ``what`` names the table in the header error.  Line-numbered errors start
-    with ``label`` (default "``what`` line") and the line the row ends on;
-    ``say_got`` adds the field count found to the field-count error.
+    ``what`` names the table, and every line-numbered error, here and in the
+    loaders, starts "``what`` line N:", N being the line the row ends on.
 
     Cells are stripped only when one can need it, decided once per text.  In
     text with no ``"`` every cell is unquoted, so it holds no ``,``, ``\\r``
@@ -148,7 +152,6 @@ def read_table(
     except UnicodeDecodeError as exc:
         name = getattr(source, "name", "input")
         raise ParseError(f"{name}: not UTF-8 text (byte {exc.start})") from None
-    label = label or f"{what} line"
     width = len(header)
     strip = _needs_strip(text)
     reader = csv.reader(io.StringIO(text))
@@ -160,11 +163,10 @@ def read_table(
             if len(row) != width:
                 if not row:
                     continue
-                got = f", got {len(row)}" if say_got else ""
-                raise ParseError(f"{label} {reader.line_num}: expected {width} fields{got}")
+                raise ParseError(f"{what} line {reader.line_num}: expected {width} fields, got {len(row)}")
             yield reader.line_num, [c.strip() for c in row] if strip else row
     except csv.Error as exc:
-        raise ParseError(f"{label} {reader.line_num}: {exc}") from None
+        raise ParseError(f"{what} line {reader.line_num}: {exc}") from None
 
 
 def _needs_strip(text: str) -> bool:
@@ -206,7 +208,7 @@ def load_cases(source: IO) -> tuple[list[CaseSeries], list[str]]:
         day = ordinals.get(raw_date)
         if day is None:
             try:
-                day = ordinals[raw_date] = date.fromisoformat(raw_date).toordinal()
+                day = ordinals[raw_date] = parse_date(raw_date).toordinal()
             except ValueError:
                 raise ParseError(f"cases CSV line {line}: bad date {raw_date!r}") from None
         try:

@@ -353,6 +353,10 @@ def test_non_utf8_config_exits_4(tmp_path, capsys):
         (lambda e: e["reinfect"].__setitem__("tau2", "14"), "metros.metro-01.reinfect.tau2"),
         (lambda e: e.pop("periods"), "metros.metro-01.periods"),
         (lambda e: e["periods"][2].pop("end"), "metros.metro-01.periods.2.end"),
+        (lambda e: e["periods"][1].__setitem__("start", e["periods"][1]["start"].replace("-", "")),
+         "metros.metro-01.periods.1"),
+        (lambda e: e["periods"][1].__setitem__("start", "{}-W{:02}-{}".format(
+            *date.fromisoformat(e["periods"][1]["start"]).isocalendar())), "metros.metro-01.periods.1"),
     ],
 )
 def test_simulate_fit_report_with_bad_field_exits_2(pipeline_dir, tmp_path, capsys, edit, field):
@@ -797,6 +801,37 @@ def test_a_forked_fit_imports_no_process_pool(pipeline_dir, tmp_path):
     assert (tmp_path / "fit_report.json").exists()
 
 
+def test_outputs_do_not_depend_on_the_locale(tmp_path):
+    """Under the C locale, UTF-8 mode off, a bundle naming ``métro-01`` runs to the same bytes."""
+    bundle = tmp_path / "bundle"
+    assert main(["gen-fixtures", "--seed", "2", "--metros", "2", "--out", str(bundle)]) == 0
+    for path in bundle.iterdir():
+        path.write_bytes(path.read_bytes().replace(b"metro-01", "métro-01".encode("utf-8")))
+    cases = ["--cases", str(bundle / "cases.csv"), "--metro-map", str(bundle / "metro_map.csv")]
+    periods = ["--periods", str(tmp_path / "{}" / "periods.csv")]
+    chain = (
+        ["segment", *cases],
+        ["fit", *cases, *periods, *FIT_FLAGS],
+        ["correlate", *cases, *periods, "--demographics", str(bundle / "demographics.csv"),
+         "--weather", str(bundle / "weather.csv")],
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    outputs = {}
+    for tag, locale in (("default", {}), ("c", c_locale)):
+        env = dict(os.environ, PYTHONPATH=path, **locale)
+        for argv in chain:
+            argv = [arg.format(tag) for arg in argv]
+            proc = subprocess.run([sys.executable, "-m", "epigrowth", *argv, "--out", str(tmp_path / tag)],
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, f"{tag} {argv[0]}: {proc.stderr!r}"
+        outputs[tag] = {p.name: p.read_bytes() for p in sorted((tmp_path / tag).iterdir())}
+    assert len(outputs["c"]) == 9
+    assert b"m\xc3\xa9tro-01" in outputs["c"]["periods.csv"]
+    assert outputs["c"] == outputs["default"]
+
+
 @pytest.mark.parametrize("flag", ["--tau1", "--tau2"])
 def test_simulate_delay_past_the_window_writes_what_a_window_long_delay_writes(tmp_path, capsys, flag):
     runs = {}
@@ -883,6 +918,8 @@ LOADER_ERRORS = [
     ("cases", CASES_HDR + "2020-03-01,a\n", 2, "cases CSV line 2: expected 3 fields, got 2"),
     ("cases", CASES_HDR + "\n \n", 2, "cases CSV line 3: expected 3 fields, got 1"),
     ("cases", CASES_HDR + "2020-02-30,a,1\n", 2, "cases CSV line 2: bad date '2020-02-30'"),
+    ("cases", CASES_HDR + "20200301,a,1\n", 2, "cases CSV line 2: bad date '20200301'"),
+    ("cases", CASES_HDR + "2020-W10-1,a,1\n", 2, "cases CSV line 2: bad date '2020-W10-1'"),
     ("cases", CASES_HDR + "2020-03-01,a, 1.5 \n", 2, "cases CSV line 2: bad count '1.5'"),
     ("cases", CASES_HDR + "2020-03-01,a,-1\n", 2, "cases CSV line 2: negative count for a on 2020-03-01"),
     ("cases", CASES_HDR + "2020-03-01, ,1\n", 2, "cases CSV line 2: empty region"),
@@ -898,28 +935,37 @@ LOADER_ERRORS = [
     ("metro_map", MAP_HDR + "a,m\na,n\n", 2, "metro-map CSV line 3: county 'a' mapped twice"),
     ("demographics", "metro,group\n", 2,
      "demographics CSV must start with header 'metro,group,subcategory,value'"),
-    ("demographics", DEMO_HDR + "m,g,s\n", 2, "line 2: expected 4 fields, got 3"),
-    ("demographics", DEMO_HDR + "m,,s,1\n", 2, "line 2: empty key field"),
-    ("demographics", DEMO_HDR + "m,g,s,x\n", 2, "line 2: bad value 'x'"),
-    ("demographics", DEMO_HDR + "m,g,s, 101 \n", 2, "line 2: value 101 outside [0, 100]"),
-    ("demographics", DEMO_HDR + "m,g,s,nan\n", 2, "line 2: value nan outside [0, 100]"),
+    ("demographics", DEMO_HDR + "m,g,s\n", 2, "demographics CSV line 2: expected 4 fields, got 3"),
+    ("demographics", DEMO_HDR + "m,,s,1\n", 2, "demographics CSV line 2: empty key field"),
+    ("demographics", DEMO_HDR + "m,g,s,x\n", 2, "demographics CSV line 2: bad value 'x'"),
+    ("demographics", DEMO_HDR + "m,g,s, 101 \n", 2, "demographics CSV line 2: value 101 outside [0, 100]"),
+    ("demographics", DEMO_HDR + "m,g,s,nan\n", 2, "demographics CSV line 2: value nan outside [0, 100]"),
     ("demographics", DEMO_HDR + "m,g,s,1\nm,g,s,2\n", 2, "duplicate demographics row for m/g/s"),
     ("weather", "metro,date,type,high\n", 2,
      "weather CSV must start with header 'metro,date,type,high,low'"),
-    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,50\n", 2, "line 2: expected 5 fields, got 4"),
-    ("weather", WEATHER_HDR + "m,2020-13-01,sunny,50,40\n", 2, "line 2: bad date '2020-13-01'"),
-    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,warm,40\n", 2, "line 2: bad temperature"),
-    ("weather", WEATHER_HDR + "m,2020-03-01,hail,50,40\n", 2, "line 2: unknown weather type 'hail'"),
-    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,inf,40\n", 2, "line 2: temperatures must be finite"),
-    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,40,50\n", 2, "line 2: m 2020-03-01: high below low"),
+    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,50\n", 2, "weather CSV line 2: expected 5 fields, got 4"),
+    ("weather", WEATHER_HDR + "m,2020-13-01,sunny,50,40\n", 2, "weather CSV line 2: bad date '2020-13-01'"),
+    ("weather", WEATHER_HDR + "m,20200301,sunny,50,40\n", 2, "weather CSV line 2: bad date '20200301'"),
+    ("weather", WEATHER_HDR + "m,2020-W10-1,sunny,50,40\n", 2, "weather CSV line 2: bad date '2020-W10-1'"),
+    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,warm,40\n", 2, "weather CSV line 2: bad temperature"),
+    ("weather", WEATHER_HDR + "m,2020-03-01,hail,50,40\n", 2,
+     "weather CSV line 2: unknown weather type 'hail'"),
+    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,inf,40\n", 2,
+     "weather CSV line 2: temperatures must be finite"),
+    ("weather", WEATHER_HDR + "m,2020-03-01,sunny,40,50\n", 2,
+     "weather CSV line 2: m 2020-03-01: high below low"),
     ("weather", WEATHER_HDR + "m,2020-03-01,sunny,50,40\nm,2020-03-01,rainy,50,40\nm,x,sunny,1,0\n", 2,
-     "line 4: bad date 'x'"),
+     "weather CSV line 4: bad date 'x'"),
     ("weather", WEATHER_HDR + "m,2020-03-01,sunny,50,40\nm,2020-03-01,rainy,50,40\n", 2,
      "duplicate weather row for m on 2020-03-01"),
     ("periods", "metro,period_index,start,end\n", 2,
      "periods CSV must start with header 'metro,period_index,start,end,slope,intercept,r2'"),
-    ("periods", PERIODS_HDR + "metro-01,1,2020-03-01\n", 2, "periods CSV line 2: expected 7 fields"),
+    ("periods", PERIODS_HDR + "metro-01,1,2020-03-01\n", 2, "periods CSV line 2: expected 7 fields, got 3"),
     ("periods", PERIODS_HDR + "metro-01,one,2020-03-01,2020-03-20,0.1,1.0,0.9\n", 2,
+     "periods CSV line 2: malformed row"),
+    ("periods", PERIODS_HDR + GOOD_PERIODS.replace("2020-03-01", "20200301"), 2,
+     "periods CSV line 2: malformed row"),
+    ("periods", PERIODS_HDR + GOOD_PERIODS.replace("2020-03-01", "2020-W10-1"), 2,
      "periods CSV line 2: malformed row"),
     ("periods", PERIODS_HDR + "metro-01,1,2020-03-01,2020-03-20,0.1,1.0,0.9\n", 2,
      "expected 5 periods, got 1"),
@@ -928,7 +974,7 @@ LOADER_ERRORS = [
     ("periods", PERIODS_HDR + GOOD_PERIODS.replace("2020-04-11", "2020-04-12"), 2,
      "period 3 starts 2020-04-12, expected the day after 2020-04-10"),
     ("inflow", "day\n", 2, "inflow CSV must start with header 'day,o'"),
-    ("inflow", INFLOW_HDR + "0,1,2\n", 2, "inflow CSV line 2: expected 2 fields"),
+    ("inflow", INFLOW_HDR + "0,1,2\n", 2, "inflow CSV line 2: expected 2 fields, got 3"),
     ("inflow", INFLOW_HDR + "0,x\n", 2, "inflow CSV line 2: malformed row"),
     ("inflow", INFLOW_HDR + "0,1\n2,1\n", 2, "inflow CSV line 3: days must run 0,1,2,... got 2"),
     ("inflow", INFLOW_HDR + "0,-1\n", 2, "inflow values must be finite and >= 0, got -1.0"),

@@ -75,6 +75,10 @@ ORDER = "(anchors ascending, inside the window)"
          f"--anchors: anchor 2020-04-20 {AFTER} 2020-04-20 {ORDER}"),
         (SIMULATE, "window=2020-04-01:2020-06-30\n",
          f"--anchors: anchor 2020-04-01 {AFTER} 2020-04-01 {ORDER}"),
+        (["segment", "--announcement", "20200329"], None,
+         "--announcement: expected YYYY-MM-DD, got '20200329'"),
+        (["gen-fixtures"], "window=2020-W10-1:2020-06-30\n",
+         "--window: expected YYYY-MM-DD, got '2020-W10-1'"),
         (["gen-fixtures", "--metros", "0"], None, "--metros must be >= 1, got 0"),
         (["gen-fixtures"], "metros=-3\n", "--metros must be >= 1, got -3"),
         (["fit", "--grid-points", "0"], None, "--grid-points must be >= 1, got 0"),
@@ -93,6 +97,26 @@ def test_bad_option_value_exits_4_naming_the_flag(tmp_path, capsys, argv, config
     assert main([*argv, *extra, "--out", str(tmp_path)]) == 4
     assert _error_lines(capsys) == [f"error: {message}"]
     assert os.listdir(tmp_path) == (["run.cfg"] if config is not None else [])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["fit", "--grid-points"], "argument --grid-points: expected one argument"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_exits_4_with_one_error_line(capsys, argv, message):
+    assert main(argv) == 4
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["fit", "--help"])
+    assert info.value.code == 0
+    assert "--grid-points" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key", ["__class__", "__dict__", "config", "command", "func", "options",

@@ -1,5 +1,5 @@
-"""Every name a module of the package imports or assigns is used, and the package
-exports exactly the names of the README's library example."""
+"""Every name a module of the package imports or assigns is used, every text file it
+opens is UTF-8, and the package exports exactly the names of the README's library example."""
 
 import ast
 import math
@@ -53,6 +53,41 @@ def test_every_import_is_used(path):
 def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import IO, Sequence\n\ndef f(x: 'IO') -> None:\n    os.sep\n")
     assert set(_imported(tree)) - _referenced(tree) == {"Sequence"}
+
+
+def _opens_without_utf8(tree: ast.AST) -> list[int]:
+    """The line of each text-mode ``open(...)`` call that does not pass ``encoding="utf-8"``.
+
+    A mode that is not a literal counts as text.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        if isinstance(mode, ast.Constant) and "b" in mode.value:
+            continue
+        encoding = keywords.get("encoding")
+        if not (isinstance(encoding, ast.Constant) and encoding.value == "utf-8"):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_text_open_is_utf8(path):
+    assert _opens_without_utf8(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_scan_sees_a_bare_open():
+    source = (
+        "open(p)\n"
+        'open(p, "rb")\n'
+        'open(p, "w", encoding="utf-8")\n'
+        'open(p, mode="wb")\n'
+        'open(p, encoding="ascii")\n'
+    )
+    assert _opens_without_utf8(ast.parse(source)) == [1, 5]
 
 
 def test_all_lists_exactly_what_init_imports():

@@ -283,8 +283,8 @@ def test_read_table_shared_rules():
     assert list(read_table(io.StringIO(text), ("a", "b"), "t CSV")) == [(3, ["x", "y"])]
     with pytest.raises(ParseError, match="^t CSV must start with header 'a,b'$"):
         list(read_table(io.StringIO("a\n"), ("a", "b"), "t CSV"))
-    with pytest.raises(ParseError, match="^line 2: expected 2 fields$"):
-        list(read_table(io.StringIO("a,b\n1\n"), ("a", "b"), "t CSV", label="line", say_got=False))
+    with pytest.raises(ParseError, match="^t CSV line 2: expected 2 fields, got 1$"):
+        list(read_table(io.StringIO("a,b\n1\n"), ("a", "b"), "t CSV"))
     big = "x" * (csv.field_size_limit() + 1)
     with pytest.raises(ParseError, match=r"^t CSV line 3: field larger than field limit \(\d+\)$"):
         list(read_table(io.StringIO(f"a,b\n1,2\n1,{big}\n"), ("a", "b"), "t CSV"))
