@@ -662,7 +662,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _resolve_options(args)
         return args.func(args)
-    except (PipelineError, OSError, MemoryError) as exc:
+    except (PipelineError, OSError, MemoryError, UnicodeEncodeError) as exc:  # or an unencodable path
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return (4 if isinstance(exc, (ConfigError, MemoryError))
                 else 2 if isinstance(exc, PipelineError) else 3)

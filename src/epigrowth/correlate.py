@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Mapping
@@ -28,6 +27,7 @@ from .timeseries import CaseSeries, parse_date, read_table, write_table
 NA_RANK = "rank-deficient"
 NA_SAMPLES = "insufficient-samples"
 WEATHER_TYPES = ("cloudy", "foggy", "rainy", "snowy", "sunny")
+_WEATHER_KINDS = {kind: kind for kind in WEATHER_TYPES}  # so every row shares one str per type
 WEATHER_MODES = ("type", "high-temp", "low-temp")
 DEMOGRAPHICS_HEADER = ("metro", "group", "subcategory", "value")
 WEATHER_HEADER = ("metro", "date", "type", "high", "low")
@@ -232,18 +232,19 @@ def load_demographics(source) -> tuple[DemographicTable, list[str]]:
     flagged with a warning; the study skips them for that group.
     """
     values: dict[str, dict[str, dict[str, float]]] = {}
-    for line, (metro, group, subcat, raw) in read_table(source, DEMOGRAPHICS_HEADER, "demographics CSV"):
+    rows, where = read_table(source, DEMOGRAPHICS_HEADER, "demographics CSV")
+    for metro, group, subcat, raw in rows:
         if not metro or not group or not subcat:
-            raise ParseError(f"demographics CSV line {line}: empty key field")
+            raise ParseError(f"{where()}: empty key field")
         try:
             value = float(raw)
         except ValueError:
-            raise ParseError(f"demographics CSV line {line}: bad value {raw!r}") from None
+            raise ParseError(f"{where()}: bad value {raw!r}") from None
         if not math.isfinite(value) or value < 0 or value > 100:
-            raise ValidationError(f"demographics CSV line {line}: value {raw} outside [0, 100]")
+            raise ValidationError(f"{where()}: value {raw} outside [0, 100]")
         per_metro = values.setdefault(group, {}).setdefault(metro, {})
         if subcat in per_metro:
-            raise ValidationError(f"duplicate demographics row for {metro}/{group}/{subcat}")
+            raise ValidationError(f"{where()}: duplicate entry for {metro}/{group}/{subcat}")
         per_metro[subcat] = value
     table = DemographicTable(values)
     warnings = []
@@ -273,34 +274,36 @@ def load_weather(source) -> WeatherTable:
     high >= low.  A repeated metro and date is reported only after every row
     has parsed.
     """
-    values: defaultdict[str, dict[date, tuple[str, float, float]]] = defaultdict(dict)
-    duplicate = None
+    values: dict[str, dict[date, tuple[str, float, float]]] = {}
     days: dict[str, date] = {}  # each distinct date string is parsed once
-    for line, (metro, raw_day, kind, raw_high, raw_low) in read_table(source, WEATHER_HEADER, "weather CSV"):
+    duplicate = metro = by_day = None  # the first repeat; the previous row's metro and its days
+    rows, where = read_table(source, WEATHER_HEADER, "weather CSV")
+    for name, raw_day, kind, raw_high, raw_low in rows:
         day = days.get(raw_day)
         if day is None:
             try:
                 day = days[raw_day] = parse_date(raw_day)
             except ValueError:
-                raise ParseError(f"weather CSV line {line}: bad date {raw_day!r}") from None
+                raise ParseError(f"{where()}: bad date {raw_day!r}") from None
         try:
-            high = float(raw_high)
-            low = float(raw_low)
+            high, low = float(raw_high), float(raw_low)
+            kind = _WEATHER_KINDS[kind]
         except ValueError:
-            raise ParseError(f"weather CSV line {line}: bad temperature") from None
-        if kind not in WEATHER_TYPES:
-            raise ValidationError(f"weather CSV line {line}: unknown weather type {kind!r}")
-        if not (math.isfinite(high) and math.isfinite(low)):
-            raise ValidationError(f"weather CSV line {line}: temperatures must be finite")
-        if high < low:
-            raise ValidationError(f"weather CSV line {line}: {metro} {day}: high below low")
-        by_day = values[metro]
-        if duplicate is None and day in by_day:
-            duplicate = f"duplicate weather row for {metro} on {day}"
+            raise ParseError(f"{where()}: bad temperature") from None
+        except KeyError:
+            raise ValidationError(f"{where()}: unknown weather type {kind!r}") from None
+        if not -math.inf < low <= high < math.inf:  # the exact checks run only on a row that fails this
+            if not (math.isfinite(high) and math.isfinite(low)):
+                raise ValidationError(f"{where()}: temperatures must be finite")
+            raise ValidationError(f"{where()}: {name} {day}: high below low")
+        if name != metro:
+            metro, by_day = name, values.setdefault(name, {})
+        if day in by_day and duplicate is None:
+            duplicate = f"duplicate weather row for {name} on {day}"
         by_day[day] = (kind, high, low)
     if duplicate is not None:
         raise ValidationError(duplicate)
-    return WeatherTable(dict(values))
+    return WeatherTable(values)
 
 
 def write_weather_csv(table: WeatherTable, fh: io.TextIOBase) -> None:

@@ -280,13 +280,14 @@ def load_periods_csv(source: IO) -> dict[str, PeriodSet]:
     rows may come in any order; they are sorted by period index.
     """
     by_metro: dict[str, list[tuple[int, date, date]]] = {}
-    for line, (metro, index, start, end, *fit) in read_table(source, PERIODS_HEADER, "periods CSV"):
+    rows, where = read_table(source, PERIODS_HEADER, "periods CSV")
+    for metro, index, start, end, *fit in rows:
         try:
             row = (int(index), *map(parse_date, (start, end)), *map(float, fit))
         except ValueError:
-            raise ParseError(f"periods CSV line {line}: malformed row") from None
+            raise ParseError(f"{where()}: malformed row") from None
         by_metro.setdefault(metro, []).append(row[:3])  # the fit columns are checked, not kept
     return {
-        metro: PeriodSet(metro, tuple(Period(*r) for r in sorted(rows, key=lambda r: r[0])))
-        for metro, rows in sorted(by_metro.items())
+        metro: PeriodSet(metro, tuple(Period(*r) for r in sorted(bounds, key=lambda r: r[0])))
+        for metro, bounds in sorted(by_metro.items())
     }

@@ -308,14 +308,15 @@ def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:
 
 def load_inflow(source: IO) -> InflowSeries:
     values = []
-    for line, (raw_day, raw_value) in read_table(source, INFLOW_HEADER, "inflow CSV"):
+    rows, where = read_table(source, INFLOW_HEADER, "inflow CSV")
+    for raw_day, raw_value in rows:
         try:
             day = int(raw_day)
             val = float(raw_value)
         except ValueError:
-            raise ParseError(f"inflow CSV line {line}: malformed row") from None
+            raise ParseError(f"{where()}: malformed row") from None
         if day != len(values):
-            raise ValidationError(f"inflow CSV line {line}: days must run 0,1,2,... got {day}")
+            raise ValidationError(f"{where()}: days must run 0,1,2,... got {day}")
         values.append(val)
     return InflowSeries(tuple(values))
 

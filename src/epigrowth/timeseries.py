@@ -10,10 +10,9 @@ import io
 import csv
 import math
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -23,6 +22,7 @@ CASES_HEADER = ("date", "region", "count")
 METRO_MAP_HEADER = ("county", "metro")
 # The ASCII characters str.strip removes, less the line ends no unquoted cell holds.
 _EDGE_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace() and c not in "\r\n")
+_FLOAT_END = 2**1024 - 2**970  # the least int float() rejects: half an ulp past the largest float
 
 
 def parse_date(text: str) -> date:
@@ -124,24 +124,24 @@ class MetroMap:
         object.__setattr__(self, "entries", dict(self.entries))
 
 
-def read_table(source: IO, header: tuple[str, ...], what: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, stripped fields)`` for each data row of a CSV table.
+def read_table(source: IO, header: tuple[str, ...], what: str) -> tuple[Iterator[list[str]], Callable]:
+    """``(rows, where)``: ``rows`` yields each data row's stripped fields, one row at a time, and
+    ``where()`` names the row last yielded: "``what`` line N", N being the line the row ends on.
 
-    Every loader reads through here, so all share these rules: the source is
-    UTF-8 text; its first row is ``header`` (cells stripped and lowercased);
-    blank lines are skipped; other rows hold ``len(header)`` fields; and CSV
-    the csv module cannot read (a field over its size limit) is a ParseError.
-    ``what`` names the table, and every line-numbered error, here and in the
-    loaders, starts "``what`` line N:", N being the line the row ends on.
+    Every loader reads through here, so all share these rules: the source is UTF-8 text; its
+    first row is ``header`` (cells stripped and lowercased); blank lines are skipped; other rows
+    hold ``len(header)`` fields; and CSV the csv module cannot read (a field over its size limit)
+    is a ParseError.  Every line-numbered error, here and in the loaders, starts "``where()``:".
+    Only ``\\n`` ends a line; lines are cut from the text's UTF-8 bytes (for ASCII text, a
+    quarter of the memory a ``StringIO`` of it takes).
 
-    Cells are stripped only when one can need it, decided once per text.  In
-    text with no ``"`` every cell is unquoted, so it holds no ``,``, ``\\r``
-    or ``\\n``: its first character follows the text's start, a ``,`` or a
-    line end, and its last precedes a ``,``, a line end or the text's end.
-    ``str.strip`` removes only ``str.isspace`` characters, and in ASCII text
-    those are ``_EDGE_SPACE`` plus the two line ends.  So when ASCII text
-    with no ``"`` has no ``_EDGE_SPACE`` character at either end or next to
-    a ``,``, ``\\r`` or ``\\n``, no cell would change and none is stripped.
+    Cells are stripped only when one can need it, decided once per text.  In text with no ``"``
+    every cell is unquoted, so it holds no ``,``, ``\\r`` or ``\\n``: its first character follows
+    the text's start, a ``,`` or a line end, and its last precedes a ``,``, a line end or the
+    text's end.  ``str.strip`` removes only ``str.isspace`` characters, and in ASCII text those
+    are ``_EDGE_SPACE`` plus the two line ends.  So when ASCII text with no ``"`` has no
+    ``_EDGE_SPACE`` character at either end or next to a ``,``, ``\\r`` or ``\\n``, no cell
+    would change and none is stripped.
     """
     if isinstance(source, (str, bytes)):
         raise TypeError("load functions take an open file object, not a path or content")
@@ -150,23 +150,26 @@ def read_table(source: IO, header: tuple[str, ...], what: str) -> Iterator[tuple
         if isinstance(text, bytes):
             text = text.decode("utf-8")
     except UnicodeDecodeError as exc:
-        name = getattr(source, "name", "input")
-        raise ParseError(f"{name}: not UTF-8 text (byte {exc.start})") from None
+        raise ParseError(f"{getattr(source, 'name', 'input')}: not UTF-8 text (byte {exc.start})") from None
     width = len(header)
     strip = _needs_strip(text)
-    reader = csv.reader(io.StringIO(text))
-    try:
-        first = next(reader, None)
-        if [c.strip().lower() for c in first or ()] != list(header):
-            raise ParseError(f"{what} must start with header '{','.join(header)}'")
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise ParseError(f"{what} line {reader.line_num}: expected {width} fields, got {len(row)}")
-            yield reader.line_num, [c.strip() for c in row] if strip else row
-    except csv.Error as exc:
-        raise ParseError(f"{what} line {reader.line_num}: {exc}") from None
+    codec = ("utf-8", "surrogatepass")  # any str round-trips, a lone surrogate too
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(text.encode(*codec)), *codec, newline="\n"))
+
+    def rows() -> Iterator[list[str]]:
+        try:
+            if [c.strip().lower() for c in next(reader, None) or ()] != list(header):
+                raise ParseError(f"{what} must start with header '{','.join(header)}'")
+            for row in reader:
+                if (got := len(row)) != width:
+                    if not row:
+                        continue
+                    raise ParseError(f"{what} line {reader.line_num}: expected {width} fields, got {got}")
+                yield [c.strip() for c in row] if strip else row
+        except csv.Error as exc:
+            raise ParseError(f"{what} line {reader.line_num}: {exc}") from None
+
+    return rows(), lambda: f"{what} line {reader.line_num}"
 
 
 def _needs_strip(text: str) -> bool:
@@ -202,54 +205,48 @@ def load_cases(source: IO) -> tuple[list[CaseSeries], list[str]]:
     negative counts, counts too large for a float, and duplicate
     (date, region) pairs are errors.
     """
-    per_region: defaultdict[str, dict[int, float]] = defaultdict(dict)  # region -> day ordinal -> count
+    per_region: dict[str, dict[int, int]] = {}  # region -> day ordinal -> count
     ordinals: dict[str, int] = {}  # each distinct date string is parsed once
-    for line, (raw_date, region, raw_count) in read_table(source, CASES_HEADER, "cases CSV"):
+    region = by_day = None  # the previous row's region and its days: rows come grouped by region
+    rows, where = read_table(source, CASES_HEADER, "cases CSV")
+    for raw_date, name, raw_count in rows:
         day = ordinals.get(raw_date)
         if day is None:
             try:
                 day = ordinals[raw_date] = parse_date(raw_date).toordinal()
             except ValueError:
-                raise ParseError(f"cases CSV line {line}: bad date {raw_date!r}") from None
+                raise ParseError(f"{where()}: bad date {raw_date!r}") from None
         try:
             count = int(raw_count)
         except ValueError:
-            raise ParseError(f"cases CSV line {line}: bad count {raw_count!r}") from None
+            raise ParseError(f"{where()}: bad count {raw_count!r}") from None
         if count < 0:
-            raise ValidationError(
-                f"cases CSV line {line}: negative count for {region} on {date.fromordinal(day)}"
-            )
-        if not region:
-            raise ParseError(f"cases CSV line {line}: empty region")
-        by_day = per_region[region]
+            raise ValidationError(f"{where()}: negative count for {name} on {date.fromordinal(day)}")
+        if name != region:
+            if not name:
+                raise ParseError(f"{where()}: empty region")
+            region, by_day = name, per_region.setdefault(name, {})
         if day in by_day:
-            raise ValidationError(
-                f"cases CSV line {line}: duplicate entry for ({date.fromordinal(day)}, {region})"
-            )
-        try:
-            by_day[day] = float(count)
-        except OverflowError:
-            raise ParseError(f"cases CSV line {line}: bad count {raw_count!r}") from None
+            raise ValidationError(f"{where()}: duplicate entry for ({date.fromordinal(day)}, {name})")
+        if count >= _FLOAT_END:
+            raise ParseError(f"{where()}: bad count {raw_count!r}")
+        by_day[day] = count
 
-    series: list[CaseSeries] = []
-    warnings: list[str] = []
+    series, warnings = [], []
     for region in sorted(per_region):
         by_day = per_region[region]
         ordered = sorted(by_day)
-        if ordered[-1] - ordered[0] < len(ordered):  # the days are distinct, so there is no gap
-            counts = [by_day[day] for day in ordered]
-        else:
-            counts = [by_day[ordered[0]]]
+        counts = list(map(by_day.__getitem__, ordered))
+        if ordered[-1] - ordered[0] >= len(ordered):  # the days are distinct, so this means a gap
+            counts = counts[:1]
             for prev, day in zip(ordered, ordered[1:]):
                 gap = day - prev - 1
                 if gap:
-                    warnings.append(
-                        f"{region}: no data for {gap} day(s) after {date.fromordinal(prev)}; "
-                        f"carried {counts[-1]:g} forward"
-                    )
+                    warnings.append(f"{region}: no data for {gap} day(s) after {date.fromordinal(prev)}; "
+                                    f"carried {counts[-1]:g} forward")
                     counts.extend([counts[-1]] * gap)
                 counts.append(by_day[day])
-        series.append(CaseSeries(region, date.fromordinal(ordered[0]), tuple(counts)))
+        series.append(CaseSeries(region, date.fromordinal(ordered[0]), counts))
     return series, warnings
 
 
@@ -262,11 +259,12 @@ def write_cases_csv(series: Iterable[CaseSeries], out: IO[str]) -> None:
 
 def load_metro_map(source: IO) -> MetroMap:
     entries: dict[str, str] = {}
-    for line, (county, metro) in read_table(source, METRO_MAP_HEADER, "metro-map CSV"):
+    rows, where = read_table(source, METRO_MAP_HEADER, "metro-map CSV")
+    for county, metro in rows:
         if not county or not metro:
-            raise ParseError(f"metro-map CSV line {line}: empty county or metro")
+            raise ParseError(f"{where()}: empty county or metro")
         if county in entries:
-            raise ValidationError(f"metro-map CSV line {line}: county {county!r} mapped twice")
+            raise ValidationError(f"{where()}: county {county!r} mapped twice")
         entries[county] = metro
     return MetroMap(entries)
 
@@ -302,7 +300,7 @@ def aggregate_to_metros(series: Iterable[CaseSeries], metro_map: MetroMap) -> li
                 hi = lo + len(s.counts)
                 total[lo:hi] += s.counts
                 total[hi:] += s.counts[-1]
-        out.append(CaseSeries(metro, start, tuple(total.tolist())))
+        out.append(CaseSeries(metro, start, total))
     return out
 
 

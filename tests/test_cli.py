@@ -832,6 +832,25 @@ def test_outputs_do_not_depend_on_the_locale(tmp_path):
     assert outputs["c"] == outputs["default"]
 
 
+@pytest.mark.parametrize("command, key", [("gen-fixtures", "out"), ("segment", "cases")])
+def test_a_path_the_file_system_encoding_cannot_hold_is_one_error_line(pipeline_dir, tmp_path, command, key):
+    """Under the C locale, UTF-8 mode off, a config path naming ``rés`` exits 3 with one line."""
+    paths = {"out": str(tmp_path / "out"), "cases": os.path.join(pipeline_dir, "cases.csv"),
+             "metro-map": os.path.join(pipeline_dir, "metro_map.csv")}
+    paths[key] = str(tmp_path / "rés")
+    keys = ("out",) if command == "gen-fixtures" else ("out", "cases", "metro-map")
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{k}={paths[k]}\n" for k in keys), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+               LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run([sys.executable, "-m", "epigrowth", command, "--config", str(config)],
+                          env=env, capture_output=True, text=True, errors="replace", timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+    assert not (tmp_path / "rés").exists()
+
+
 @pytest.mark.parametrize("flag", ["--tau1", "--tau2"])
 def test_simulate_delay_past_the_window_writes_what_a_window_long_delay_writes(tmp_path, capsys, flag):
     runs = {}
@@ -940,7 +959,7 @@ LOADER_ERRORS = [
     ("demographics", DEMO_HDR + "m,g,s,x\n", 2, "demographics CSV line 2: bad value 'x'"),
     ("demographics", DEMO_HDR + "m,g,s, 101 \n", 2, "demographics CSV line 2: value 101 outside [0, 100]"),
     ("demographics", DEMO_HDR + "m,g,s,nan\n", 2, "demographics CSV line 2: value nan outside [0, 100]"),
-    ("demographics", DEMO_HDR + "m,g,s,1\nm,g,s,2\n", 2, "duplicate demographics row for m/g/s"),
+    ("demographics", DEMO_HDR + "m,g,s,1\nm,g,s,2\n", 2, "demographics CSV line 3: duplicate entry for m/g/s"),
     ("weather", "metro,date,type,high\n", 2,
      "weather CSV must start with header 'metro,date,type,high,low'"),
     ("weather", WEATHER_HDR + "m,2020-03-01,sunny,50\n", 2, "weather CSV line 2: expected 5 fields, got 4"),

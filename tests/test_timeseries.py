@@ -216,6 +216,12 @@ def test_aggregate_of_counts_too_large_to_sum_is_rejected():
         aggregate_to_metros(series, mm)
 
 
+def _read_rows(text, header=("a", "b")):
+    """read_table's rows of ``text``, each paired with what ``where()`` says of it."""
+    rows, where = read_table(io.StringIO(text), header, "t CSV")
+    return [(where(), row) for row in rows]
+
+
 def _reference_rows(text, width, label):
     """The loop each loader ran before read_table: csv rows, blanks skipped, fields stripped."""
     reader = csv.reader(io.StringIO(text))
@@ -226,7 +232,7 @@ def _reference_rows(text, width, label):
             continue
         if len(row) != width:
             raise ParseError(f"{label} {reader.line_num}: expected {width} fields, got {len(row)}")
-        rows.append((reader.line_num, [c.strip() for c in row]))
+        rows.append((f"{label} {reader.line_num}", [c.strip() for c in row]))
     return rows
 
 
@@ -249,7 +255,7 @@ def test_read_table_rows_are_the_stripped_csv_rows(body):
     except (ParseError, csv.Error) as exc:
         want = exc
     try:
-        got = list(read_table(io.StringIO(text), ("a", "b"), "t CSV"))
+        got = _read_rows(text)
     except ParseError as exc:
         got = exc
     if isinstance(want, Exception):
@@ -280,11 +286,11 @@ def test_cells_are_stripped_exactly_when_one_would_change(text):
 
 def test_read_table_shared_rules():
     text = "A , B\n\n x ,y\n"
-    assert list(read_table(io.StringIO(text), ("a", "b"), "t CSV")) == [(3, ["x", "y"])]
+    assert _read_rows(text) == [("t CSV line 3", ["x", "y"])]
     with pytest.raises(ParseError, match="^t CSV must start with header 'a,b'$"):
-        list(read_table(io.StringIO("a\n"), ("a", "b"), "t CSV"))
+        _read_rows("a\n")
     with pytest.raises(ParseError, match="^t CSV line 2: expected 2 fields, got 1$"):
-        list(read_table(io.StringIO("a,b\n1\n"), ("a", "b"), "t CSV"))
+        _read_rows("a,b\n1\n")
     big = "x" * (csv.field_size_limit() + 1)
     with pytest.raises(ParseError, match=r"^t CSV line 3: field larger than field limit \(\d+\)$"):
-        list(read_table(io.StringIO(f"a,b\n1,2\n1,{big}\n"), ("a", "b"), "t CSV"))
+        _read_rows(f"a,b\n1,2\n1,{big}\n")
