@@ -9,7 +9,6 @@ configuration or usage.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -32,7 +31,8 @@ from .correlate import (
     write_weather_csv,
     write_weather_report_csv,
 )
-from .errors import ConfigError, InsufficientDataError, ParseError, PipelineError, ValidationError
+from .errors import (ConfigError, InsufficientDataError, ParseError, PipelineError, ValidationError,
+                     error_prefix)
 from .fit import DEFAULT_S0_SCALE, SearchConfig, TuneJob, data_growth_rates, tune, tune_batch
 from .fixtures import make_bundle
 from .segment import (
@@ -235,10 +235,6 @@ def _load_case_metros(args: argparse.Namespace):
     return aggregate_to_metros(series, _read(_require(args.metro_map, "--metro-map"), load_metro_map))
 
 
-def _load_period_sets(args: argparse.Namespace) -> dict[str, PeriodSet]:
-    return _read(_require(args.periods, "--periods"), load_periods_csv)
-
-
 def _write_json(path: str, payload: dict) -> None:
     """Write ``payload`` as sorted, indented JSON; a dataclass in it is written as its fields."""
     _write(path, lambda fh: fh.write(json.dumps(payload, sort_keys=True, indent=2, default=vars) + "\n"))
@@ -362,7 +358,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = SearchConfig(points=args.grid_points, refinement_levels=args.refinements)
     metros = _load_case_metros(args)
-    period_sets = _load_period_sets(args)
+    period_sets = _read(_require(args.periods, "--periods"), load_periods_csv)
     series_by = {s.region: s for s in metros}
     settings = ("tau1", "tau2", "mu", "grid_points", "refinements", "shared_beta")
     report: dict = {"config": {key: getattr(args, key) for key in settings}, "metros": {}}
@@ -395,8 +391,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 continue
             rep = res.report
             entry[model] = {
-                **dataclasses.asdict(res.params),
-                "init": dataclasses.asdict(res.init),
+                **vars(res.params),
+                "init": res.init,
                 "k_data": res.data_rates.k,
                 "k_sim": res.sim_rates.k,
                 "per_period_abs_diff": rep.abs_diff,
@@ -456,15 +452,19 @@ def _simulate_inputs(args: argparse.Namespace):
         entry = _report_field(path, metros, ("metros",), metro, dict)
         if entry.get(model) is None or "error" in _report_field(path, entry, where, model, dict):
             raise ConfigError(f"{path} has no usable {model} fit for {metro}")
-        periods = []
+        periods, record = [], f"{path}: metros.{metro}"
         for i, span in enumerate(_report_field(path, entry, where, "periods", _REPORT_PERIODS)):
             try:
-                periods.append(Period(i + 1, **{k: parse_date(v) for k, v in span.items()}))
+                with error_prefix(f"{record}.periods"):
+                    periods.append(Period(i + 1, **{k: parse_date(v) for k, v in span.items()}))
             except ValueError:
                 raise ParseError(f"{path}: field metros.{metro}.periods.{i} needs ISO dates") from None
         fields = _report_field(path, entry, where, model, _REPORT_MODEL)
         init = fields.pop("init")
-        return model, PiecewiseParams(**fields), SirState(**init), PeriodSet(metro, tuple(periods))
+        with error_prefix(f"{record}.{model}"):
+            params, state = PiecewiseParams(**fields), SirState(**init)
+        with error_prefix(f"{record}.periods"):
+            return model, params, state, PeriodSet(metro, tuple(periods))
     beta = _require(args.beta, "--beta")
     gamma = _require(args.gamma, "--gamma")
     periods = initial_periods(args.window, _anchors(args))
@@ -520,7 +520,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     if args.demographics is None and args.weather is None:
         raise ConfigError("correlate needs --demographics and/or --weather")
     metros = _load_case_metros(args)
-    period_sets = _load_period_sets(args)
+    period_sets = _read(_require(args.periods, "--periods"), load_periods_csv)
     series_by = {s.region: s for s in metros}
     usable: dict[str, PeriodSet] = {}
     for metro in sorted(period_sets):
@@ -662,7 +662,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _resolve_options(args)
         return args.func(args)
-    except (PipelineError, OSError, MemoryError, UnicodeEncodeError) as exc:  # or an unencodable path
+    except (PipelineError, OSError, MemoryError, UnicodeEncodeError) as exc:
+        if isinstance(exc, UnicodeEncodeError):  # a path the file-system encoding cannot hold
+            exc = OSError(f"{exc.object}: the file-system encoding ({exc.encoding}) cannot hold this path")
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return (4 if isinstance(exc, (ConfigError, MemoryError))
                 else 2 if isinstance(exc, PipelineError) else 3)

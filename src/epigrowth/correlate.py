@@ -96,16 +96,6 @@ class DemographicTable:
         per_group = self.values.get(group, {})
         return sorted(m for m, vals in per_group.items() if cats <= set(vals))
 
-    def value(self, group: str, metro: str, subcategory: str) -> float:
-        return self.values[group][metro][subcategory]
-
-
-@dataclass(frozen=True)
-class WeatherTable:
-    """metro -> day -> (type, high, low), as loaded."""
-
-    values: Mapping[str, Mapping[date, tuple[str, float, float]]]
-
 
 def weighted_avg_growth(rates: GrowthRates, periods: PeriodSet) -> float:
     """Length-weighted mean growth rate across the periods."""
@@ -147,7 +137,7 @@ def demographic_study(demo: DemographicTable, response: Mapping[str, float]) -> 
             groups.append(GroupResult(group, None, n, NA_SAMPLES))
             cells.extend(ReportCell((group, sc), None, None, n, NA_SAMPLES) for sc in subcats)
             continue
-        design = np.array([[demo.value(group, m, sc) for sc in subcats] for m in metros])
+        design = np.array([[demo.values[group][m][sc] for sc in subcats] for m in metros])
         y = np.array([response[m] for m in metros])
         fit = fit_multi(design, y)
         group_na = None if fit.r_squared is not None else NA_RANK
@@ -190,7 +180,7 @@ def _weather_cell(key: tuple[str, str], labels: list[str], y: list[float]) -> Re
 
 
 def weather_studies(
-    weather: WeatherTable,
+    weather: Mapping[str, Mapping[date, tuple]],
     series_by_metro: Mapping[str, CaseSeries],
     period_sets: Mapping[str, PeriodSet],
 ) -> tuple[CorrelationReport, ...]:
@@ -204,7 +194,7 @@ def weather_studies(
         series = series_by_metro.get(metro)
         if series is None:
             raise ValidationError(f"no case series for metro {metro}")
-        by_day = weather.values.get(metro, {})
+        by_day = weather.get(metro, {})
         for period in period_sets[metro].periods:
             labeled = [(row, change) for day, change in daily_log_growth(series, period)
                        if (row := by_day.get(day)) is not None]
@@ -217,7 +207,7 @@ def weather_studies(
     return tuple(CorrelationReport(f"weather-{mode}", tuple(c)) for mode, c in zip(WEATHER_MODES, cells))
 
 
-def weather_study(weather: WeatherTable, series_by_metro: Mapping[str, CaseSeries],
+def weather_study(weather: Mapping[str, Mapping[date, tuple]], series_by_metro: Mapping[str, CaseSeries],
                   period_sets: Mapping[str, PeriodSet], mode: str) -> CorrelationReport:
     """The ``mode`` report of ``weather_studies``: "type", "high-temp" or "low-temp"."""
     if mode not in WEATHER_MODES:
@@ -267,8 +257,8 @@ def write_demographics_csv(table: DemographicTable, fh: io.TextIOBase) -> None:
     ))
 
 
-def load_weather(source) -> WeatherTable:
-    """Read metro,date,type,high,low rows, one per metro and date.
+def load_weather(source) -> dict[str, dict[date, tuple[str, float, float]]]:
+    """Read metro,date,type,high,low rows, one per metro and date, as metro -> day -> (type, high, low).
 
     Each row names one of WEATHER_TYPES and carries finite temperatures with
     high >= low.  A repeated metro and date is reported only after every row
@@ -303,13 +293,13 @@ def load_weather(source) -> WeatherTable:
         by_day[day] = (kind, high, low)
     if duplicate is not None:
         raise ValidationError(duplicate)
-    return WeatherTable(values)
+    return values
 
 
-def write_weather_csv(table: WeatherTable, fh: io.TextIOBase) -> None:
+def write_weather_csv(table: Mapping[str, Mapping[date, tuple]], fh: io.TextIOBase) -> None:
     write_table(fh, WEATHER_HEADER, (
         (metro, day, *row)
-        for metro, by_day in sorted(table.values.items())
+        for metro, by_day in sorted(table.items())
         for day, row in sorted(by_day.items())
     ))
 

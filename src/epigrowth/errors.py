@@ -3,6 +3,8 @@
 The CLI maps these onto exit codes; library code raises them directly.
 """
 
+from contextlib import contextmanager
+
 
 class PipelineError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -30,3 +32,12 @@ class ConvergenceError(PipelineError):
 
 class ConfigError(PipelineError):
     """Invalid or incomplete run configuration."""
+
+
+@contextmanager
+def error_prefix(source: str):
+    """Raise a ValidationError from the block again as "``source``: its text", ``source`` naming its data."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise type(exc)(f"{source}: {exc}") from None

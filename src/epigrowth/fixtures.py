@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .correlate import DemographicTable, WeatherTable
+from .correlate import DemographicTable
 from .errors import ConfigError
 from .fit import DEFAULT_S0_SCALE, SearchConfig, beta_grid, gamma_grid
 from .segment import (
@@ -27,7 +27,7 @@ from .segment import (
     initial_periods,
 )
 from .sir import InflowSeries, PiecewiseParams, SirState, simulate
-from .timeseries import CaseSeries, DateInterval, MetroMap
+from .timeseries import CaseSeries, DateInterval
 
 FIXTURE_MU = 0.2
 FIXTURE_TAU1 = 5
@@ -68,9 +68,9 @@ class FixtureBundle:
     anchors: tuple[date, ...]
     periods: PeriodSet
     cases: tuple[CaseSeries, ...]
-    metro_map: MetroMap
+    metro_map: dict[str, str]
     demographics: DemographicTable
-    weather: WeatherTable
+    weather: dict[str, dict[date, tuple[str, float, float]]]
     inflow: InflowSeries
     truths: Mapping[str, MetroTruth]
     seed: int
@@ -131,7 +131,7 @@ def synth_weather(
     rng: np.random.Generator,
     metros: Sequence[str],
     window: DateInterval,
-) -> WeatherTable:
+) -> dict[str, dict[date, tuple[str, float, float]]]:
     values: dict[str, dict[date, tuple[str, float, float]]] = {}
     for metro in sorted(metros):
         by_day = values[metro] = {}
@@ -139,7 +139,7 @@ def synth_weather(
             high = float(rng.uniform(58.0, 95.0))
             low = float(rng.uniform(42.0, min(72.0, high)))
             by_day[day] = (str(rng.choice(FIXTURE_WEATHER_KINDS)), high, low)
-    return WeatherTable(values)
+    return values
 
 
 def _split_county_counts(counts: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -215,7 +215,7 @@ def make_bundle(
         anchors=tuple(anchors),
         periods=periods,
         cases=tuple(sorted(cases, key=lambda s: s.region)),
-        metro_map=MetroMap(dict(sorted(map_entries.items()))),
+        metro_map=dict(sorted(map_entries.items())),
         demographics=demo,
         weather=weather,
         inflow=inflow,

@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     StateError,
     ValidationError,
+    error_prefix,
 )
 from .regress import SimpleFit, _line_fit
 from .timeseries import CaseSeries, DateInterval, parse_date, read_table, to_log_series, write_table
@@ -287,7 +288,9 @@ def load_periods_csv(source: IO) -> dict[str, PeriodSet]:
         except ValueError:
             raise ParseError(f"{where()}: malformed row") from None
         by_metro.setdefault(metro, []).append(row[:3])  # the fit columns are checked, not kept
-    return {
-        metro: PeriodSet(metro, tuple(Period(*r) for r in sorted(bounds, key=lambda r: r[0])))
-        for metro, bounds in sorted(by_metro.items())
-    }
+    period_sets = {}
+    for metro, bounds in sorted(by_metro.items()):
+        with error_prefix(f"periods CSV: {metro}"):
+            periods = tuple(Period(*r) for r in sorted(bounds, key=lambda r: r[0]))
+            period_sets[metro] = PeriodSet(metro, periods)
+    return period_sets

@@ -23,7 +23,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, StateError, ValidationError
+from .errors import ConfigError, ParseError, StateError, ValidationError, error_prefix
 from .segment import PeriodSet
 from .timeseries import _nonneg_column, read_table, write_table
 
@@ -318,7 +318,8 @@ def load_inflow(source: IO) -> InflowSeries:
         if day != len(values):
             raise ValidationError(f"{where()}: days must run 0,1,2,... got {day}")
         values.append(val)
-    return InflowSeries(tuple(values))
+    with error_prefix("inflow CSV"):
+        return InflowSeries(tuple(values))
 
 
 def write_inflow_csv(inflow: InflowSeries, out: IO[str]) -> None:

@@ -114,16 +114,6 @@ class CaseSeries:
         return self.counts[idx]
 
 
-@dataclass(frozen=True)
-class MetroMap:
-    """County-to-metro assignment; a county belongs to at most one metro."""
-
-    entries: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", dict(self.entries))
-
-
 def read_table(source: IO, header: tuple[str, ...], what: str) -> tuple[Iterator[list[str]], Callable]:
     """``(rows, where)``: ``rows`` yields each data row's stripped fields, one row at a time, and
     ``where()`` names the row last yielded: "``what`` line N", N being the line the row ends on.
@@ -257,7 +247,8 @@ def write_cases_csv(series: Iterable[CaseSeries], out: IO[str]) -> None:
     write_table(out, CASES_HEADER, rows)
 
 
-def load_metro_map(source: IO) -> MetroMap:
+def load_metro_map(source: IO) -> dict[str, str]:
+    """county -> metro; a county belongs to at most one metro."""
     entries: dict[str, str] = {}
     rows, where = read_table(source, METRO_MAP_HEADER, "metro-map CSV")
     for county, metro in rows:
@@ -266,26 +257,26 @@ def load_metro_map(source: IO) -> MetroMap:
         if county in entries:
             raise ValidationError(f"{where()}: county {county!r} mapped twice")
         entries[county] = metro
-    return MetroMap(entries)
+    return entries
 
 
-def write_metro_map_csv(metro_map: MetroMap, out: IO[str]) -> None:
-    write_table(out, METRO_MAP_HEADER, sorted(metro_map.entries.items()))
+def write_metro_map_csv(metro_map: Mapping[str, str], out: IO[str]) -> None:
+    write_table(out, METRO_MAP_HEADER, sorted(metro_map.items()))
 
 
-def aggregate_to_metros(series: Iterable[CaseSeries], metro_map: MetroMap) -> list[CaseSeries]:
+def aggregate_to_metros(series: Iterable[CaseSeries], metro_map: Mapping[str, str]) -> list[CaseSeries]:
     """Sum county series day-wise into metro series over the union date range.
 
     A county contributes 0 before its first recorded day and its final count
     after its last one.  Every county must appear in the map.
     """
     by_county = list(series)
-    unmapped = sorted({s.region for s in by_county} - set(metro_map.entries))
+    unmapped = sorted({s.region for s in by_county} - set(metro_map))
     if unmapped:
         raise ValidationError("counties missing from metro map: " + ", ".join(unmapped))
     members: dict[str, list[CaseSeries]] = {}
     for s in by_county:
-        members.setdefault(metro_map.entries[s.region], []).append(s)
+        members.setdefault(metro_map[s.region], []).append(s)
 
     out: list[CaseSeries] = []
     for metro in sorted(members):

@@ -1,7 +1,7 @@
 """The CSV loaders as they were before rows streamed without line-number tuples: a test oracle.
 
 ``read_table`` (with ``_needs_strip``), ``load_cases`` and ``load_weather`` below are that
-code, copied unchanged but for imports.  ``read_table`` yields ``(line number, fields)`` for
+code, copied unchanged but for imports and ``load_weather``'s plain-dict result.  ``read_table`` yields ``(line number, fields)`` for
 every row, read from a ``StringIO`` of the text; each loader checks every row in full.
 tests/test_loader_oracle.py feeds these and the package's loaders the same texts and asserts
 the same results, or the same error type and message.
@@ -15,7 +15,7 @@ from collections import defaultdict
 from datetime import date
 from typing import IO, Iterator
 
-from epigrowth.correlate import WEATHER_HEADER, WEATHER_TYPES, WeatherTable
+from epigrowth.correlate import WEATHER_HEADER, WEATHER_TYPES
 from epigrowth.errors import ParseError, ValidationError
 from epigrowth.timeseries import _EDGE_SPACE, CASES_HEADER, CaseSeries, parse_date
 
@@ -132,7 +132,7 @@ def load_cases(source: IO) -> tuple[list[CaseSeries], list[str]]:
     return series, warnings
 
 
-def load_weather(source) -> WeatherTable:
+def load_weather(source) -> dict[str, dict[date, tuple[str, float, float]]]:
     """Read metro,date,type,high,low rows, one per metro and date.
 
     Each row names one of WEATHER_TYPES and carries finite temperatures with
@@ -166,4 +166,4 @@ def load_weather(source) -> WeatherTable:
         by_day[day] = (kind, high, low)
     if duplicate is not None:
         raise ValidationError(duplicate)
-    return WeatherTable(dict(values))
+    return dict(values)

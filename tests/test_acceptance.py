@@ -17,7 +17,6 @@ from scipy import integrate, stats
 
 from epigrowth.correlate import (
     NA_RANK,
-    WeatherTable,
     demographic_study,
     weather_study,
     weighted_avg_growth,
@@ -371,7 +370,7 @@ def test_criterion_8_correlation_studies():
         rng=np.random.default_rng(88), noise_sigma=0.01,
     )
     series = CaseSeries("m", START, counts)
-    flat = WeatherTable({"m": {day: ("sunny", 80.0, 60.0) for day in ps.window.dates()}})
+    flat = {"m": {day: ("sunny", 80.0, 60.0) for day in ps.window.dates()}}
     for mode in ("type", "high-temp", "low-temp"):
         rep = weather_study(flat, {"m": series}, {"m": ps}, mode)
         for cell in rep.cells:

@@ -9,7 +9,7 @@ import re
 import signal
 import subprocess
 import sys
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -387,6 +387,9 @@ TOO_LARGE = "must be finite and >= 0, got a number too large for a float"
     [
         (lambda m: m["beta"].pop(), "need 5 betas and 5 gammas"),
         (lambda m: m["beta"].__setitem__(2, -1e-6), "beta must be finite and >= 0, got -1e-06"),
+        (lambda m: m["beta"].__setitem__(0, -1.0), "beta must be finite and >= 0, got -1.0"),
+        (lambda m: m["gamma"].pop(), "need 5 betas and 5 gammas"),
+        (lambda m: m["init"].__setitem__("s", -5.0), "s must be finite and >= 0, got -5.0"),
         (lambda m: m.__setitem__("tau1", -1), "tau1 must be a non-negative integer, got -1"),
         (lambda m: m.__setitem__("mu", -0.5), "mu must be finite and >= 0, got -0.5"),
         (lambda m: m["beta"].__setitem__(0, HUGE), f"beta {TOO_LARGE}"),
@@ -403,7 +406,37 @@ def test_simulate_fit_report_with_bad_value_exits_2(pipeline_dir, tmp_path, caps
     rc = main(["simulate", "--model", "reinfect", "--fit-report", str(path), "--metro", "metro-01",
                "--out", str(tmp_path)])
     assert rc == 2
-    assert _one_error_line(capsys) == f"error: {message}"
+    assert _one_error_line(capsys) == f"error: {path}: metros.metro-01.reinfect: {message}"
+
+
+def _later(day: str, days: int) -> str:
+    return (date.fromisoformat(day) + timedelta(days=days)).isoformat()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ps: ps.pop(), "expected 5 periods, got 4"),
+        (lambda ps: ps[2].__setitem__("start", _later(ps[2]["start"], 1)),
+         "period 3 starts {ps[2][start]}, expected the day after {ps[1][end]}"),
+        (lambda ps: ps[0].__setitem__("end", _later(ps[0]["start"], -1)),
+         "period 1: end {ps[0][end]} precedes start {ps[0][start]}"),
+        (lambda ps: ps.append({"start": _later(ps[4]["end"], 1), "end": _later(ps[4]["end"], 1)}),
+         "period index must be 1..5, got 6"),
+    ],
+    ids=["one-period-dropped", "one-day-gap", "end-before-start", "sixth-period"],
+)
+def test_simulate_fit_report_with_bad_periods_exits_2(pipeline_dir, tmp_path, capsys, edit, message):
+    with open(os.path.join(pipeline_dir, "fit_report.json")) as fh:
+        report = json.load(fh)
+    periods = report["metros"]["metro-01"]["periods"]
+    edit(periods)
+    path = tmp_path / "fit_report.json"
+    path.write_text(json.dumps(report))
+    rc = main(["simulate", "--model", "reinfect", "--fit-report", str(path), "--metro", "metro-01",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert _one_error_line(capsys) == f"error: {path}: metros.metro-01.periods: {message.format(ps=periods)}"
 
 
 def test_simulate_fit_report_checks_every_type_before_any_value(pipeline_dir, tmp_path, capsys):
@@ -834,7 +867,7 @@ def test_outputs_do_not_depend_on_the_locale(tmp_path):
 
 @pytest.mark.parametrize("command, key", [("gen-fixtures", "out"), ("segment", "cases")])
 def test_a_path_the_file_system_encoding_cannot_hold_is_one_error_line(pipeline_dir, tmp_path, command, key):
-    """Under the C locale, UTF-8 mode off, a config path naming ``rés`` exits 3 with one line."""
+    """Under the C locale, UTF-8 mode off, a config path naming ``rés`` exits 3 with one line naming it."""
     paths = {"out": str(tmp_path / "out"), "cases": os.path.join(pipeline_dir, "cases.csv"),
              "metro-map": os.path.join(pipeline_dir, "metro_map.csv")}
     paths[key] = str(tmp_path / "rés")
@@ -848,6 +881,9 @@ def test_a_path_the_file_system_encoding_cannot_hold_is_one_error_line(pipeline_
                           env=env, capture_output=True, text=True, errors="replace", timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+    # stderr escapes what its encoding cannot hold: the path is printed as .../r\xe9s
+    assert str(tmp_path / "rés").encode("ascii", "backslashreplace").decode() in proc.stderr, proc.stderr
+    assert "(ascii)" in proc.stderr, proc.stderr
     assert not (tmp_path / "rés").exists()
 
 
@@ -987,16 +1023,20 @@ LOADER_ERRORS = [
     ("periods", PERIODS_HDR + GOOD_PERIODS.replace("2020-03-01", "2020-W10-1"), 2,
      "periods CSV line 2: malformed row"),
     ("periods", PERIODS_HDR + "metro-01,1,2020-03-01,2020-03-20,0.1,1.0,0.9\n", 2,
-     "expected 5 periods, got 1"),
+     "periods CSV: metro-01: expected 5 periods, got 1"),
     ("periods", PERIODS_HDR + "metro-01,1,2020-03-01,2020-03-20,0.1,1.0,0.9\n"
      "metro-02,1,2020-03-01,2020-03-20,0.1,x,0.9\n", 2, "periods CSV line 3: malformed row"),
     ("periods", PERIODS_HDR + GOOD_PERIODS.replace("2020-04-11", "2020-04-12"), 2,
-     "period 3 starts 2020-04-12, expected the day after 2020-04-10"),
+     "periods CSV: metro-01: period 3 starts 2020-04-12, expected the day after 2020-04-10"),
+    ("periods", PERIODS_HDR + GOOD_PERIODS + "metro-01,6,2020-07-01,2020-07-02,0.1,1.0,0.9\n", 2,
+     "periods CSV: metro-01: period index must be 1..5, got 6"),
+    ("periods", PERIODS_HDR + GOOD_PERIODS.replace("01,2020-03-20", "01,2020-02-01"), 2,
+     "periods CSV: metro-01: period 1: end 2020-02-01 precedes start 2020-03-01"),
     ("inflow", "day\n", 2, "inflow CSV must start with header 'day,o'"),
     ("inflow", INFLOW_HDR + "0,1,2\n", 2, "inflow CSV line 2: expected 2 fields, got 3"),
     ("inflow", INFLOW_HDR + "0,x\n", 2, "inflow CSV line 2: malformed row"),
     ("inflow", INFLOW_HDR + "0,1\n2,1\n", 2, "inflow CSV line 3: days must run 0,1,2,... got 2"),
-    ("inflow", INFLOW_HDR + "0,-1\n", 2, "inflow values must be finite and >= 0, got -1.0"),
+    ("inflow", INFLOW_HDR + "0,-1\n", 2, "inflow CSV: inflow values must be finite and >= 0, got -1.0"),
 ]
 
 

@@ -16,7 +16,6 @@ from epigrowth.correlate import (
     DemographicTable,
     GroupResult,
     ReportCell,
-    WeatherTable,
     daily_log_growth,
     demographic_study,
     load_demographics,
@@ -214,7 +213,7 @@ def _weather_fixture():
         for d in range(days)
         if d != 57
     }
-    return WeatherTable({"m": by_day}), {"m": series}, {"m": ps}
+    return {"m": by_day}, {"m": series}, {"m": ps}
 
 
 def test_weather_study_low_temp_regimes():
@@ -367,7 +366,7 @@ def test_load_demographics_rejects_bad_files(body, exc):
 
 
 def test_weather_csv_roundtrip():
-    table = WeatherTable({"m": {START + timedelta(days=d): ("rainy", 55.5, 41.25) for d in range(3)}})
+    table = {"m": {START + timedelta(days=d): ("rainy", 55.5, 41.25) for d in range(3)}}
     buf = io.StringIO()
     write_weather_csv(table, buf)
     buf.seek(0)
@@ -376,7 +375,7 @@ def test_weather_csv_roundtrip():
 
 def test_loaders_strip_and_lowercase_the_header():
     weather = load_weather(io.StringIO("Metro, Date,Type,High,Low\nm,2020-03-01,rainy,55,41\n"))
-    assert weather == WeatherTable({"m": {date(2020, 3, 1): ("rainy", 55.0, 41.0)}})
+    assert weather == {"m": {date(2020, 3, 1): ("rainy", 55.0, 41.0)}}
     demo, _ = load_demographics(io.StringIO(" METRO,Group,subcategory ,Value\nm,age,young,40\n"))
     assert demo == DemographicTable({"age": {"m": {"young": 40.0}}})
 
@@ -400,7 +399,7 @@ def test_load_weather_rejects_bad_rows():
 def test_weather_row_validation():
     # each row is checked where it stands; the error names its line
     good = "metro,date,type,high,low\nm,2020-03-01,sunny,50,50\n"
-    assert load_weather(io.StringIO(good)).values["m"][date(2020, 3, 1)] == ("sunny", 50.0, 50.0)
+    assert load_weather(io.StringIO(good))["m"][date(2020, 3, 1)] == ("sunny", 50.0, 50.0)
     with pytest.raises(ValidationError, match="line 3: unknown weather type 'hail'"):
         load_weather(io.StringIO(good + "m,2020-03-02,hail,50,40\n"))
     with pytest.raises(ValidationError, match="line 3: m 2020-03-02: high below low"):
@@ -417,7 +416,7 @@ def test_weather_table_rejects_duplicates_and_looks_up():
     # a bad row later in the file is reported before the duplicate
     with pytest.raises(ParseError, match="line 4: bad temperature"):
         load_weather(io.StringIO(header + row + row + "n,2020-03-01,sunny,warm,40\n"))
-    by_day = load_weather(io.StringIO(header + row + "n,2020-03-01,rainy,55,45\n")).values["m"]
+    by_day = load_weather(io.StringIO(header + row + "n,2020-03-01,rainy,55,45\n"))["m"]
     assert by_day.get(date(2020, 3, 1)) == ("sunny", 60.0, 40.0)
     assert by_day.get(date(2020, 3, 2)) is None
 

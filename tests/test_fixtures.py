@@ -35,8 +35,8 @@ def test_make_bundle_structure():
     assert [s.region for s in bundle.cases] == sorted(s.region for s in bundle.cases)
     assert sorted(bundle.truths) == ["metro-01", "metro-02", "metro-03"]
     for metro, truth in bundle.truths.items():
-        assert bundle.metro_map.entries[truth.counties[0]] == metro
-        assert bundle.metro_map.entries[truth.counties[1]] == metro
+        assert bundle.metro_map[truth.counties[0]] == metro
+        assert bundle.metro_map[truth.counties[1]] == metro
     assert len(bundle.inflow) == bundle.window.days
     assert sum(bundle.periods.lengths()) == bundle.window.days
     with pytest.raises(ConfigError):
@@ -104,10 +104,10 @@ def test_synth_demographics_plants_a_recoverable_cell():
         assert table.subcategories(group) == sorted(GROUP_SUBCATS[group])
         for metro in response:
             for subcat in GROUP_SUBCATS[group]:
-                assert 0.0 <= table.value(group, metro, subcat) <= 100.0
+                assert 0.0 <= table.values[group][metro][subcat] <= 100.0
     group, subcat = PLANTED_CELL
     ys = [response[m] for m in sorted(response)]
-    xs = [table.value(group, m, subcat) for m in sorted(response)]
+    xs = [table.values[group][m][subcat] for m in sorted(response)]
     assert np.corrcoef(xs, ys)[0, 1] > 0.99
 
 
@@ -121,8 +121,8 @@ def test_synth_demographics_can_skip_planting():
 def test_synth_weather_covers_every_metro_day():
     window = DateInterval(date(2020, 3, 1), date(2020, 3, 10))
     table = synth_weather(np.random.default_rng(5), ["m1", "m2"], window)
-    assert sorted(table.values) == ["m1", "m2"]
-    for by_day in table.values.values():
+    assert sorted(table) == ["m1", "m2"]
+    for by_day in table.values():
         assert list(by_day) == list(window.dates())
         for kind, high, low in by_day.values():
             assert kind in FIXTURE_WEATHER_KINDS

@@ -5,6 +5,7 @@ import io
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,18 +15,26 @@ from epigrowth.cli import main
 from epigrowth.correlate import (
     WEATHER_TYPES,
     DemographicTable,
-    WeatherTable,
     load_demographics,
     load_weather,
+    weather_studies,
     write_demographics_csv,
     write_weather_csv,
 )
 from epigrowth.regress import SimpleFit
-from epigrowth.segment import NUM_PERIODS, Period, PeriodSet, load_periods_csv, write_periods_csv
+from epigrowth.segment import (
+    NUM_PERIODS,
+    Period,
+    PeriodSet,
+    initial_periods,
+    load_periods_csv,
+    write_periods_csv,
+)
 from epigrowth.sir import InflowSeries, load_inflow, write_inflow_csv
 from epigrowth.timeseries import (
     CaseSeries,
-    MetroMap,
+    DateInterval,
+    aggregate_to_metros,
     load_cases,
     load_metro_map,
     write_cases_csv,
@@ -101,7 +110,7 @@ def test_cases_round_trip(regions, start, counts):
 @given(entries=st.dictionaries(names, names, min_size=1, max_size=4))
 @example(entries={"Dallas-Fort Worth, TX-east": "Dallas-Fort Worth, TX", 'say "hi"': "Zürich,\nCH"})
 def test_metro_map_round_trip(entries):
-    assert _round_trip(write_metro_map_csv, load_metro_map, MetroMap(entries)).entries == entries
+    assert _round_trip(write_metro_map_csv, load_metro_map, entries) == entries
 
 
 def _period_set(metro, start, lengths, fits):
@@ -170,8 +179,29 @@ def test_weather_round_trip(rows):
     values = {}
     for m, d, k, a, b in sorted(rows):  # the writer's order, so the reprs line up
         values.setdefault(m, {})[d] = (k, max(a, b), min(a, b))
-    loaded = _round_trip(write_weather_csv, load_weather, WeatherTable(values))
-    assert repr(loaded.values) == repr(values)
+    loaded = _round_trip(write_weather_csv, load_weather, values)
+    assert repr(loaded) == repr(values)
+
+
+def test_map_and_weather_are_plain_dicts_and_any_mapping_is_read():
+    """The loaders return dicts; writers and studies take read-only views of them alike."""
+    start = date(2020, 3, 1)
+    metro_map = {"c1": "m", "c2": "m"}
+    weather = {"m": {start + timedelta(days=d): (WEATHER_TYPES[d % 2], 60.0 + d, 40.0) for d in range(20)}}
+    views = {"map": MappingProxyType(metro_map),
+             "weather": MappingProxyType({m: MappingProxyType(by_day) for m, by_day in weather.items()})}
+    loaded_map = _round_trip(write_metro_map_csv, load_metro_map, views["map"])
+    loaded_weather = _round_trip(write_weather_csv, load_weather, views["weather"])
+    assert type(loaded_map) is dict and loaded_map == metro_map
+    assert type(loaded_weather) is dict and loaded_weather == weather
+    assert all(type(by_day) is dict for by_day in loaded_weather.values())
+    counties = [CaseSeries("c1", start, [2**k for k in range(20)]), CaseSeries("c2", start, [3] * 20)]
+    metros = aggregate_to_metros(counties, views["map"])
+    assert metros == aggregate_to_metros(counties, metro_map)
+    window = DateInterval(start, start + timedelta(days=19))
+    period_sets = {"m": initial_periods(window, [start + timedelta(days=d) for d in (4, 8, 12, 16)], "m")}
+    series = {"m": metros[0]}
+    assert weather_studies(views["weather"], series, period_sets) == weather_studies(weather, series, period_sets)
 
 
 # Names with inner spaces and commas, so the rewritten CSV quotes them.
@@ -210,6 +240,6 @@ def test_loaders_read_a_padded_bundle_as_the_plain_one(tmp_path, rename):
     }
     assert got_warnings == want_warnings == []
     want_map, got_map = both("metro_map.csv", load_metro_map)
-    assert got_map.entries == {names.get(c, c): names.get(m, m) for c, m in want_map.entries.items()}
+    assert got_map == {names.get(c, c): names.get(m, m) for c, m in want_map.items()}
     want_weather, got_weather = both("weather.csv", load_weather)
-    assert got_weather.values == {names.get(m, m): v for m, v in want_weather.values.items()}
+    assert got_weather == {names.get(m, m): v for m, v in want_weather.items()}

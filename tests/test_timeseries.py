@@ -10,7 +10,6 @@ from epigrowth.errors import InsufficientDataError, ParseError, ValidationError
 from epigrowth.timeseries import (
     CaseSeries,
     DateInterval,
-    MetroMap,
     _needs_strip,
     aggregate_to_metros,
     load_cases,
@@ -117,17 +116,17 @@ def test_cases_roundtrip():
 
 
 def test_metro_map_roundtrip_and_lookup():
-    mm = MetroMap({"a-east": "a", "a-west": "a", "b-main": "b"})
-    assert mm.entries["a-east"] == "a"
-    assert "nowhere" not in mm.entries
+    mm = {"a-east": "a", "a-west": "a", "b-main": "b"}
+    assert mm["a-east"] == "a"
+    assert "nowhere" not in mm
     buf = io.StringIO()
     write_metro_map_csv(mm, buf)
     buf.seek(0)
-    assert load_metro_map(buf).entries == mm.entries
+    assert load_metro_map(buf) == mm
 
 
 def test_aggregate_sums_counties_daywise():
-    mm = MetroMap({"c1": "m", "c2": "m"})
+    mm = {"c1": "m", "c2": "m"}
     series = [
         CaseSeries("c1", MAR1, (1, 2, 3)),
         CaseSeries("c2", date(2020, 3, 2), (10, 10)),
@@ -140,7 +139,7 @@ def test_aggregate_sums_counties_daywise():
 
 
 def test_aggregate_requires_mapped_counties():
-    mm = MetroMap({"c1": "m"})
+    mm = {"c1": "m"}
     with pytest.raises(ValidationError, match="c2"):
         aggregate_to_metros([CaseSeries("c2", MAR1, (1,))], mm)
 
@@ -166,7 +165,7 @@ def _reference_aggregate(series, metro_map):
     """
     members = {}
     for s in series:
-        members.setdefault(metro_map.entries[s.region], []).append(s)
+        members.setdefault(metro_map[s.region], []).append(s)
     out = []
     for metro in sorted(members):
         group = members[metro]
@@ -201,7 +200,7 @@ def test_aggregate_matches_the_day_by_day_sum_bit_for_bit(counties):
         CaseSeries(f"c{k}", MAR1 + timedelta(days=start), tuple(counts))
         for k, (start, counts, _) in enumerate(counties)
     ]
-    mm = MetroMap({f"c{k}": f"m{metro}" for k, (_, _, metro) in enumerate(counties)})
+    mm = {f"c{k}": f"m{metro}" for k, (_, _, metro) in enumerate(counties)}
     got = aggregate_to_metros(series, mm)
     want = _reference_aggregate(series, mm)
     assert [(s.region, s.start_date) for s in got] == [(s.region, s.start_date) for s in want]
@@ -210,7 +209,7 @@ def test_aggregate_matches_the_day_by_day_sum_bit_for_bit(counties):
 
 
 def test_aggregate_of_counts_too_large_to_sum_is_rejected():
-    mm = MetroMap({"c1": "m", "c2": "m"})
+    mm = {"c1": "m", "c2": "m"}
     series = [CaseSeries("c1", MAR1, (1e308,)), CaseSeries("c2", MAR1, (1e308,))]
     with pytest.raises(ValidationError, match="finite"):
         aggregate_to_metros(series, mm)
