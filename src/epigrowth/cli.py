@@ -389,18 +389,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 entry[model] = {"error": str(res)}
                 pcts[model] = None
                 continue
-            rep = res.report
             entry[model] = {
                 **vars(res.params),
                 "init": res.init,
-                "k_data": res.data_rates.k,
-                "k_sim": res.sim_rates.k,
-                "per_period_abs_diff": rep.abs_diff,
-                "weighted_error": rep.weighted_error,
-                "as_percent": rep.as_percent,
+                "k_data": res.k_data,
+                "k_sim": res.k_sim,
+                "per_period_abs_diff": res.per_period_abs_diff,
+                "weighted_error": res.weighted_error,
+                "as_percent": res.as_percent,
                 "clamp_events": res.trajectory.clamp_events,
             }
-            pcts[model] = rep.as_percent
+            pcts[model] = res.as_percent
         report["metros"][metro] = entry
         table_rows.append((metro, pcts.get("delayed"), pcts.get("reinfect")))
     out = _out_dir(args)

@@ -14,12 +14,12 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fit import GrowthRates, weighted_mean
+from .fit import weighted_mean
 from .regress import _r_squared, bucket_temperature, fit_multi, student_t_sf
 from .segment import Period, PeriodSet
 from .timeseries import CaseSeries, parse_date, read_table, write_table
@@ -75,34 +75,23 @@ class CorrelationReport:
     groups: tuple[GroupResult, ...] = ()
 
 
-@dataclass(frozen=True)
-class DemographicTable:
-    """group -> metro -> subcategory -> percentage, as loaded."""
-
-    values: Mapping[str, Mapping[str, Mapping[str, float]]]
-
-    def groups(self) -> list[str]:
-        return sorted(self.values)
-
-    def subcategories(self, group: str) -> list[str]:
-        metros = self.values.get(group, {})
-        cats: set[str] = set()
-        for per_metro in metros.values():
-            cats.update(per_metro)
-        return sorted(cats)
-
-    def complete_metros(self, group: str) -> list[str]:
-        cats = set(self.subcategories(group))
-        per_group = self.values.get(group, {})
-        return sorted(m for m, vals in per_group.items() if cats <= set(vals))
+def subcategories(per_group: Mapping[str, Mapping[str, float]]) -> list[str]:
+    """Every subcategory of a demographic group's metro -> subcategory -> value table, sorted."""
+    return sorted({cat for per_metro in per_group.values() for cat in per_metro})
 
 
-def weighted_avg_growth(rates: GrowthRates, periods: PeriodSet) -> float:
+def complete_metros(per_group: Mapping[str, Mapping[str, float]]) -> list[str]:
+    """The metros, sorted, that carry a value for every subcategory of their group."""
+    cats = set(subcategories(per_group))
+    return sorted(m for m, vals in per_group.items() if cats <= set(vals))
+
+
+def weighted_avg_growth(rates: Sequence[float | None], periods: PeriodSet) -> float:
     """Length-weighted mean growth rate across the periods."""
-    for idx, k in enumerate(rates.k, start=1):
+    for idx, k in enumerate(rates, start=1):
         if k is None:
             raise ValidationError(f"period {idx} has no growth rate")
-    return weighted_mean(rates.k, periods.lengths())
+    return weighted_mean(rates, periods.lengths())
 
 
 def daily_log_growth(series: CaseSeries, period: Period) -> list[tuple[date, float]]:
@@ -120,7 +109,8 @@ def daily_log_growth(series: CaseSeries, period: Period) -> list[tuple[date, flo
     ]
 
 
-def demographic_study(demo: DemographicTable, response: Mapping[str, float]) -> CorrelationReport:
+def demographic_study(demo: Mapping[str, Mapping[str, Mapping[str, float]]],
+                      response: Mapping[str, float]) -> CorrelationReport:
     """Per-group OLS of metro responses on subcategory percentages.
 
     Groups with fewer complete metros than predictors + 2 are reported NA
@@ -129,15 +119,15 @@ def demographic_study(demo: DemographicTable, response: Mapping[str, float]) -> 
     """
     cells: list[ReportCell] = []
     groups: list[GroupResult] = []
-    for group in demo.groups():
-        subcats = demo.subcategories(group)
-        metros = [m for m in demo.complete_metros(group) if m in response]
+    for group, per_group in sorted(demo.items()):
+        subcats = subcategories(per_group)
+        metros = [m for m in complete_metros(per_group) if m in response]
         n = len(metros)
         if n < len(subcats) + 2:
             groups.append(GroupResult(group, None, n, NA_SAMPLES))
             cells.extend(ReportCell((group, sc), None, None, n, NA_SAMPLES) for sc in subcats)
             continue
-        design = np.array([[demo.values[group][m][sc] for sc in subcats] for m in metros])
+        design = np.array([[per_group[m][sc] for sc in subcats] for m in metros])
         y = np.array([response[m] for m in metros])
         fit = fit_multi(design, y)
         group_na = None if fit.r_squared is not None else NA_RANK
@@ -215,8 +205,8 @@ def weather_study(weather: Mapping[str, Mapping[date, tuple]], series_by_metro: 
     return weather_studies(weather, series_by_metro, period_sets)[WEATHER_MODES.index(mode)]
 
 
-def load_demographics(source) -> tuple[DemographicTable, list[str]]:
-    """Read metro,group,subcategory,value rows; values are percentages in [0, 100].
+def load_demographics(source) -> tuple[dict[str, dict[str, dict[str, float]]], list[str]]:
+    """Read metro,group,subcategory,value rows as group -> metro -> subcategory -> percentage in [0, 100].
 
     Metros missing some of a group's subcategories stay in the table but are
     flagged with a warning; the study skips them for that group.
@@ -236,23 +226,21 @@ def load_demographics(source) -> tuple[DemographicTable, list[str]]:
         if subcat in per_metro:
             raise ValidationError(f"{where()}: duplicate entry for {metro}/{group}/{subcat}")
         per_metro[subcat] = value
-    table = DemographicTable(values)
     warnings = []
-    for group in table.groups():
-        complete = set(table.complete_metros(group))
-        for metro in sorted(values[group]):
-            if metro not in complete:
-                missing = sorted(set(table.subcategories(group)) - set(values[group][metro]))
+    for group, per_group in sorted(values.items()):
+        cats = subcategories(per_group)
+        for metro, per_metro in sorted(per_group.items()):
+            if missing := [cat for cat in cats if cat not in per_metro]:
                 warnings.append(f"{metro}: missing {group} value(s) for {', '.join(missing)}; "
                                 f"excluded from the {group} regression")
-    return table, warnings
+    return values, warnings
 
 
-def write_demographics_csv(table: DemographicTable, fh: io.TextIOBase) -> None:
+def write_demographics_csv(table: Mapping[str, Mapping[str, Mapping[str, float]]], fh: io.TextIOBase) -> None:
     write_table(fh, DEMOGRAPHICS_HEADER, (
         (metro, group, subcat, value)
-        for group in table.groups()
-        for metro, per_metro in sorted(table.values[group].items())
+        for group, per_group in sorted(table.items())
+        for metro, per_metro in sorted(per_group.items())
         for subcat, value in sorted(per_metro.items())
     ))
 

@@ -56,58 +56,26 @@ def weighted_mean(values: Sequence[float], lengths: Sequence[int]) -> float:
 
 
 @dataclass(frozen=True)
-class GrowthRates:
-    """Five per-period log-I slopes plus the positive-day sample counts behind them."""
-
-    k: tuple[float | None, ...]
-    n: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.k) != 5 or len(self.n) != 5:
-            raise ValidationError("growth rates carry exactly 5 periods")
-        for v in self.k:
-            if v is not None and not math.isfinite(v):
-                raise ValidationError(f"growth rate must be finite or None, got {v!r}")
-        for c in self.n:
-            if c < 0:
-                raise ValidationError("sample counts must be >= 0")
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    """Per-period |k_sim - k_data| and the period lengths that weight them."""
-
-    abs_diff: tuple[float, ...]
-    lengths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sum(self.lengths) <= 0:
-            raise ValidationError("period lengths must sum to a positive number")
-
-    @property
-    def weighted_error(self) -> float:
-        """Length-weighted mean absolute slope gap."""
-        return weighted_mean(self.abs_diff, self.lengths)
-
-    @property
-    def as_percent(self) -> float:
-        return 100.0 * self.weighted_error
-
-
-@dataclass(frozen=True)
 class TuneResult:
     """What tune() found: the rates, the run they produce, and how well it fits.
 
     ``trajectory`` is the committed run itself, so ``simulate(model, params,
-    init, periods)`` reproduces it bit for bit, clamp count included.
+    init, periods)`` reproduces it bit for bit, clamp count included.  The
+    other fields are the run's ``fit_report.json`` entries: the data and
+    simulated growth rates and ``discrepancy(k_sim, k_data, periods)``.
     """
 
     params: PiecewiseParams
     init: SirState
     trajectory: Trajectory
-    data_rates: GrowthRates
-    sim_rates: GrowthRates
-    report: DiscrepancyReport
+    k_data: tuple[float, ...]
+    k_sim: tuple[float, ...]
+    per_period_abs_diff: tuple[float, ...]
+    weighted_error: float
+
+    @property
+    def as_percent(self) -> float:
+        return 100.0 * self.weighted_error
 
 
 @dataclass(frozen=True)
@@ -152,29 +120,25 @@ def default_init(series: CaseSeries, periods: PeriodSet) -> SirState:
     )
 
 
-def _growth_rates(series: CaseSeries, periods: PeriodSet) -> tuple[GrowthRates, _WindowFits | None]:
-    """Each period's slope (None below 2 positive days) and positive-day count, and the fits.
+def _growth_rates(series: CaseSeries, periods: PeriodSet) -> tuple[tuple[float | None, ...], _WindowFits | None]:
+    """Each period's slope (None below 2 positive days), and the fits.
 
-    A window without a positive day has no fits, every rate None and every count 0."""
+    A window without a positive day has no fits and every rate None."""
     try:
         fits = _WindowFits(series, periods.window)
     except InsufficientDataError:
-        return GrowthRates((None,) * NUM_PERIODS, (0,) * NUM_PERIODS), None
-    ks, ns = [], []
-    cuts = periods.cuts()
-    for lo, hi in zip(cuts, cuts[1:]):
-        a, b = fits.before[lo], fits.before[hi]
-        ks.append(float(_ols_slope(fits.x[a:b], fits.y[a:b])[0]) if b - a > 1 else None)
-        ns.append(b - a)
-    return GrowthRates(tuple(ks), tuple(ns)), fits
+        return (None,) * NUM_PERIODS, None
+    cuts = [fits.before[cut] for cut in periods.cuts()]
+    return tuple(float(_ols_slope(fits.x[a:b], fits.y[a:b])[0]) if b - a > 1 else None
+                 for a, b in zip(cuts, cuts[1:])), fits
 
 
-def data_growth_rates(series: CaseSeries, periods: PeriodSet) -> GrowthRates:
-    """Fitted slope of log counts per period; None (with n recorded) when unfittable."""
+def data_growth_rates(series: CaseSeries, periods: PeriodSet) -> tuple[float | None, ...]:
+    """Fitted slope of log counts per period; None when unfittable."""
     return _growth_rates(series, periods)[0]
 
 
-def sim_growth_rates(traj: Trajectory, periods: PeriodSet) -> GrowthRates:
+def sim_growth_rates(traj: Trajectory, periods: PeriodSet) -> tuple[float | None, ...]:
     """Fitted slope of log I per period, day 0 at the window start, as the data are fitted."""
     window = periods.window
     if len(traj) < window.days:
@@ -184,15 +148,16 @@ def sim_growth_rates(traj: Trajectory, periods: PeriodSet) -> GrowthRates:
     return _growth_rates(CaseSeries("simulated I", window.start, traj.i[:window.days]), periods)[0]
 
 
-def discrepancy(sim: GrowthRates, data: GrowthRates, periods: PeriodSet) -> DiscrepancyReport:
-    """|k_sim - k_data| for each of the five periods, weighted by period length."""
+def discrepancy(k_sim: Sequence[float | None], k_data: Sequence[float | None],
+                periods: PeriodSet) -> tuple[tuple[float, ...], float]:
+    """|k_sim - k_data| for each of the five periods, and their mean weighted by period length."""
     diffs = []
-    for idx, (ks, kd) in enumerate(zip(sim.k, data.k), start=1):
+    for idx, (ks, kd) in enumerate(zip(k_sim, k_data), start=1):
         if ks is None or kd is None:
             side = "simulated" if ks is None else "data"
             raise ValidationError(f"period {idx} has no {side} growth rate to compare")
         diffs.append(abs(ks - kd))
-    return DiscrepancyReport(tuple(diffs), periods.lengths())
+    return tuple(diffs), weighted_mean(diffs, periods.lengths())
 
 
 def _grid_eval(model: str, days: Sequence[tuple], bvals: np.ndarray, gvals: np.ndarray,
@@ -243,10 +208,11 @@ def _grid_eval(model: str, days: Sequence[tuple], bvals: np.ndarray, gvals: np.n
 class TuneJob:
     """One tune() call: its checked inputs, then its committed run and chosen rates.
 
-    Built from tune()'s arguments, it raises as tune() does.  ``rates``,
-    ``_growth_rates(series, periods)``, may come from a job on the same series
-    and periods.  While tune_batch searches a period, ``span``, ``window`` and
-    ``best`` hold its fit days, refinement window and (objective, beta, gamma).
+    Built from tune()'s arguments, it raises as tune() does.  ``rates``, the
+    (slopes, fits) of ``_growth_rates(series, periods)``, may come from a job on
+    the same series and periods.  While tune_batch searches a period, ``span``,
+    ``window`` and ``best`` hold its fit days, refinement window and
+    (objective, beta, gamma).
     """
 
     def __init__(self, model: str, series: CaseSeries, periods: PeriodSet, cfg: SearchConfig | None = None,
@@ -259,7 +225,7 @@ class TuneJob:
         self.init = init if init is not None else default_init(series, periods)
         self.rates = rates if rates is not None else _growth_rates(series, periods)
         self.data, self.fits = self.rates
-        for idx, k in enumerate(self.data.k):
+        for idx, k in enumerate(self.data):
             if k is None:
                 raise InsufficientDataError(
                     f"{series.region}: period {idx + 1} has no fittable growth rate"
@@ -280,7 +246,7 @@ class TuneJob:
         traj = Trajectory(*self.days, clamp_events=self.clamps)
         sim = sim_growth_rates(traj, self.periods)
         params = replace(self.shared, beta=tuple(self.betas), gamma=tuple(self.gammas))
-        return TuneResult(params, self.init, traj, self.data, sim, discrepancy(sim, self.data, self.periods))
+        return TuneResult(params, self.init, traj, self.data, sim, *discrepancy(sim, self.data, self.periods))
 
 
 def tune_batch(jobs: Sequence[TuneJob]) -> list[TuneResult | PipelineError]:
@@ -325,7 +291,7 @@ def _tune_together(batch: list[TuneJob]) -> None:
             seg_lo, seg_hi = job.cuts[per_idx], job.cuts[per_idx + 1]
             fit_lo, fit_hi = job.fits.before[seg_lo], job.fits.before[seg_hi]
             rows, x_fit = job.fits.days[fit_lo:fit_hi] - seg_lo, job.fits.x[fit_lo:fit_hi]
-            job.span = (seg_hi, rows, x_fit, seg_hi < job.cuts[5], job.data.k[per_idx])
+            job.span = (seg_hi, rows, x_fit, seg_hi < job.cuts[5], job.data[per_idx])
             job.window = [0.0, job.b_hi, 0.0, 1.0]
             job.best = None
         for _level in range(cfg.refinement_levels + 1):

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .correlate import DemographicTable
 from .errors import ConfigError
 from .fit import DEFAULT_S0_SCALE, SearchConfig, beta_grid, gamma_grid
 from .segment import (
@@ -69,7 +68,7 @@ class FixtureBundle:
     periods: PeriodSet
     cases: tuple[CaseSeries, ...]
     metro_map: dict[str, str]
-    demographics: DemographicTable
+    demographics: dict[str, dict[str, dict[str, float]]]
     weather: dict[str, dict[date, tuple[str, float, float]]]
     inflow: InflowSeries
     truths: Mapping[str, MetroTruth]
@@ -105,8 +104,8 @@ def synth_demographics(
     rng: np.random.Generator,
     response: Mapping[str, float],
     planted: tuple[str, str] | None = PLANTED_CELL,
-) -> DemographicTable:
-    """Uniform percentages per metro/group/subcategory; one cell optionally
+) -> dict[str, dict[str, dict[str, float]]]:
+    """Uniform percentages as group -> metro -> subcategory -> value; one cell optionally
     rescaled from the response so its regression recovers a strong fit."""
     metros = sorted(response)
     ys = [response[m] for m in metros]
@@ -124,7 +123,7 @@ def synth_demographics(
                 else:
                     value = rng.uniform(5.0, 45.0)
                 per_metro[subcat] = float(min(100.0, max(0.0, value)))
-    return DemographicTable(values)
+    return values
 
 
 def synth_weather(

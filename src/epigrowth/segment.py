@@ -276,21 +276,22 @@ def write_periods_csv(period_sets: Iterable[PeriodSet], out: IO[str]) -> None:
 def load_periods_csv(source: IO) -> dict[str, PeriodSet]:
     """Periods CSV -> {metro: PeriodSet}, metros sorted; boundaries only, fits left unset.
 
-    Every row, slope, intercept and r2 included, is parsed before any set is built,
-    so a malformed row is reported ahead of an incomplete metro.  Each metro's
-    rows may come in any order; they are sorted by period index.
+    Each row, slope, intercept and r2 included, is parsed and its period checked
+    as it is read, so the first faulty row in file order is reported, and ahead
+    of any fault in a metro's set of periods.  Each metro's rows may come in any
+    order; they are sorted by period index.
     """
-    by_metro: dict[str, list[tuple[int, date, date]]] = {}
+    by_metro: dict[str, list[Period]] = {}
     rows, where = read_table(source, PERIODS_HEADER, "periods CSV")
     for metro, index, start, end, *fit in rows:
         try:
             row = (int(index), *map(parse_date, (start, end)), *map(float, fit))
         except ValueError:
             raise ParseError(f"{where()}: malformed row") from None
-        by_metro.setdefault(metro, []).append(row[:3])  # the fit columns are checked, not kept
+        with error_prefix(f"{where()}: {metro}"):
+            by_metro.setdefault(metro, []).append(Period(*row[:3]))  # the fit columns are checked, not kept
     period_sets = {}
-    for metro, bounds in sorted(by_metro.items()):
+    for metro, periods in sorted(by_metro.items()):
         with error_prefix(f"periods CSV: {metro}"):
-            periods = tuple(Period(*r) for r in sorted(bounds, key=lambda r: r[0]))
-            period_sets[metro] = PeriodSet(metro, periods)
+            period_sets[metro] = PeriodSet(metro, tuple(sorted(periods, key=lambda p: p.index)))
     return period_sets

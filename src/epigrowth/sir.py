@@ -317,9 +317,9 @@ def load_inflow(source: IO) -> InflowSeries:
             raise ParseError(f"{where()}: malformed row") from None
         if day != len(values):
             raise ValidationError(f"{where()}: days must run 0,1,2,... got {day}")
-        values.append(val)
-    with error_prefix("inflow CSV"):
-        return InflowSeries(tuple(values))
+        with error_prefix(where()):
+            values += _nonneg_column((val,), "inflow values")
+    return InflowSeries(tuple(values))
 
 
 def write_inflow_csv(inflow: InflowSeries, out: IO[str]) -> None:

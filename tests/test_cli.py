@@ -1029,14 +1029,18 @@ LOADER_ERRORS = [
     ("periods", PERIODS_HDR + GOOD_PERIODS.replace("2020-04-11", "2020-04-12"), 2,
      "periods CSV: metro-01: period 3 starts 2020-04-12, expected the day after 2020-04-10"),
     ("periods", PERIODS_HDR + GOOD_PERIODS + "metro-01,6,2020-07-01,2020-07-02,0.1,1.0,0.9\n", 2,
-     "periods CSV: metro-01: period index must be 1..5, got 6"),
+     "periods CSV line 7: metro-01: period index must be 1..5, got 6"),
+    ("periods", PERIODS_HDR + "metro-01,6,2020-07-01,2020-07-02,0.1,1.0,0.9\n" + GOOD_PERIODS.replace(",1,", ",x,"), 2,
+     "periods CSV line 2: metro-01: period index must be 1..5, got 6"),
     ("periods", PERIODS_HDR + GOOD_PERIODS.replace("01,2020-03-20", "01,2020-02-01"), 2,
-     "periods CSV: metro-01: period 1: end 2020-02-01 precedes start 2020-03-01"),
+     "periods CSV line 2: metro-01: period 1: end 2020-02-01 precedes start 2020-03-01"),
     ("inflow", "day\n", 2, "inflow CSV must start with header 'day,o'"),
     ("inflow", INFLOW_HDR + "0,1,2\n", 2, "inflow CSV line 2: expected 2 fields, got 3"),
     ("inflow", INFLOW_HDR + "0,x\n", 2, "inflow CSV line 2: malformed row"),
     ("inflow", INFLOW_HDR + "0,1\n2,1\n", 2, "inflow CSV line 3: days must run 0,1,2,... got 2"),
-    ("inflow", INFLOW_HDR + "0,-1\n", 2, "inflow CSV: inflow values must be finite and >= 0, got -1.0"),
+    ("inflow", INFLOW_HDR + "0,-1\n", 2, "inflow CSV line 2: inflow values must be finite and >= 0, got -1.0"),
+    ("inflow", INFLOW_HDR + "0,-1\n1,x\n", 2, "inflow CSV line 2: inflow values must be finite and >= 0, got -1.0"),
+    ("inflow", INFLOW_HDR + "0,1\n1,nan\n", 2, "inflow CSV line 3: inflow values must be finite and >= 0, got nan"),
 ]
 
 

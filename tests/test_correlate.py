@@ -13,14 +13,15 @@ from epigrowth.correlate import (
     NA_SAMPLES,
     WEATHER_MODES,
     CorrelationReport,
-    DemographicTable,
     GroupResult,
     ReportCell,
+    complete_metros,
     daily_log_growth,
     demographic_study,
     load_demographics,
     _weather_cell,
     load_weather,
+    subcategories,
     weather_studies,
     weather_study,
     weighted_avg_growth,
@@ -31,7 +32,6 @@ from epigrowth.correlate import (
 )
 from epigrowth.cli import main
 from epigrowth.errors import ParseError, ValidationError
-from epigrowth.fit import GrowthRates
 from epigrowth.regress import fit_multi
 from epigrowth.segment import Period, PeriodSet
 from epigrowth.timeseries import CaseSeries
@@ -50,7 +50,7 @@ def periods_over(lengths, start=START) -> PeriodSet:
 
 
 def avg_growth(ks, lengths) -> float:
-    return weighted_avg_growth(GrowthRates(tuple(ks), tuple(lengths)), periods_over(lengths))
+    return weighted_avg_growth(tuple(ks), periods_over(lengths))
 
 
 def test_weighted_avg_growth_hand_values():
@@ -72,8 +72,8 @@ def test_weighted_avg_growth_stays_within_slope_range():
 
 
 def test_weighted_avg_growth_accepts_rates_and_periods_objects():
-    # the weights are the period lengths, not the rates' sample counts
-    rates = GrowthRates((0.1, 0.1, 0.2, 0.2, 0.2), (1,) * 5)
+    # the weights are the period lengths
+    rates = (0.1, 0.1, 0.2, 0.2, 0.2)
     assert weighted_avg_growth(rates, periods_over((10, 20, 30, 20, 20))) == pytest.approx(0.17, abs=1e-15)
 
 
@@ -121,11 +121,10 @@ def _demo_values(rng=None, n_metros=8):
 def test_demographic_table_reports_complete_metros():
     values, metros, _, _ = _demo_values()
     del values["education"]["metro-03"]["post-grad"]
-    table = DemographicTable(values)
-    assert table.groups() == ["education"]
-    assert table.subcategories("education") == ["college", "post-grad"]
-    assert "metro-03" not in table.complete_metros("education")
-    assert len(table.complete_metros("education")) == len(metros) - 1
+    assert sorted(values) == ["education"]
+    assert subcategories(values["education"]) == ["college", "post-grad"]
+    assert "metro-03" not in complete_metros(values["education"])
+    assert len(complete_metros(values["education"])) == len(metros) - 1
 
 
 def test_demographic_study_finds_planted_linear_signal():
@@ -135,7 +134,7 @@ def test_demographic_study_finds_planted_linear_signal():
         m: 2.0 + 0.03 * c - 0.01 * p + rng.normal(0, 1e-8)
         for m, c, p in zip(metros, college, postgrad)
     }
-    report = demographic_study(DemographicTable(values), response)
+    report = demographic_study(values, response)
     (group,) = report.groups
     assert group.group == "education"
     assert group.r_squared is not None and group.r_squared > 0.999
@@ -149,7 +148,7 @@ def test_demographic_study_finds_planted_linear_signal():
 def test_demographic_study_reports_small_groups_as_na():
     values, metros, _, _ = _demo_values(n_metros=3)
     response = {m: 0.1 for m in metros}
-    report = demographic_study(DemographicTable(values), response)
+    report = demographic_study(values, response)
     (group,) = report.groups
     assert group.r_squared is None
     assert group.na_reason == NA_SAMPLES
@@ -162,7 +161,7 @@ def test_demographic_study_flags_duplicate_columns_as_rank_deficient():
     x = rng.uniform(10, 90, 6)
     values = {"g": {m: {"a": float(v), "b": float(v)} for m, v in zip(metros, x)}}
     response = {m: float(v) * 0.01 for m, v in zip(metros, x)}
-    report = demographic_study(DemographicTable(values), response)
+    report = demographic_study(values, response)
     (group,) = report.groups
     assert group.na_reason == NA_RANK
     by_key = {c.key: c for c in report.cells}
@@ -177,8 +176,8 @@ def test_demographic_study_ignores_metro_insertion_order():
     reversed_values = {
         "education": dict(reversed(list(values["education"].items())))
     }
-    a = demographic_study(DemographicTable(values), response)
-    b = demographic_study(DemographicTable(reversed_values), response)
+    a = demographic_study(values, response)
+    b = demographic_study(reversed_values, response)
     assert a == b
 
 
@@ -328,13 +327,12 @@ def test_report_cell_validation():
 
 def test_demographics_csv_roundtrip():
     values, _, _, _ = _demo_values()
-    table = DemographicTable(values)
     buf = io.StringIO()
-    write_demographics_csv(table, buf)
+    write_demographics_csv(values, buf)
     buf.seek(0)
     loaded, warnings = load_demographics(buf)
     assert warnings == []
-    assert loaded == table
+    assert loaded == values
 
 
 def test_load_demographics_flags_incomplete_metros():
@@ -345,7 +343,7 @@ def test_load_demographics_flags_incomplete_metros():
         "m2,education,college,30\n"
     )
     table, warnings = load_demographics(buf)
-    assert table.complete_metros("education") == ["m1"]
+    assert complete_metros(table["education"]) == ["m1"]
     assert len(warnings) == 1
     assert "m2" in warnings[0] and "post-grad" in warnings[0]
 
@@ -377,7 +375,7 @@ def test_loaders_strip_and_lowercase_the_header():
     weather = load_weather(io.StringIO("Metro, Date,Type,High,Low\nm,2020-03-01,rainy,55,41\n"))
     assert weather == {"m": {date(2020, 3, 1): ("rainy", 55.0, 41.0)}}
     demo, _ = load_demographics(io.StringIO(" METRO,Group,subcategory ,Value\nm,age,young,40\n"))
-    assert demo == DemographicTable({"age": {"m": {"young": 40.0}}})
+    assert demo == {"age": {"m": {"young": 40.0}}}
 
 
 def test_load_weather_rejects_bad_rows():

@@ -13,8 +13,6 @@ from epigrowth import sir
 from epigrowth.errors import ConfigError, InsufficientDataError, PipelineError, ValidationError
 from epigrowth.fit import (
     DEFAULT_S0_SCALE,
-    DiscrepancyReport,
-    GrowthRates,
     SearchConfig,
     TuneJob,
     _grid_eval,
@@ -27,6 +25,7 @@ from epigrowth.fit import (
     sim_growth_rates,
     tune,
     tune_batch,
+    weighted_mean,
 )
 from epigrowth.fixtures import (
     FIXTURE_MU,
@@ -63,83 +62,60 @@ def periods_over(lengths, start=START) -> PeriodSet:
     return PeriodSet("m", tuple(periods))
 
 
-def rates(ks, ns):
-    return GrowthRates(tuple(ks), tuple(ns))
-
-
-def test_growth_rates_require_five_periods():
-    with pytest.raises(ValidationError):
-        GrowthRates((0.1,) * 4, (5,) * 4)
-
-
-def test_growth_rates_reject_non_finite_slope():
-    with pytest.raises(ValidationError):
-        GrowthRates((0.1, float("nan"), 0.1, 0.1, 0.1), (5,) * 5)
-    with pytest.raises(ValidationError):
-        GrowthRates((0.1,) * 5, (5, 5, -1, 5, 5))
-
-
 def test_discrepancy_equal_lengths_averages_the_gaps():
     ps = periods_over((20,) * 5)
-    data = rates((0.0,) * 5, (20,) * 5)
-    sim = rates((0.001, 0.002, 0.003, 0.004, 0.005), (20,) * 5)
-    rep = discrepancy(sim, data, ps)
-    assert rep.weighted_error == pytest.approx(3e-3, abs=1e-15)
-    assert rep.as_percent == pytest.approx(0.3, abs=1e-12)
-    assert rep.abs_diff == (0.001, 0.002, 0.003, 0.004, 0.005)
+    data = (0.0,) * 5
+    sim = (0.001, 0.002, 0.003, 0.004, 0.005)
+    abs_diff, weighted_error = discrepancy(sim, data, ps)
+    assert weighted_error == pytest.approx(3e-3, abs=1e-15)
+    assert 100.0 * weighted_error == pytest.approx(0.3, abs=1e-12)
+    assert abs_diff == (0.001, 0.002, 0.003, 0.004, 0.005)
 
 
 def test_discrepancy_weights_by_period_length():
     lengths = (10, 20, 30, 20, 20)
     ps = periods_over(lengths)
-    data = rates((0.0,) * 5, lengths)
-    sim = rates((0.005, 0.0, 0.0, 0.0, 0.0), lengths)
-    rep = discrepancy(sim, data, ps)
-    assert rep.weighted_error == pytest.approx(5e-4, abs=1e-15)
-    assert rep.as_percent == pytest.approx(0.05, abs=1e-12)
+    data = (0.0,) * 5
+    sim = (0.005, 0.0, 0.0, 0.0, 0.0)
+    _, weighted_error = discrepancy(sim, data, ps)
+    assert weighted_error == pytest.approx(5e-4, abs=1e-15)
+    assert 100.0 * weighted_error == pytest.approx(0.05, abs=1e-12)
 
 
 def test_discrepancy_of_identical_rates_is_zero():
-    lengths = (10, 20, 30, 20, 20)
-    ps = periods_over(lengths)
-    a = rates((0.12, -0.05, 0.1, -0.04, 0.08), lengths)
-    b = rates(a.k, lengths)
-    assert discrepancy(b, a, ps).weighted_error == 0.0
+    ps = periods_over((10, 20, 30, 20, 20))
+    a = (0.12, -0.05, 0.1, -0.04, 0.08)
+    assert discrepancy(a, a, ps)[1] == 0.0
 
 
 def test_discrepancy_rejects_missing_rates():
     ps = periods_over((7,) * 5)
-    full = rates((0.1,) * 5, (7,) * 5)
-    holed = rates((0.1, None, 0.1, 0.1, 0.1), (7, 0, 7, 7, 7))
+    full = (0.1,) * 5
+    holed = (0.1, None, 0.1, 0.1, 0.1)
     with pytest.raises(ValidationError, match="period 2"):
         discrepancy(holed, full, ps)
     with pytest.raises(ValidationError):
-        discrepancy(rates(full.k, full.n), rates(holed.k, holed.n), ps)
+        discrepancy(full, holed, ps)
 
 
 def test_discrepancy_is_symmetric():
     rng = np.random.default_rng(7)
     ps = periods_over((10, 20, 30, 20, 20))
     for _ in range(20):
-        a = rates(tuple(rng.normal(0, 0.1, 5)), (5,) * 5)
-        b = rates(tuple(rng.normal(0, 0.1, 5)), (5,) * 5)
-        assert discrepancy(b, a, ps).weighted_error == discrepancy(a, b, ps).weighted_error
+        a = tuple(rng.normal(0, 0.1, 5))
+        b = tuple(rng.normal(0, 0.1, 5))
+        assert discrepancy(b, a, ps)[1] == discrepancy(a, b, ps)[1]
 
 
 def test_discrepancy_invariant_under_uniform_length_scaling():
     base = (10, 20, 30, 20, 20)
-    a = rates((0.12, -0.05, 0.1, -0.04, 0.08), base)
-    b = rates((0.1, 0.0, 0.09, -0.01, 0.03), base)
-    r1 = discrepancy(a, b, periods_over(base))
-    r2 = discrepancy(a, b, periods_over(tuple(2 * n for n in base)))
-    assert r2.weighted_error == r1.weighted_error
-    r3 = discrepancy(a, b, periods_over(tuple(3 * n for n in base)))
-    assert r3.weighted_error == pytest.approx(r1.weighted_error, rel=1e-12)
-
-
-def test_discrepancy_report_rejects_zero_total_length():
-    with pytest.raises(ValidationError, match="period lengths must sum to a positive number"):
-        DiscrepancyReport((0.01,) * 5, (0,) * 5)
+    a = (0.12, -0.05, 0.1, -0.04, 0.08)
+    b = (0.1, 0.0, 0.09, -0.01, 0.03)
+    _, e1 = discrepancy(a, b, periods_over(base))
+    _, e2 = discrepancy(a, b, periods_over(tuple(2 * n for n in base)))
+    assert e2 == e1
+    _, e3 = discrepancy(a, b, periods_over(tuple(3 * n for n in base)))
+    assert e3 == pytest.approx(e1, rel=1e-12)
 
 
 def test_default_init_seeds_from_first_positive_windowed_count():
@@ -166,8 +142,7 @@ def test_data_growth_rates_recover_piecewise_slopes():
     slopes = (0.12, -0.05, 0.1, -0.04, 0.08)
     counts = piecewise_log_linear_counts(5000.0, slopes, lengths)
     got = data_growth_rates(CaseSeries("m", START, counts), periods_over(lengths))
-    assert got.n == lengths
-    for k, want in zip(got.k, slopes):
+    for k, want in zip(got, slopes):
         assert k == pytest.approx(want, abs=1e-9)
 
 
@@ -175,9 +150,8 @@ def test_data_growth_rates_flag_unfittable_periods():
     counts = list(piecewise_log_linear_counts(100.0, (0.1,) * 5, (7,) * 5))
     counts[14:21] = [0.0] * 7
     got = data_growth_rates(CaseSeries("m", START, tuple(counts)), periods_over((7,) * 5))
-    assert got.k[2] is None
-    assert got.n[2] == 0
-    assert all(k is not None for i, k in enumerate(got.k) if i != 2)
+    assert got[2] is None
+    assert all(k is not None for i, k in enumerate(got) if i != 2)
 
 
 def test_sim_growth_rates_count_positive_days():
@@ -185,8 +159,7 @@ def test_sim_growth_rates_count_positive_days():
     params = PiecewiseParams([2e-6] * 5, [0.05] * 5)
     traj = simulate("original", params, SirState(1e5, 10.0, 0.0), ps)
     got = sim_growth_rates(traj, ps)
-    assert got.n == (7,) * 5
-    assert all(k is not None and k > 0 for k in got.k)
+    assert all(k is not None and k > 0 for k in got)
 
 
 def test_beta_grid_auto_scales_to_initial_susceptibles():
@@ -253,7 +226,7 @@ def test_tune_single_point_grid_returns_that_point():
     res = tune("original", series, ps, cfg, init=init)
     assert res.params.beta == (0.0,) * 5
     assert res.params.gamma == (0.0,) * 5
-    assert res.report.as_percent == 0.0
+    assert res.as_percent == 0.0
 
 
 def test_tune_shared_beta_locks_beta_across_periods():
@@ -273,9 +246,9 @@ def test_tune_refinement_never_hurts():
     ps = periods_over(lengths)
     coarse = SearchConfig(points=21, refinement_levels=0)
     refined = SearchConfig(points=21, refinement_levels=2)
-    rep0 = tune("original", series, ps, coarse).report
-    rep2 = tune("original", series, ps, refined).report
-    assert rep2.weighted_error <= rep0.weighted_error + 1e-9
+    res0 = tune("original", series, ps, coarse)
+    res2 = tune("original", series, ps, refined)
+    assert res2.weighted_error <= res0.weighted_error + 1e-9
 
 
 def test_tune_recovers_generating_parameters_exactly():
@@ -287,13 +260,14 @@ def test_tune_recovers_generating_parameters_exactly():
         "reinfect", series, ps,
         tau1=FIXTURE_TAU1, tau2=FIXTURE_TAU2, mu=FIXTURE_MU,
     )
-    assert res.report.as_percent == 0.0
+    assert res.as_percent == 0.0
     assert res.params.beta == truth.params.beta
     assert res.params.gamma == truth.params.gamma
 
 
 def _replay_tuned_run(model, slopes, seed, tau1=3, tau2=7, mu=0.0, epsilon=0.0, shared_beta=False):
-    """Tune on noisy piecewise counts, then check simulate() replays tune's own run."""
+    """Tune on noisy piecewise counts, then check simulate() replays tune's own run and
+    that every reported number is, bit for bit, the rates and weighted gap of that run."""
     lengths = (10, 12, 14, 12, 10)
     ps = periods_over(lengths)
     rng = np.random.default_rng(seed)
@@ -306,8 +280,12 @@ def _replay_tuned_run(model, slopes, seed, tau1=3, tau2=7, mu=0.0, epsilon=0.0, 
     )
     traj = simulate(model, res.params, res.init, ps, inflow)
     assert traj == res.trajectory
-    assert res.sim_rates == sim_growth_rates(traj, ps)
-    assert res.data_rates == data_growth_rates(series, ps)
+    assert _slope_bits(res.k_sim) == _slope_bits(sim_growth_rates(traj, ps))
+    assert _slope_bits(res.k_data) == _slope_bits(data_growth_rates(series, ps))
+    assert _slope_bits(res.per_period_abs_diff) == _slope_bits(
+        [abs(ks - kd) for ks, kd in zip(res.k_sim, res.k_data)])
+    assert _slope_bits([res.weighted_error, res.as_percent]) == _slope_bits(
+        [weighted_mean(res.per_period_abs_diff, ps.lengths()), 100.0 * res.weighted_error])
     assert res.init == default_init(series, ps)
     return res
 
@@ -335,7 +313,7 @@ def test_tune_trajectory_is_what_simulate_reproduces(
 @pytest.mark.parametrize("model", VARIANTS)
 def test_tune_replay_covers_every_variant(model):
     res = _replay_tuned_run(model, (0.12, -0.05, 0.1, -0.04, 0.08), 11, mu=0.2, epsilon=0.5)
-    assert res.report.as_percent < 5.0
+    assert res.as_percent < 5.0
 
 
 def test_tune_replay_with_shared_beta_and_clamped_reinfection():
@@ -917,20 +895,19 @@ def test_the_one_pass_slope_is_within_rounding_of_the_two_pass_slope(
 def _reference_data_rates(series, periods):
     """data_growth_rates as first written: per period, the (day, log count) points of
     its positive days, then fit_simple; slope None below 2 points."""
-    ks, ns = [], []
+    ks = []
     for p in periods.periods:
         first, counts = series.within(p.interval)
         points = [(d, math.log(c)) for d, c in enumerate(counts, start=first) if c > 0]
         ks.append(fit_simple(points).slope if len(points) >= 2 else None)
-        ns.append(len(points))
-    return ks, ns
+    return ks
 
 
 def _reference_sim_rates(traj, periods):
     """sim_growth_rates as first written: per period, the (window day, log I) points of
-    its positive days, then fit_simple, and a second walk to count those days."""
+    its positive days, then fit_simple."""
     window = periods.window
-    ks, ns = [], []
+    ks = []
     for p in periods.periods:
         off = (p.start - window.start).days
         pts = []
@@ -939,8 +916,7 @@ def _reference_sim_rates(traj, periods):
             if i_val > 0:
                 pts.append((off + d, math.log(i_val)))
         ks.append(fit_simple(pts).slope if len(pts) >= 2 else None)
-        ns.append(sum(1 for d in range(p.length) if traj.i[off + d] > 0))
-    return ks, ns
+    return ks
 
 
 def _slope_bits(ks):
@@ -966,17 +942,14 @@ def _zero_periods(values, lead, lengths, dead):
 @given(lengths=_period_lengths, lead=st.integers(-8, 8), data=st.data())
 def test_data_growth_rates_match_the_per_period_reference_bitwise(lengths, lead, data):
     """Series that start before or after the window, end inside it, with zero days and
-    all-zero periods: the window fit gives each period the reference's slope and count."""
+    all-zero periods: the window fit gives each period the reference's slope."""
     days = sum(lengths)
     n = data.draw(st.integers(1, days + 16))
     counts = data.draw(st.lists(_count, min_size=n, max_size=n))
     counts = _zero_periods(counts, lead, lengths, data.draw(st.sets(st.integers(0, 4))))
     series = CaseSeries("m", START + timedelta(days=lead), tuple(counts))
     ps = periods_over(lengths)
-    got = data_growth_rates(series, ps)
-    want_k, want_n = _reference_data_rates(series, ps)
-    assert _slope_bits(got.k) == _slope_bits(want_k)
-    assert list(got.n) == want_n
+    assert _slope_bits(data_growth_rates(series, ps)) == _slope_bits(_reference_data_rates(series, ps))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1002,10 +975,7 @@ def test_sim_growth_rates_match_the_per_period_reference_bitwise(lengths, data):
             mu=data.draw(st.floats(0.0, 0.5)),
         )
         traj = simulate(model, params, SirState(1e5, data.draw(st.floats(0.0, 1e3)), 0.0), ps)
-    got = sim_growth_rates(traj, ps)
-    want_k, want_n = _reference_sim_rates(traj, ps)
-    assert _slope_bits(got.k) == _slope_bits(want_k)
-    assert list(got.n) == want_n
+    assert _slope_bits(sim_growth_rates(traj, ps)) == _slope_bits(_reference_sim_rates(traj, ps))
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -1023,7 +993,7 @@ def test_periods_csv_slopes_are_the_data_growth_rates_bitwise(tmp_path, seed):
     assert len(period_sets) == 4
     for metro, ps in period_sets.items():
         written = [float(r["slope"]) for r in rows if r["metro"] == metro]
-        assert _slope_bits(data_growth_rates(series_by[metro], ps).k) == _slope_bits(written)
+        assert _slope_bits(data_growth_rates(series_by[metro], ps)) == _slope_bits(written)
 
 
 @pytest.mark.parametrize("points", [1, 2, 21, 101])

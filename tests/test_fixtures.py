@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from epigrowth.correlate import subcategories
 from epigrowth.errors import ConfigError
 from epigrowth.fixtures import (
     FIXTURE_MU,
@@ -99,15 +100,15 @@ def test_synth_demographics_plants_a_recoverable_cell():
     rng = np.random.default_rng(8)
     response = {f"m{i:02d}": 0.02 + 0.01 * i for i in range(12)}
     table = synth_demographics(rng, response)
-    assert table.groups() == sorted(GROUP_SUBCATS)
-    for group in table.groups():
-        assert table.subcategories(group) == sorted(GROUP_SUBCATS[group])
+    assert sorted(table) == sorted(GROUP_SUBCATS)
+    for group in sorted(table):
+        assert subcategories(table[group]) == sorted(GROUP_SUBCATS[group])
         for metro in response:
             for subcat in GROUP_SUBCATS[group]:
-                assert 0.0 <= table.values[group][metro][subcat] <= 100.0
+                assert 0.0 <= table[group][metro][subcat] <= 100.0
     group, subcat = PLANTED_CELL
     ys = [response[m] for m in sorted(response)]
-    xs = [table.values[group][m][subcat] for m in sorted(response)]
+    xs = [table[group][m][subcat] for m in sorted(response)]
     assert np.corrcoef(xs, ys)[0, 1] > 0.99
 
 
@@ -115,7 +116,7 @@ def test_synth_demographics_can_skip_planting():
     rng = np.random.default_rng(8)
     response = {f"m{i:02d}": 0.02 + 0.01 * i for i in range(12)}
     table = synth_demographics(rng, response, planted=None)
-    assert table.groups() == sorted(GROUP_SUBCATS)
+    assert sorted(table) == sorted(GROUP_SUBCATS)
 
 
 def test_synth_weather_covers_every_metro_day():

@@ -294,21 +294,21 @@ def test_parameter_degeneracies_match_delayed_bitwise():
 def test_growth_rates_on_exact_exponential():
     days = FIVE_WEEKS.window.days
     traj = Trajectory((1e6,) * days, tuple(math.exp(0.1 * t) for t in range(days)), (0.0,) * days)
-    rates = sim_growth_rates(traj, FIVE_WEEKS).k
+    rates = sim_growth_rates(traj, FIVE_WEEKS)
     for k in rates:
         assert k == pytest.approx(0.1, abs=1e-9)
 
 
 def test_growth_rates_constant_series_is_flat():
     days = FIVE_WEEKS.window.days
-    rates = sim_growth_rates(Trajectory((10.0,) * days, (42.0,) * days, (0.0,) * days), FIVE_WEEKS).k
+    rates = sim_growth_rates(Trajectory((10.0,) * days, (42.0,) * days, (0.0,) * days), FIVE_WEEKS)
     assert rates == (0.0,) * 5
 
 
 def test_growth_rates_all_zero_period_is_none():
     days = FIVE_WEEKS.window.days
     i = tuple(5.0 if t >= 7 else 0.0 for t in range(days))
-    rates = sim_growth_rates(Trajectory((10.0,) * days, i, (0.0,) * days), FIVE_WEEKS).k
+    rates = sim_growth_rates(Trajectory((10.0,) * days, i, (0.0,) * days), FIVE_WEEKS)
     assert rates[0] is None
     assert rates[2] == 0.0
 

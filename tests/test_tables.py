@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from epigrowth.cli import main
 from epigrowth.correlate import (
     WEATHER_TYPES,
-    DemographicTable,
     load_demographics,
     load_weather,
     weather_studies,
@@ -163,8 +162,8 @@ def test_inflow_round_trip(o):
     )
 )
 def test_demographics_round_trip(values):
-    table, _ = _round_trip(write_demographics_csv, load_demographics, DemographicTable(values))
-    assert table.values == values
+    table, _ = _round_trip(write_demographics_csv, load_demographics, values)
+    assert table == values
 
 
 @settings(max_examples=60, deadline=None)
