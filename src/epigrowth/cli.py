@@ -397,7 +397,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 "per_period_abs_diff": res.per_period_abs_diff,
                 "weighted_error": res.weighted_error,
                 "as_percent": res.as_percent,
-                "clamp_events": res.trajectory.clamp_events,
             }
             pcts[model] = res.as_percent
         report["metros"][metro] = entry
@@ -509,8 +508,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if model == "tourism" and t < len(traj) - 1:
                 added += params.epsilon * inflow.o[t]
     print(f"max relative conservation drift: {drift!r}")
-    if traj.clamp_events:
-        print(f"clamp events: {traj.clamp_events}")
     print(f"simulate: wrote {len(traj)} day(s) to {out}")
     return 0
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, PipelineError, StateError, ValidationError
+from .errors import ConfigError, InsufficientDataError, PipelineError, ValidationError
 from .regress import _ols_slope
 from .segment import NUM_PERIODS, PeriodSet, _WindowFits
 from .sir import (
@@ -60,9 +60,9 @@ class TuneResult:
     """What tune() found: the rates, the run they produce, and how well it fits.
 
     ``trajectory`` is the committed run itself, so ``simulate(model, params,
-    init, periods)`` reproduces it bit for bit, clamp count included.  The
-    other fields are the run's ``fit_report.json`` entries: the data and
-    simulated growth rates and ``discrepancy(k_sim, k_data, periods)``.
+    init, periods)`` reproduces it bit for bit.  The other fields are the
+    run's ``fit_report.json`` entries: the data and simulated growth rates
+    and ``discrepancy(k_sim, k_data, periods)``.
     """
 
     params: PiecewiseParams
@@ -96,8 +96,9 @@ class SearchConfig:
 
 def _beta_hi(s0: float) -> float:
     """1/S0, the top of the beta range, so beta*S0 spans [0, 1] per day."""
-    if s0 <= 0:
-        raise ConfigError("the beta range [0, 1/S0] needs a positive initial susceptible count")
+    if not (s0 > 0 and math.isfinite(1.0 / s0)):
+        raise ConfigError(f"the beta range [0, 1/S0] needs a positive S0 whose reciprocal is finite, "
+                          f"got {s0!r}")
     return 1.0 / s0
 
 
@@ -200,8 +201,8 @@ def _grid_eval(model: str, days: Sequence[tuple], bvals: np.ndarray, gvals: np.n
         sxx[j] = float((dx**2).sum())
         if r[0] == 0:  # the committed day: one float, logged as the data are
             acc[j] = dx[0] * math.log(job[1][-1]) if job[1][-1] > 0 else math.nan
-    acc, _, finite = _euler_days(model, days, shared, np.repeat(bvals, n_g, axis=1), np.tile(gvals, (1, n_b)),
-                                 lasts, o_vals, (xc, fit, acc))
+    acc, finite = _euler_days(model, days, shared, np.repeat(bvals, n_g, axis=1), np.tile(gvals, (1, n_b)),
+                              lasts, o_vals, (xc, fit, acc))
     return np.where(finite & np.isfinite(acc), np.abs(acc / sxx - np.array(target_k)[:, None]), np.inf)
 
 
@@ -237,13 +238,12 @@ class TuneJob:
         self.days = ([self.init.s], [self.init.i], [self.init.r])
         self.betas: list[float] = []
         self.gammas: list[float] = []
-        self.clamps = 0
         self.error: PipelineError | None = None
 
     def result(self) -> TuneResult | PipelineError:
         if self.error is not None:
             return self.error
-        traj = Trajectory(*self.days, clamp_events=self.clamps)
+        traj = Trajectory(*self.days)
         sim = sim_growth_rates(traj, self.periods)
         params = replace(self.shared, beta=tuple(self.betas), gamma=tuple(self.gammas))
         return TuneResult(params, self.init, traj, self.data, sim, *discrepancy(sim, self.data, self.periods))
@@ -324,11 +324,10 @@ def _tune_together(batch: list[TuneJob]) -> None:
             [job.best[2] for job in live], [job.cuts for job in live], [job.o_vals for job in live],
             per_idx + 1,
         )
-        for job, clamps in zip(live, committed):
-            if isinstance(clamps, StateError):
-                job.error = clamps
+        for job, error in zip(live, committed):
+            if error is not None:
+                job.error = error
                 continue
-            job.clamps += clamps
             job.betas.append(job.best[1])
             job.gammas.append(job.best[2])
 

@@ -26,7 +26,6 @@ class SimpleFit:
     slope: float
     intercept: float
     r_squared: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -94,10 +93,9 @@ def fit_simple(points) -> SimpleFit:
         raise ValidationError("points must be (x, y) pairs")
     x = np.array([float(p[0]) for p in pts])
     y = np.array([float(p[1]) for p in pts])
-    n = len(x)
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 points to fit a line, got {n}")
-    return SimpleFit(*_line_fit(x, y), n)
+    if len(x) < 2:
+        raise InsufficientDataError(f"need at least 2 points to fit a line, got {len(x)}")
+    return SimpleFit(*_line_fit(x, y))
 
 
 def _independent_columns(x: np.ndarray) -> np.ndarray:

@@ -143,12 +143,11 @@ class _WindowFits:
         self.days = self.x.astype(int) - (window.start - series.start_date).days
         self.before = np.searchsorted(self.days, np.arange(window.days + 1)).tolist()
 
-    def segment_fit(self, lo: int, hi: int) -> tuple[float, float, float, int] | None:
-        """(slope, intercept, r2, n) over window-relative days [lo, hi), or None if unfittable."""
+    def segment_fit(self, lo: int, hi: int) -> tuple[float, float, float] | None:
+        """(slope, intercept, r2) over window-relative days [lo, hi), or None if unfittable."""
         a, b = self.before[lo], self.before[hi]
-        n = b - a
         # distinct days, so two points always spread x
-        return None if n < 2 else (*_line_fit(self.x[a:b], self.y[a:b]), n)
+        return None if b - a < 2 else _line_fit(self.x[a:b], self.y[a:b])
 
     def scores(self, starts: np.ndarray, ends: np.ndarray, min_days: int) -> np.ndarray:
         """R2 * days of every stretch [starts[i], ends[j]), or -inf where it is unfittable.

@@ -9,10 +9,10 @@ many jobs in one call and commits their winners in another, ``simulate``
 runs one job with one candidate, and float64 arithmetic is the same
 elementwise at every batch size.  It keeps one state layout whether it
 records every day or scores as it steps.  Both commit through ``_commit``,
-the one place that says on which day a period's run ends.  Negative values
-are clamped to zero and counted; a clamp can create population, since the
-flow that overdrew a compartment still reaches the next one in full (R can
-go negative only when mu > 1).  A state that stops being finite raises
+the one place that says on which day a period's run ends.  No flow takes
+more than its source compartment holds that day, so no compartment goes
+negative and S + I + R moves only by rounding and, in tourism, by the inflow.
+A state that stops being finite (a total past the float range) raises
 StateError; scoring stops stepping the candidates that are dead for good.
 """
 
@@ -62,7 +62,6 @@ class Trajectory:
     s: tuple[float, ...]
     i: tuple[float, ...]
     r: tuple[float, ...]
-    clamp_events: int = 0
 
     def __post_init__(self) -> None:
         if not self.s:
@@ -131,8 +130,10 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     ``gamma`` are (jobs, candidates) arrays; ``o_vals`` holds each job's
     inflow (tourism only); ``params`` supplies the delays and the mu/epsilon
     rates.  Delayed reads before day 0 return day 0 (constant pre-history);
-    ``original`` reads today.  Negative values are clamped to zero, R only for
-    mu > 1: else mu * R never exceeds the R it leaves (and -0.0 is read +0.0).
+    ``original`` reads today.  Each flow is capped at its source: the
+    per-capita infection rate beta * I(t - tau1) at 1, the removals at the I
+    the day holds after its infections, and the reentries rate mu at 1, so a
+    step moves at most all of a compartment and none goes negative.
     Row k of a job is its day m_j - 1 + k, so one lag index serves the batch.
     The jobs come longest first (``steps`` must not increase, or ValueError),
     so step k advances the jobs that take it and no job runs past its last
@@ -140,13 +141,12 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     I rows that a step reads and writes.  ``finite`` marks the candidates
     whose state is finite on their job's last day.
 
-    Without ``score`` it returns (block, clamps, finite): each step copies its
-    raw S, I and R into ``block``, (3, days, jobs, candidates), which is
-    clamped after the loop, and ``clamps`` counts each job's negative raw
-    values.  With ``score``, (xc, fit, acc), it scores as it steps and
-    returns (acc, [], finite): after step k, each job j with ``fit[k, j]``
-    adds ``xc[k, j] * log(I)`` into its row of ``acc``, so a zero or
-    non-finite I there leaves ``acc`` non-finite.  On a step where only some
+    Without ``score`` it returns (block, finite): each step copies its S, I
+    and R into ``block``, (3, days, jobs, candidates).  With ``score``,
+    (xc, fit, acc), it scores as it steps and returns (acc, finite): after
+    step k, each job j with ``fit[k, j]`` adds ``xc[k, j] * log(I)`` into
+    its row of ``acc``, so a zero or non-finite I there leaves ``acc``
+    non-finite.  On a step where only some
     jobs have a fit row, the others add exactly 0.0.  A column is dead for good
     once its ``acc`` or its I is not finite (a zero I is not: a lagged variant
     can revive it).  After step _CHECK_STEP each job still running keeps as
@@ -159,8 +159,7 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     # A lag past a job's committed days plus its steps reads day 0 at any length.
     cap = 0 if model == "original" else top + max(len(i) for _, i, _ in days)
     tau1, tau2 = min(params.tau1, cap), min(params.tau2, cap)
-    # With mu = 0 the reentries term is +0.0, and adding it changes no clamped value.
-    mu = params.mu if model == "reinfect" else 0.0
+    mu = min(params.mu, 1.0) if model == "reinfect" else 0.0
     reach = max(tau1, tau2)
     # I history right-aligned on each job's last day: row reach - d is day m_j - 1 - d, or day 0.
     hist = np.array([[i[0]] * (reach + 1 - len(i)) + i[-reach - 1:] for _, i, _ in days]).T[:, :, None]
@@ -168,7 +167,7 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     shape, size = beta.shape, reach + 2
     ring, today = np.empty((size, *shape)), np.broadcast_to(start[::2], (2, *shape)).copy()
     ring[0] = start[1]
-    today[1] += 0.0  # a committed R of -0.0 becomes +0.0, as the R clamp would make it
+    today += 0.0  # a committed S or R of -0.0 steps as +0.0, so that no day records -0.0
     if score is None:  # every day of S, I and R, and nothing scored
         block = np.empty((3, top + 1, *shape))
         block[:, 0] = start
@@ -202,6 +201,7 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
             for k in range(lo + 1, hi + 1):
                 lag1, lag2 = k - 1 - tau1, k - 1 - tau2
                 np.multiply(b, i_rows[lag1 % size] if lag1 >= 0 else h[reach + lag1], out=new_infections)
+                np.minimum(new_infections, 1.0, out=new_infections)
                 new_infections *= s
                 np.multiply(g, i_rows[lag2 % size] if lag2 >= 0 else h[reach + lag2], out=removals)
                 if mu:
@@ -209,6 +209,7 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
                 i_k = i_rows[k % size]
                 s -= new_infections
                 np.add(i_rows[(k - 1) % size], new_infections, out=i_k)
+                np.minimum(removals, i_k, out=removals)
                 i_k -= removals
                 r += removals
                 if mu:
@@ -218,10 +219,6 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
                     s += epsilon * np.array([[o[len(i) + k - 2]] for (_, i, _), o in zip(days, o_vals[:n])])
                 if score is None:
                     block[:, k, :n] = s, i_k, r
-                np.maximum(s, 0.0, out=s)
-                np.maximum(i_k, 0.0, out=i_k)
-                if mu > 1.0:
-                    np.maximum(r, 0.0, out=r)
                 if not n_fit[k][n - 1]:
                     continue
                 np.log(i_k, out=new_infections)
@@ -232,10 +229,8 @@ def _euler_days(model, days, params: PiecewiseParams, beta, gamma, steps, o_vals
     finite[put] = last_finite(0, today.shape[1])
     if score is not None:
         score[2][put] = acc
-        return score[2], [], finite
-    clamps = [int(np.count_nonzero(block[:, 1:n + 1, j] < 0.0)) for j, n in enumerate(steps)]
-    np.maximum(block, 0.0, out=block)
-    return block, clamps, finite
+        return score[2], finite
+    return block, finite
 
 
 def _inflow_values(model: str, inflow: InflowSeries | None, horizon: int):
@@ -257,24 +252,25 @@ def _commit(model, days, params: PiecewiseParams, beta, gamma, cuts, o_vals, per
     the period containing t, so that state belongs to this period's
     parameters.  The last period stops at the window end.  Runs the step
     kernel with one column per job; the jobs' periods must not grow along
-    the batch (the kernel takes its jobs longest first).  Returns each job's clamp count, or the
-    StateError naming the model, the first bad day and the period for a job
-    whose state stopped being finite.
+    the batch (the kernel takes its jobs longest first).  Returns, for each
+    job, None or the StateError naming the model, the first bad day and the
+    period for a job whose state stopped being finite.
     """
     starts = [len(job[0]) for job in days]
     steps = [min(c[period] + 1, c[-1]) - start for start, c in zip(starts, cuts)]
     beta, gamma = np.array(beta)[:, None], np.array(gamma)[:, None]
-    block, clamps, finite = _euler_days(model, days, params, beta, gamma, steps, o_vals)
+    block, finite = _euler_days(model, days, params, beta, gamma, steps, o_vals)
+    errors = [None] * len(days)
     for j, (job, start, n) in enumerate(zip(days, starts, steps)):
         for seq, col in zip(job, block[:, 1:n + 1, j, 0]):
             seq.extend(col.tolist())
         if not finite[j, 0]:
             day = start + int(np.flatnonzero(~np.isfinite(block[:, 1:n + 1, j, 0]).all(axis=0))[0])
-            clamps[j] = StateError(
+            errors[j] = StateError(
                 f"{model}: state is no longer finite on day {day} (period {period}); "
-                "the rates are too large for this population"
+                "the population is too large for the float range"
             )
-    return clamps
+    return errors
 
 
 def simulate(
@@ -292,14 +288,12 @@ def simulate(
     check_variant(model)
     o_vals = _inflow_values(model, inflow, periods.window.days)
     days = ([init.s], [init.i], [init.r])
-    clamp_events = 0
     cuts = periods.cuts()
     for idx, (beta, gamma) in enumerate(zip(params.beta, params.gamma), start=1):
-        (clamps,) = _commit(model, [days], params, [beta], [gamma], [cuts], [o_vals], idx)
-        if isinstance(clamps, StateError):
-            raise clamps
-        clamp_events += clamps
-    return Trajectory(*days, clamp_events=clamp_events)
+        (error,) = _commit(model, [days], params, [beta], [gamma], [cuts], [o_vals], idx)
+        if error is not None:
+            raise error
+    return Trajectory(*days)
 
 
 def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:

@@ -65,7 +65,6 @@ def test_criterion_1_conservation():
         r0 = float(rng.uniform(0.0, 0.01 * s0))
         return SirState(s0, i0, r0)
 
-    unclamped = 0
     runs = 0
     for variant, n_runs in (("original", 34), ("delayed", 33), ("reinfect", 33)):
         for _ in range(n_runs):
@@ -79,16 +78,11 @@ def test_criterion_1_conservation():
                 mu=float(rng.uniform(0.0, 0.3)) if variant == "reinfect" else 0.0,
             )
             traj = simulate(variant, params, init, ps)
-            if traj.clamp_events:
-                continue
-            unclamped += 1
             total0 = init.s + init.i + init.r
             for s, i, r in zip(traj.s, traj.i, traj.r):
                 assert abs(s + i + r - total0) / total0 < 1e-9
     assert runs == 100
-    assert unclamped >= 50  # the sweep must actually exercise the invariant
 
-    tourism_checked = 0
     for _ in range(25):
         init = draw_state()
         epsilon = float(rng.uniform(0.0, 1.0))
@@ -101,21 +95,17 @@ def test_criterion_1_conservation():
             epsilon=epsilon,
         )
         traj = simulate("tourism", params, init, ps, InflowSeries(o_vals))
-        if traj.clamp_events:
-            continue
-        tourism_checked += 1
         total0 = init.s + init.i + init.r
         totals = [s + i + r for s, i, r in zip(traj.s, traj.i, traj.r)]
         for t in range(len(traj) - 1):
             increment = totals[t + 1] - totals[t]
             assert abs(increment - epsilon * o_vals[t]) / total0 < 1e-9
-    assert tourism_checked >= 12
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(
-        f"ACCEPTANCE 1 PASS: totals conserved to 1e-9 on {unclamped}/100 unclamped runs; "
-        f"tourism increments matched eps*O(t) on {tourism_checked}/25 runs; {elapsed:.2f}s"
+        f"ACCEPTANCE 1 PASS: totals conserved to 1e-9 on all 100 runs; "
+        f"tourism increments matched eps*O(t) on all 25 runs; {elapsed:.2f}s"
     )
 
 
@@ -140,11 +130,6 @@ def test_criterion_2_linearized_growth():
     )
 
 
-def _days(traj):
-    """A trajectory's S, I and R columns, without its clamp count."""
-    return traj.s, traj.i, traj.r
-
-
 def test_criterion_3_degeneracy_equalities():
     rng = np.random.default_rng(303)
     ps = periods_over((12,) * 5)  # 60-day runs
@@ -159,20 +144,17 @@ def test_criterion_3_degeneracy_equalities():
         inflow = InflowSeries(tuple(float(v) for v in rng.uniform(0.0, 50.0, ps.window.days - 1)))
 
         no_lag = PiecewiseParams([beta] * 5, [gamma] * 5)
-        assert (
-            _days(simulate("delayed", no_lag, init, ps))
-            == _days(simulate("original", no_lag, init, ps))
-        )
+        assert simulate("delayed", no_lag, init, ps) == simulate("original", no_lag, init, ps)
 
         lagged = PiecewiseParams([beta] * 5, [gamma] * 5, tau1=tau1, tau2=tau2)
-        delayed_states = _days(simulate("delayed", lagged, init, ps))
-        assert _days(simulate("reinfect", lagged, init, ps)) == delayed_states
-        assert _days(simulate("tourism", lagged, init, ps, inflow)) == delayed_states
+        delayed_states = simulate("delayed", lagged, init, ps)
+        assert simulate("reinfect", lagged, init, ps) == delayed_states
+        assert simulate("tourism", lagged, init, ps, inflow) == delayed_states
 
         # and the non-degenerate settings really do change something
         with_mu = PiecewiseParams([beta] * 5, [gamma] * 5, tau1=tau1, tau2=tau2, mu=mu)
         if mu > 0 and init.r > 0:
-            assert _days(simulate("reinfect", with_mu, init, ps)) != delayed_states
+            assert simulate("reinfect", with_mu, init, ps) != delayed_states
     print("ACCEPTANCE 3 PASS: all three degeneracy pairs bit-identical on 20 random draws")
 
 

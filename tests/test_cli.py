@@ -292,14 +292,16 @@ def test_tourism_reads_one_inflow_value_per_step(tmp_path, capsys):
 
 
 def test_simulate_non_finite_state_exits_2_naming_day_and_period(tmp_path, capsys):
-    # beta*I*S overflows on day 1; the old clamp turned day 2's NaN into I = 0
+    # I and R together pass the float range: the removals carry R past it on day 2
     rc = main(
         [
             "simulate",
             "--model", "original",
-            "--beta", "1e300",
-            "--gamma", "0.1",
-            "--i0", "1",
+            "--beta", "0",
+            "--gamma", "0.6",
+            "--s0", "1",
+            "--i0", "1e308",
+            "--r0", "1e308",
             "--out", str(tmp_path),
         ]
     )
@@ -580,7 +582,7 @@ def test_fit_output_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatc
     assert digests == {
         "periods.csv": "07085dbaa7a8693c218b1dc0985e6134d8b818eff7450aeb280e427f79097045",
         "protocol.csv": "678699a8422660d55dd311c7f8c73002a3cd0addf7fba493d66059f6b713c90b",
-        "fit_report.json": "2e544984ee69ecafa7ae955a9fea6011a29ac9e8ea1b5ede9bb129eb917e9e77",
+        "fit_report.json": "103079918dff77b19120c15666689e5f911738759190719b29cdcbbc4a9d58c4",
         "table2.csv": "1b68700ada713ad996f3fa3640fca02a90f95fe7e1534774f029b0fb0078b7bf",
     }
 
@@ -597,7 +599,7 @@ def test_default_grid_fit_output_bytes_are_pinned(tmp_path):
                for name in ("table2.csv", "fit_report.json")}
     assert digests == {
         "table2.csv": "b4253594e406d2afa246c2543dc42fb6a747137bbcad05ee3cc940b9f0e72cd6",
-        "fit_report.json": "15306d9862856d5efd197aee72bab67c7080acb89c21c04113701d910d87a104",
+        "fit_report.json": "fd79fc6bf9c553e2599a7c9b22a3b6157880e6f46a3b23fd893688ec954bfc76",
     }
 
 
@@ -615,7 +617,7 @@ def test_simulate_output_bytes_are_pinned(tmp_path, capsys):
         "reinfect": ["--model", "reinfect", *fitted],
         "tourism": ["--model", "tourism", "--beta", "1e-6", "--gamma", "0.1", "--i0", "10",
                     "--epsilon", "0.5", "--inflow", f"{out}/inflow.csv"],
-        "clamping": ["--model", "original", "--beta", "1", "--gamma", "0.1", "--i0", "10", "--s0", "1e5"],
+        "overdraw": ["--model", "original", "--beta", "1", "--gamma", "0.1", "--i0", "10", "--s0", "1e5"],
     }
     got = {}
     for name, argv in runs.items():
@@ -640,18 +642,16 @@ def test_simulate_output_bytes_are_pinned(tmp_path, capsys):
             "9f7d82adcb2a4120bc2d2902bd09ae938813acb81e791c6aa316f80de1ee3a76",
         ],
         "tourism": [
-            "max relative conservation drift: 0.8307461019841544\n"
-            "clamp events: 15\n"
+            "max relative conservation drift: 7.779512510165083e-16\n"
             "simulate: wrote 122 day(s) to OUT\n",
-            "daf33ff558465c9b1cd33ab3268499824678d0e03caa30f649c6b336d8839eec",
+            "34a71425977b44c35f9f9858e1a745c9aa98d2106359e7fc297da54715c58afb",
             "15fd00a02bf39a1098a7ab20d5a51c6ce99b5f315de1c8b57207622392c9af6c",
         ],
-        "clamping": [
-            "max relative conservation drift: 8.999100089991005\n"
-            "clamp events: 1\n"
+        "overdraw": [
+            "max relative conservation drift: 2.910092036469723e-16\n"
             "simulate: wrote 122 day(s) to OUT\n",
-            "108408150b5a5fe1f595415fb690cf2f7c820a7b54456878b1dd4bd4338795a2",
-            "9d64518761127209bfbd9d6d32d2ca6980fb2246fea06ee3b027106d377700b8",
+            "31484c0f10ccca2f3f62576ba3e6444b7169cc7c990fa7b2bb95b5a1b6923dd7",
+            "d0392843117e072d1324c49fdc16783fe38d484a360fe6e4e0da7fa870e3318b",
         ],
     }
 

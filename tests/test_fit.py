@@ -173,6 +173,17 @@ def test_beta_grid_auto_scales_to_initial_susceptibles():
         beta_grid(cfg, 0.0)
 
 
+def test_an_s0_whose_reciprocal_overflows_has_no_beta_range():
+    # Below about 5.6e-309, 1 / S0 is inf: the grid would hold 0 * inf, and tune would end with
+    # "no feasible (beta, gamma) grid point" instead of naming S0.
+    with pytest.raises(ConfigError, match="reciprocal is finite, got 1e-310"):
+        beta_grid(SearchConfig(), 1e-310)
+    lengths = (10, 12, 14, 12, 10)
+    series = CaseSeries("m", START, tuple(5e-320 * (1 + d % 3) for d in range(sum(lengths))))
+    with pytest.raises(ConfigError, match="reciprocal is finite, got 4.999944336e-315"):
+        tune("delayed", series, periods_over(lengths))
+
+
 def test_search_config_rejects_bad_ranges():
     with pytest.raises(ConfigError):
         SearchConfig(points=0)
@@ -316,10 +327,12 @@ def test_tune_replay_covers_every_variant(model):
     assert res.as_percent < 5.0
 
 
-def test_tune_replay_with_shared_beta_and_clamped_reinfection():
-    # mu > 1 moves more than R holds back to S, so R is clamped on some days
+def test_tune_replay_with_shared_beta_and_capped_reinfection():
+    # Reentries are capped at the R they leave: with mu > 1 all of R moves back to S each day,
+    # so the run is the one mu = 1 gives.
     res = _replay_tuned_run("reinfect", (0.12, -0.05, 0.1, -0.04, 0.08), 4, mu=1.5, shared_beta=True)
-    assert res.trajectory.clamp_events > 0
+    ps = periods_over((10, 12, 14, 12, 10))
+    assert simulate("reinfect", dataclasses.replace(res.params, mu=1.0), res.init, ps) == res.trajectory
     assert len(set(res.params.beta)) == 1
 
 
@@ -327,9 +340,9 @@ def _reference_grid_eval(model, days, bvals, gvals, seg_lo, seg_hi, x_off, fit_d
                          check_boundary, target_k, shared, o_vals):
     """The grid objective as first written: day lists of arrays and a candidate-major
     log-I matrix filled one column per fit day, then the one-pass slope sum(xc * log I) / sxx,
-    summed day by day."""
+    summed day by day.  Each flow is capped at its source compartment, as the kernel caps it."""
     tau1, tau2 = (0, 0) if model == "original" else (shared.tau1, shared.tau2)
-    mu = shared.mu if model == "reinfect" else 0.0
+    mu = min(shared.mu, 1.0) if model == "reinfect" else 0.0
     nb, ng = len(bvals), len(gvals)
     n_cand = nb * ng
     beta, gamma = np.repeat(bvals, ng), np.tile(gvals, nb)
@@ -338,17 +351,15 @@ def _reference_grid_eval(model, days, bvals, gvals, seg_lo, seg_hi, x_off, fit_d
     s, i, r = days[0][-1], i_days[-1], days[2][-1]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(m - 1, seg_hi + (1 if check_boundary else 0) - 1):
-            new_infections = beta * i_days[t - tau1 if t >= tau1 else 0] * s
-            removals = gamma * i_days[t - tau2 if t >= tau2 else 0]
+            new_infections = np.minimum(beta * i_days[t - tau1 if t >= tau1 else 0], 1.0) * s
             reentries = mu * r
             s = s - new_infections + reentries
             if model == "tourism":
                 s = s + shared.epsilon * o_vals[t]
-            i = i + new_infections - removals
+            i = i + new_infections
+            removals = np.minimum(gamma * i_days[t - tau2 if t >= tau2 else 0], i)
+            i = i - removals
             r = r + removals - reentries
-            s = np.maximum(s, 0.0)
-            i = np.maximum(i, 0.0)
-            r = np.maximum(r, 0.0)
             i_days.append(i)
     span = seg_hi - seg_lo
     y = np.zeros((n_cand, span))
@@ -470,18 +481,20 @@ def test_a_batch_tunes_each_job_as_tune_alone_does_bitwise(shared_beta, points):
         series, ps = _noisy_metro(lengths, seed)
         for model, mu in (("delayed", 0.0), ("reinfect", 0.2), ("reinfect", 0.0)):
             calls.append(((model, series, ps, cfg), {"tau1": 3, "tau2": 7, "mu": mu}))
-    # With mu = 1e308 the reinfection term mu * R overflows for R >= 2, so the job seeded with
-    # R = 5 finds nothing feasible in period 1; of the others, some fail later and some finish.
+    # With mu = 1 all of R moves back to S each day.  The first job's S + R passes the float
+    # range, so S overflows on day 1 for every candidate: nothing is feasible in period 1.  The
+    # next two hold totals past the float range that overflow later, in a period that depends
+    # on the grid, or never; the last stays far below the range.
     series, ps = _noisy_metro((3, 9, 9, 9, 9), 7)
-    for init in (SirState(1e3, 10.0, 5.0), SirState(1e3, 10.0, 0.0), SirState(100.0, 100.0, 0.0),
-                 SirState(1e4, 1.0, 0.0)):
-        calls.append((("reinfect", series, ps, cfg), {"tau1": 1, "tau2": 1, "mu": 1e308, "init": init}))
+    for init in (SirState(3e307, 10.0, 1.5e308), SirState(1e307, 1.5e308, 1.5e308),
+                 SirState(5e307, 1.5e308, 0.0), SirState(1e3, 10.0, 0.0)):
+        calls.append((("reinfect", series, ps, cfg), {"tau1": 1, "tau2": 1, "mu": 1.0, "init": init}))
     got = tune_batch([TuneJob(*args, **kwargs, shared_beta=shared_beta) for args, kwargs in calls])
     want = [_tune_alone(*args, **kwargs, shared_beta=shared_beta) for args, kwargs in calls]
     assert [_outcome(res) for res in got] == [_outcome(res) for res in want]
     failed = [str(res)[-8:] if isinstance(res, ConfigError) else None for res in want[-4:]]
-    assert failed == {(False, 9): ["period 1", "period 3", "period 2", None],
-                      (True, 9): ["period 1", None, "period 2", None],
+    assert failed == {(False, 9): ["period 1", "period 3", None, None],
+                      (True, 9): ["period 1", "period 2", "period 4", None],
                       (False, 1): ["period 1", None, None, None]}[shared_beta, points]
 
 
@@ -565,19 +578,18 @@ def test_the_step_kernel_runs_jobs_longest_first_as_it_runs_each_alone(monkeypat
     inflow = tuple(float(3 + d % 7) for d in range(20))
     days, betas, gammas, steps = zip(*LONGEST_FIRST_JOBS)
     # Recording, the kernel returns S, I and R of every day; scoring, each job's score.
-    block, clamps, finite = _euler_days(model, days, shared, np.array(betas), np.array(gammas), list(steps),
-                                        [inflow] * len(days), None if record else _score_inputs(steps, 2))
+    block, finite = _euler_days(model, days, shared, np.array(betas), np.array(gammas), list(steps),
+                                [inflow] * len(days), None if record else _score_inputs(steps, 2))
     for j, (job_days, beta, gamma, n) in enumerate(LONGEST_FIRST_JOBS):
-        alone, alone_clamps, alone_finite = _euler_days(model, [job_days], shared, np.array([beta]),
-                                                        np.array([gamma]), [n], [inflow],
-                                                        None if record else _score_inputs([n], 2))
+        alone, alone_finite = _euler_days(model, [job_days], shared, np.array([beta]), np.array([gamma]), [n],
+                                          [inflow], None if record else _score_inputs([n], 2))
         got, want = (block[:, :n + 1, j], alone[..., 0, :]) if record else (block[j], alone[0])
         assert np.isfinite(want).any()
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert (finite[j].tolist(), clamps[j:j + 1]) == (alone_finite[0].tolist(), alone_clamps)
+        assert finite[j].tolist() == alone_finite[0].tolist()
     assert finite.all()
-    if record:  # the job without a step returns its committed day and counts no clamp
-        assert block[:, 0, -1, 0].tolist() == [1e4, 7.0, 2.0] and clamps[-1] == 0
+    if record:  # the job without a step returns its committed day
+        assert block[:, 0, -1, 0].tolist() == [1e4, 7.0, 2.0]
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -594,22 +606,22 @@ def test_the_step_kernel_rejects_jobs_that_are_not_longest_first(record):
 
 @pytest.mark.parametrize("record", [False, True])
 def test_a_state_that_overflows_in_one_compartment_is_not_finite(record):
-    # On the second job's one step, its first candidate removes gamma * I = inf: I clamps to 0
-    # and R becomes inf.  Its second infects beta * I * S = inf: S clamps to 0 and I becomes
-    # inf.  Its row 1 is no fit row, so its score stays finite; only the state tells.
+    # The second job's S, I and R together pass the float range.  On its one step, its first
+    # candidate removes all of I into R, which overflows; its second infects all of S into I,
+    # which overflows.  Its row 1 is no fit row, so its score stays finite; only the state tells.
     shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5)
-    days = [([1e5], [10.0], [0.0]), ([1.0], [1e300], [0.0])]
-    beta = np.array([[1e-6, 2e-6, 3e-6], [0.0, 1e10, 0.0]])
-    gamma = np.array([[0.1, 0.2, 0.3], [1e10, 0.1, 0.1]])
+    days = [([1e5], [10.0], [0.0]), ([1e308], [1e308], [1e308])]
+    beta = np.array([[1e-6, 2e-6, 3e-6], [0.0, 1.0, 0.0]])
+    gamma = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 0.1]])
     score = _score_inputs([3, 1], 3)
     score[1][:, 1] = False
-    block, _, finite = _euler_days("original", days, shared, beta, gamma, [3, 1], [None] * 2,
-                                   None if record else score)
+    block, finite = _euler_days("original", days, shared, beta, gamma, [3, 1], [None] * 2,
+                                None if record else score)
     assert finite.tolist() == [[True] * 3, [False, False, True]]
     if record:
         assert np.isinf(block[:, 1, 1]).T.tolist() == [[False, False, True], [False, True, False],
                                                        [False, False, False]]
-        assert block[:2, 1, 1, :2].tolist() == [[1.0, 0.0], [0.0, math.inf]]
+        assert block[:2, 1, 1, :2].tolist() == [[1e308, 0.0], [0.0, math.inf]]
     else:
         assert np.isfinite(block).all()
 
@@ -634,10 +646,11 @@ def test_fit_chunk_gives_each_metro_and_model_what_tune_alone_gives():
 def test_a_batched_commit_extends_each_job_as_it_would_alone():
     shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4, mu=0.3)
     # Period 3 is committed through period 4's first day, to 9, 6 and 5 days.  The second
-    # job overflows on its first step, a StateError; the third job's R is clamped.
+    # job infects all of S into I, past the float range, on its first step: a StateError.  The
+    # third job's removals are capped at its I, which stops at 0.
     jobs = [
         (([1e5, 9e4], [10.0, 20.0], [0.0, 5.0]), 2e-6, 0.1, (0, 1, 2, 8, 10, 12)),
-        (([1e300], [1e300], [0.0]), 1.0, 0.0, (0, 1, 2, 5, 7, 9)),
+        (([1e308], [1e308], [0.0]), 1.0, 0.0, (0, 1, 2, 5, 7, 9)),
         (([5e4, 4e4, 3e4], [100.0, 90.0, 80.0], [0.0, 1.0, 2.0]), 1e-5, 1.5, (0, 1, 2, 4, 6, 8)),
     ]
     alone = []
@@ -651,7 +664,7 @@ def test_a_batched_commit_extends_each_job_as_it_would_alone():
         (pickle.dumps(days), _outcome(res)) for days, res in alone
     ]
     assert str(got[1]).startswith("reinfect: state is no longer finite on day 1 (period 3)")
-    assert got[2] > 0
+    assert got[0] is None and got[2] is None and batch[2][1][3:] == [0.0, 0.0]
     assert [len(days[0]) for days in batch] == [9, 6, 5]
 
 
@@ -739,11 +752,12 @@ _DROP_CASES = {
          (_SEED_DAYS, *_GRID, 25, np.arange(25) == 12, False, 0.0)]),
     "a lone job without two fit days": ("delayed", PiecewiseParams((0.0,) * 5, (0.0,) * 5),
                                         [(_SEED_DAYS, *_GRID, 20, np.arange(20) == 3, True, 0.0)]),
-    # beta = 1e300 overflows I on step 1, gamma = 1e300 overflows R; no fit day before step 10,
-    # so only the I rule can drop a column at the check.
+    # S and I together pass the float range: beta = 1e300 infects all of S into I on step 1,
+    # which overflows, and gamma = 1e300 removes all of I into R, from which reentries overflow
+    # S.  No fit day before step 10, so only the I rule can drop a column at the check.
     "overflow before the check": (
         "reinfect", PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4, mu=0.5),
-        [(_SEED_DAYS, np.array([0.0, 2e-6, 1e300]), np.array([0.1, 0.3, 1e300]), 24,
+        [(([1e308], [1e308], [0.0]), np.array([0.0, 2e-309, 1e300]), np.array([0.1, 0.3, 1e300]), 24,
           np.arange(24) >= 10, True, 0.03)]),
 }
 
@@ -775,66 +789,49 @@ def test_dropping_dead_columns_scores_each_job_as_the_reference_does(monkeypatch
 def test_a_column_whose_i_is_zero_off_the_fit_days_is_not_dropped(drops):
     # Removals read today's I (tau2 = 0) at gamma = 1.2, infections read I six days back: the
     # first column's I is 0 on days 1, 8 (the check step), 15, 22 and 29, which are no fit days,
-    # and positive on the others.  beta = 1e300 overflows I on step 1, so the check drops those
-    # columns.
+    # and positive on the others.  S and I together pass the float range, and beta = 1e300
+    # infects all of S into I on step 1, which overflows, so the check drops those columns.
     shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=6, tau2=0)
-    bvals, gvals = np.array([1e-6, 1e300]), np.array([1.2, 0.1])
+    days = ([1e308], [1e308], [0.0])
+    bvals, gvals = np.array([1e-309, 1e300]), np.array([1.2, 0.1])
     args = (bvals, gvals, 0, 30, 0, np.arange(30) % 7 != 1, False, 0.0, shared, None)
-    (got,) = _grid_eval("delayed", [_SEED_DAYS], *_fit_rows(*args))
+    (got,) = _grid_eval("delayed", [days], *_fit_rows(*args))
     assert [cols.shape for cols in drops] == [(1, 2)]
-    assert np.array_equal(got.view(np.int64), _reference_grid_eval("delayed", _SEED_DAYS, *args).view(np.int64))
-    block, _, _ = _euler_days("delayed", [_SEED_DAYS], shared, np.array([[1e-6]]), np.array([[1.2]]), [29],
-                              [None])
+    assert np.array_equal(got.view(np.int64), _reference_grid_eval("delayed", days, *args).view(np.int64))
+    block, _ = _euler_days("delayed", [days], shared, np.array([[1e-309]]), np.array([[1.2]]), [29], [None])
     assert np.flatnonzero(block[1, :, 0, 0] == 0.0).tolist() == [1, sir._CHECK_STEP, 15, 22, 29]
     assert np.isfinite(got[:2]).all() and np.isinf(got[2:]).all()
 
 
-class _RawBlockNumpy:
-    """NumPy, but ``maximum`` keeps a copy of each 4-d array it clamps: record mode's raw block."""
-
-    def __init__(self):
-        self.raw = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def maximum(self, a, *args, **kwargs):
-        if np.ndim(a) == 4:
-            self.raw.append(np.array(a))
-        return np.maximum(a, *args, **kwargs)
-
-
 @settings(max_examples=60, deadline=None)
 @example(committed=[(1e5, 10.0, -0.0)], bvals=[1e-6], gvals=[-0.0], steps=3, tau1=0, tau2=0, mu=0.0)
+@example(committed=[(-0.0, 10.0, 0.0)], bvals=[-0.0], gvals=[0.5], steps=3, tau1=0, tau2=0, mu=0.0)
 @given(
-    committed=st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e3), st.sampled_from([-0.0, 0.0, 7.0])),
+    committed=st.lists(st.tuples(st.one_of(st.floats(0.0, 1e6), st.just(-0.0)),
+                                 st.one_of(st.floats(0.0, 1e3), st.just(-0.0)), st.sampled_from([-0.0, 0.0, 7.0])),
                        min_size=1, max_size=6),
     bvals=st.lists(st.one_of(_rate, st.just(-0.0), st.floats(1e290, 1e300)), min_size=1, max_size=4),
     gvals=st.lists(st.one_of(st.floats(0.0, 2.0), st.just(-0.0), st.just(1e300)), min_size=1, max_size=4),
     steps=st.integers(1, 15),
     tau1=st.integers(0, 6),
     tau2=st.integers(0, 6),
-    mu=st.floats(0.0, 1.0),
+    mu=st.floats(0.0, 2.0),
 )
-def test_r_never_goes_negative_when_mu_is_at_most_one(committed, bvals, gvals, steps, tau1, tau2, mu):
-    # The kernel clamps R only for mu > 1.  With mu <= 1 the reentries mu * R never exceed the R
-    # they leave, and a committed R of -0.0 is read as +0.0, so the raw R is >= +0.0 or NaN.
-    spy = _RawBlockNumpy()
+def test_no_step_records_a_negative_value_or_minus_zero(committed, bvals, gvals, steps, tau1, tau2, mu):
+    # Each flow is capped at the compartment it leaves, and a committed S or R of -0.0 is read
+    # as +0.0, so every recorded S, I and R is >= +0.0 or NaN.
     days = tuple(list(col) for col in zip(*committed))
     shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=tau1, tau2=tau2, mu=mu)
     beta, gamma = np.repeat(bvals, len(gvals))[None], np.tile(gvals, len(bvals))[None]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sir, "np", spy)
-        _euler_days("reinfect", [days], shared, beta, gamma, [steps], [None])
-    (raw,) = spy.raw
-    r = raw[2, 1:]
-    assert not (r < 0.0).any()
-    assert not np.signbit(r[r == 0.0]).any()
+    block, _ = _euler_days("reinfect", [days], shared, beta, gamma, [steps], [None])
+    values = block[:, 1:]
+    assert not (values < 0.0).any()
+    assert not np.signbit(values[values == 0.0]).any()
 
 
-def test_r_is_clamped_when_mu_exceeds_one():
-    # mu = 1.5 moves more than R holds back to S: R goes negative and is clamped, in record
-    # mode (counted) and when scoring, bitwise as the reference that clamps R on every step.
+def test_r_is_emptied_when_mu_exceeds_one():
+    # With mu = 1.5 the reentries are capped at the R they leave: all of R moves back to S each
+    # day, in record mode as with mu = 1, and when scoring bitwise as the reference.
     shared = PiecewiseParams((0.0,) * 5, (0.0,) * 5, tau1=2, tau2=4, mu=1.5)
     days = ([1e5], [100.0], [50.0])
     args = (np.linspace(0.0, 4e-6, 5), np.linspace(0.0, 0.2, 5), 0, 20, 0, np.ones(20, dtype=bool), True, 0.05,
@@ -843,8 +840,9 @@ def test_r_is_clamped_when_mu_exceeds_one():
     assert np.isfinite(got).sum() == 21
     assert np.array_equal(got.view(np.int64), _reference_grid_eval("reinfect", days, *args).view(np.int64))
     beta, gamma = np.repeat(args[0], 5)[None], np.tile(args[1], 5)[None]
-    block, (clamps,), _ = _euler_days("reinfect", [days], shared, beta, gamma, [20], [None])
-    assert clamps > 0 and (block[2] >= 0.0).all()
+    block, _ = _euler_days("reinfect", [days], shared, beta, gamma, [20], [None])
+    at_one, _ = _euler_days("reinfect", [days], dataclasses.replace(shared, mu=1.0), beta, gamma, [20], [None])
+    assert np.array_equal(block.view(np.int64), at_one.view(np.int64)) and (block[2] >= 0.0).all()
 
 
 @settings(max_examples=80, deadline=None)
@@ -875,7 +873,7 @@ def test_the_one_pass_slope_is_within_rounding_of_the_two_pass_slope(
     args = (np.array(bvals), np.array(gvals), 0, span, x_off, fit_days, False, 0.0, shared, o_vals)
     (one,) = _grid_eval(model, [days], *_fit_rows(*args))
     beta, gamma = np.repeat(bvals, len(gvals))[None], np.tile(gvals, len(bvals))[None]
-    block, _, _ = _euler_days(model, [days], shared, beta, gamma, [span - 1], [o_vals])
+    block, _ = _euler_days(model, [days], shared, beta, gamma, [span - 1], [o_vals])
     ok = np.isfinite(one)  # the feasible candidates, whose fit-day I is positive and finite
     with np.errstate(all="ignore"):
         y = np.log(block[1, fit_days, 0])
@@ -956,7 +954,7 @@ def test_data_growth_rates_match_the_per_period_reference_bitwise(lengths, lead,
 @given(lengths=_period_lengths, data=st.data())
 def test_sim_growth_rates_match_the_per_period_reference_bitwise(lengths, data):
     """Drawn I values with zero days, all-zero periods and an I that dies, and
-    simulated runs whose I dies by clamping, as long as the window or longer."""
+    simulated runs whose I dies by a capped removal, as long as the window or longer."""
     ps = periods_over(lengths)
     days = ps.window.days
     if data.draw(st.booleans()):

@@ -21,7 +21,6 @@ def test_fit_simple_recovers_exact_line():
     assert fit.slope == pytest.approx(2.5, abs=1e-12)
     assert fit.intercept == pytest.approx(-1.0, abs=1e-12)
     assert fit.r_squared == 1.0
-    assert fit.n == 10
 
 
 def test_fit_simple_flat_data_has_zero_slope():

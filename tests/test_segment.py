@@ -159,7 +159,7 @@ def test_optimizer_matches_exhaustive_search_on_small_box():
 def _reference_optimize(series, initial, search_radius, min_period_length):
     """The coordinate ascent the DP replaced, uncached: every trial refits all five periods.
 
-    At most 100 sweeps.  Returns the cut days and the five (slope, intercept, r2, n) fits.
+    At most 100 sweeps.  Returns the cut days and the five (slope, intercept, r2) fits.
     """
     window = initial.window
     x, y = to_log_series(series, window)
@@ -170,7 +170,7 @@ def _reference_optimize(series, initial, search_radius, min_period_length):
         a, b = np.searchsorted(day_rel, (lo, hi))
         if b - a < 2:
             return None
-        return (*_line_fit(x[a:b], y[a:b]), int(b - a))
+        return _line_fit(x[a:b], y[a:b])
 
     def objective(bounds):
         cuts = [0, *bounds, window.days]
@@ -281,7 +281,6 @@ def test_optimizer_is_never_below_the_reference_ascent(case):
         assert [_bits(v) for v in (p.fit.slope, p.fit.intercept, p.fit.r_squared)] == [
             _bits(v) for v in want
         ]
-        assert p.fit.n == inside.sum()
 
 
 @settings(max_examples=100, deadline=None)
@@ -393,7 +392,7 @@ def _fitted_periods(slopes, start=date(2020, 4, 1), length=10) -> PeriodSet:
     cursor = start
     for i, k in enumerate(slopes, start=1):
         end = cursor + timedelta(days=length - 1)
-        periods.append(Period(i, cursor, end, SimpleFit(k, 0.0, 0.9, length)))
+        periods.append(Period(i, cursor, end, SimpleFit(k, 0.0, 0.9)))
         cursor = end + timedelta(days=1)
     return PeriodSet("m", tuple(periods))
 

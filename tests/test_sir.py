@@ -50,6 +50,10 @@ def states(traj) -> tuple[SirState, ...]:
     return tuple(SirState(*day) for day in zip(traj.s, traj.i, traj.r))
 
 
+def _bits(v: float) -> int:
+    return int(np.float64(v).view(np.int64))
+
+
 def test_step_original_hand_computed():
     nxt = states(constant("original", 0.5, 0.1, SirState(0.99, 0.01, 0.0)))[1]
     assert nxt.s == pytest.approx(0.985050, abs=1e-12)
@@ -61,7 +65,6 @@ def test_disease_free_state_is_fixed_point():
     state = SirState(1.0, 0.0, 0.0)
     traj = constant("original", 0.9, 0.4, state)
     assert set(states(traj)) == {state}
-    assert traj.clamp_events == 0
 
 
 def test_step_delayed_reads_lagged_infections():
@@ -132,36 +135,41 @@ def test_step_tourism_adds_scaled_inflow():
 
 
 def test_simulate_non_finite_state_raises_naming_day_and_period():
-    # beta*I*S overflows on day 1, and 0 * inf poisons day 2
+    # I and R together pass the float range: the removals carry R past it on day 2
     with pytest.raises(StateError, match=r"original: .*day 2 \(period 1\)"):
-        constant("original", 1e300, 0.1, SirState(1e5, 1.0, 0.0))
+        constant("original", 0.0, 0.6, SirState(1.0, 1e308, 1e308))
+    # S and I together pass it: period 3's first step infects all of S into I
     lengths = (7, 7, 7, 7, 7)
-    params = PiecewiseParams([1e-6, 1e-6, 1e300, 1e-6, 1e-6], [0.1] * 5, tau1=2)
-    with pytest.raises(StateError, match=r"delayed: .*\(period 3\)"):
-        simulate("delayed", params, SirState(1e5, 1.0, 0.0), periods_over(date(2020, 3, 1), lengths))
+    params = PiecewiseParams([0.0, 0.0, 1.0, 0.0, 0.0], [0.0] * 5, tau1=2)
+    with pytest.raises(StateError, match=r"delayed: .*day 15 \(period 3\)"):
+        simulate("delayed", params, SirState(1e308, 1e308, 0.0), periods_over(date(2020, 3, 1), lengths))
 
 
-def _scalar_reference(model, params, init, periods, inflow=None):
-    """The forward-Euler recurrence written out in Python floats: (states, clamps)."""
+def _scalar_reference(model, params, init, periods, inflow=None, capped=True):
+    """The forward-Euler recurrence written out in Python floats, each day's (s, i, r).
+
+    With ``capped`` each flow is capped at its source compartment.  Without, the flows are
+    the plain products, and the run stops before the first step on which a cap would bind."""
     s, i, r = [init.s], [init.i], [init.r]
-    clamps = 0
+    mu = params.mu if model == "reinfect" else 0.0
     period_of_day = [k for k, p in enumerate(periods.periods) for _ in range(p.length)]
     for t in range(periods.window.days - 1):
         k = period_of_day[t]
         lag1, lag2 = (0, 0) if model == "original" else (params.tau1, params.tau2)
-        new_infections = params.beta[k] * i[max(t - lag1, 0)] * s[t]
-        removals = params.gamma[k] * i[max(t - lag2, 0)]
-        reentries = (params.mu if model == "reinfect" else 0.0) * r[t]
+        rate = params.beta[k] * i[max(t - lag1, 0)]
+        new_infections = min(rate, 1.0) * s[t]
+        infected = i[t] + new_infections
+        removals = min(params.gamma[k] * i[max(t - lag2, 0)], infected)
+        reentries = min(mu, 1.0) * r[t]
+        if not capped:
+            plain = (rate * s[t], params.gamma[k] * i[max(t - lag2, 0)], mu * r[t])
+            if plain != (new_infections, removals, reentries):
+                break
         arrivals = params.epsilon * inflow.o[t] if model == "tourism" else 0.0
-        raw = (
-            s[t] - new_infections + reentries + arrivals,
-            i[t] + new_infections - removals,
-            r[t] + removals - reentries,
-        )
-        clamps += sum(v < 0.0 for v in raw)
-        for seq, v in zip((s, i, r), raw):
-            seq.append(v if v >= 0.0 else 0.0)
-    return tuple(SirState(*state) for state in zip(s, i, r)), clamps
+        s.append(s[t] - new_infections + reentries + arrivals)
+        i.append(infected - removals)
+        r.append(r[t] + removals - reentries)
+    return tuple(zip(s, i, r))
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,23 +187,47 @@ def test_simulate_matches_scalar_reference_bitwise(model, betas, gammas, tau1, t
     params = PiecewiseParams(betas, gammas, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
     inflow = InflowSeries(tuple(float(3 + d % 7) for d in range(FIVE_WEEKS.window.days - 1)))
     traj = simulate(model, params, SirState(*init), FIVE_WEEKS, inflow)
-    want, clamps = _scalar_reference(model, params, SirState(*init), FIVE_WEEKS, inflow)
-    assert states(traj) == want
-    assert traj.clamp_events == clamps
+    want = _scalar_reference(model, params, SirState(*init), FIVE_WEEKS, inflow)
+    assert states(traj) == tuple(SirState(*day) for day in want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=st.sampled_from(VARIANTS),
+    betas=st.lists(st.floats(0.0, 1e-5), min_size=5, max_size=5),
+    gammas=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+    tau1=st.integers(0, 10),
+    tau2=st.integers(0, 10),
+    mu=st.floats(0.0, 1.2),
+    epsilon=st.floats(0.0, 1.0),
+    init=st.tuples(st.floats(1e3, 1e6), st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+)
+def test_until_a_cap_binds_a_run_is_the_uncapped_recurrence_bitwise(
+    model, betas, gammas, tau1, tau2, mu, epsilon, init
+):
+    """The plain products overdraw no compartment until a cap binds, so no value went negative
+    there before flows were capped either: a run on which no cap binds is that run, bit for bit."""
+    params = PiecewiseParams(betas, gammas, tau1=tau1, tau2=tau2, mu=mu, epsilon=epsilon)
+    inflow = InflowSeries(tuple(float(3 + d % 7) for d in range(FIVE_WEEKS.window.days - 1)))
+    traj = simulate(model, params, SirState(*init), FIVE_WEEKS, inflow)
+    plain = _scalar_reference(model, params, SirState(*init), FIVE_WEEKS, inflow, capped=False)
+    days = list(zip(traj.s, traj.i, traj.r))[:len(plain)]
+    assert [[_bits(v) for v in day] for day in days] == [[_bits(v) for v in day] for day in plain]
+    assert min(min(day) for day in plain) >= 0.0
 
 
 def test_simulate_conserves_population():
     params = PiecewiseParams([2e-6] * 5, [0.08] * 5, tau1=3, tau2=9, mu=0.05)
     init = SirState(90_000.0, 100.0, 0.0)
     traj = simulate("reinfect", params, init, FIVE_WEEKS)
-    assert traj.clamp_events == 0
     total0 = init.s + init.i + init.r
     worst = max(abs(st.s + st.i + st.r - total0) for st in states(traj))
     assert worst / total0 < 1e-9
 
 
 @settings(max_examples=200, deadline=None)
-@example("original", 1e5, 10.0, 0.0, 1e5, 0.1, 0, 0, 0.0)  # README: drift 8.999, 1 clamp event
+@example("original", 1e5, 10.0, 0.0, 1e5, 0.1, 0, 0, 0.0)  # README: all of S moves on day 1
+@example("original", 1e5, 1.0, 0.0, 1e305, 0.1, 0, 0, 0.0)  # beta * I * S overflows
 @given(
     model=st.sampled_from(("original", "delayed", "reinfect")),
     s0=st.floats(1.0, 1e6),
@@ -207,16 +239,13 @@ def test_simulate_conserves_population():
     tau2=st.integers(0, 8),
     mu=st.floats(0.0, 2.0),
 )
-def test_only_a_clamp_moves_the_total(model, s0, i0, r0, beta_s0, gamma, tau1, tau2, mu):
-    """Outside tourism, a drift of S + I + R above rounding means a clamp fired."""
+def test_outside_tourism_the_total_never_moves(model, s0, i0, r0, beta_s0, gamma, tau1, tau2, mu):
+    """Outside tourism, S + I + R drifts only by rounding, however far a flow would overdraw."""
     init = SirState(s0, i0, r0)
-    try:
-        traj = constant(model, beta_s0 / s0, gamma, init, tau1=tau1, tau2=tau2, mu=mu)
-    except StateError:
-        return  # the state overflowed: simulate keeps no trajectory to measure
+    traj = constant(model, beta_s0 / s0, gamma, init, tau1=tau1, tau2=tau2, mu=mu)
     total0 = init.s + init.i + init.r
     drift = max(abs(st.s + st.i + st.r - total0) for st in states(traj)) / total0
-    assert drift <= 1e-9 or traj.clamp_events > 0
+    assert drift <= 1e-12
 
 
 def test_simulate_tourism_adds_exact_inflow_each_step():
@@ -246,13 +275,14 @@ def test_simulate_switches_parameters_on_source_day():
     assert same_days == list(range(8))  # days 0..7 identical, day 8 diverges
 
 
-def test_simulate_clamps_and_counts_overshoot():
-    # gamma large enough that I would go negative on the first removal burst
-    params = PiecewiseParams([0.0] * 5, [3.0] * 5)
+def test_simulate_caps_each_flow_at_its_source():
+    # A flow that would overdraw its source moves all of it: gamma = 3 removes all of I,
+    # beta * I = 10 infects all of S, and mu = 1.5 moves all of R back to S, each on day 1.
     init = SirState(100.0, 10.0, 0.0)
-    traj = simulate("original", params, init, FIVE_WEEKS)
-    assert traj.clamp_events > 0
-    assert all(st.s >= 0 and st.i >= 0 and st.r >= 0 for st in states(traj))
+    assert set(states(constant("original", 0.0, 3.0, init))[1:]) == {SirState(100.0, 0.0, 10.0)}
+    assert set(states(constant("original", 1.0, 0.0, init))[1:]) == {SirState(0.0, 110.0, 0.0)}
+    traj = constant("reinfect", 0.0, 0.0, SirState(0.0, 0.0, 100.0), mu=1.5)
+    assert set(states(traj)[1:]) == {SirState(100.0, 0.0, 0.0)}
 
 
 def test_simulate_requires_inflow_for_tourism():

@@ -115,7 +115,7 @@ def test_metro_map_round_trip(entries):
 def _period_set(metro, start, lengths, fits):
     periods, day = [], start
     for k, (length, fit) in enumerate(zip(lengths, fits), start=1):
-        periods.append(Period(k, day, day + timedelta(days=length - 1), SimpleFit(*fit, length)))
+        periods.append(Period(k, day, day + timedelta(days=length - 1), SimpleFit(*fit)))
         day += timedelta(days=length)
     return PeriodSet(metro, tuple(periods))
 
